@@ -56,10 +56,11 @@ def _emit(fmt, text_lines, payload):
 
 def _load_monomial_ideal(text, characteristic):
     try:
-        mi = parse_ideal_text(text)
-    except ParseError as exc:
+        return GradedIdealView.from_monomial_ideal(
+            parse_ideal_text(text), characteristic
+        )
+    except ValueError as exc:  # ParseError, or a refused characteristic
         _fail_input(str(exc))
-    return GradedIdealView.from_monomial_ideal(mi, characteristic)
 
 
 def _pad_to_common_ambient(I, J):
@@ -91,7 +92,10 @@ def main():
 def betti_cmd(ideal, cap, characteristic, fmt):
     """Betti table and regularity of a monomial ideal."""
     I = _load_monomial_ideal(ideal, characteristic)
-    table = betti.betti_table(I, cap)
+    try:
+        table = betti.betti_table(I, cap)
+    except ValueError as exc:
+        _fail_input(str(exc))
     reg = betti.regularity(I, cap)
     lines = [table.render(), f"reg = {reg.value}"]
     payload = {
@@ -119,11 +123,11 @@ def inequality_cmd(ideal_i, ideal_j, cap, characteristic, fmt):
         mi, mj = _pad_to_common_ambient(
             parse_ideal_text(ideal_i), parse_ideal_text(ideal_j)
         )
-    except ParseError as exc:
+        I = GradedIdealView.from_monomial_ideal(mi, characteristic)
+        J = GradedIdealView.from_monomial_ideal(mj, characteristic)
+        rep = betti.inequality_report(I, J, cap)
+    except ValueError as exc:  # ParseError, characteristic or cap
         _fail_input(str(exc))
-    I = GradedIdealView.from_monomial_ideal(mi, characteristic)
-    J = GradedIdealView.from_monomial_ideal(mj, characteristic)
-    rep = betti.inequality_report(I, J, cap)
     lines = [
         f"reg(I) = {rep.reg_i.value}",
         f"reg(J) = {rep.reg_j.value}",

@@ -73,14 +73,38 @@ class PrimeField:
         return f"GF({self.characteristic})"
 
 
+# Miller-Rabin with the twelve prime bases 2..37 decides primality exactly
+# below PRIME_BOUND, the least composite that is a strong pseudoprime to all
+# of them (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).  The
+# largest characteristic accepted is therefore the largest prime below
+# 318665857834031151167461, about 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"characteristic {p} is above the supported bound")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

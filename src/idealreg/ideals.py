@@ -7,21 +7,10 @@ purely combinatorial and characteristic-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import accumulate
+from operator import itemgetter
 
-from .monomials import (
-    Monomial,
-    compare_revlex,
-    compare_tau,
-    degree,
-    divides,
-    gcd_monomial,
-    lcm_monomial,
-    mono_div,
-    mono_mul,
-    one,
-    support,
-)
+from .monomials import degree, divides, lcm_monomial, mono_mul, one, support
 
 
 def minimalize(monomials):
@@ -84,66 +73,93 @@ class MonomialIdeal:
         prods = {mono_mul(u, v) for u in self.gens for v in other.gens}
         return MonomialIdeal.from_gens(self.nvars, prods)
 
-    def standard_monomials(self, e):
-        """Degree-e monomials outside the ideal, by pruned DFS."""
-        out = []
-        self._std_dfs(0, [], e, list(self.gens), out)
-        return out
+    def hilbert_values(self, cap):
+        """[dim_K (R/I)_e for e = 0..cap], counted in one walk.
+
+        Each standard prefix of x1..x_{n-1} adds the run of degrees of its
+        standard completions by x_n (a contiguous range) to a difference
+        array; no monomial is built.
+        """
+        diff = [0] * (cap + 2)
+
+        def leaf(deg, prefix, t):
+            diff[deg] += 1
+            diff[deg + t + 1] -= 1
+
+        self._walk([cap] * self.nvars, cap, leaf)
+        return list(accumulate(diff[:-1]))
 
     def hilbert_function(self, e):
         """dim_K (R/I)_e = number of degree-e standard monomials."""
-        return len(self.standard_monomials(e))
+        return self.hilbert_values(e)[e] if e >= 0 else 0
 
-    def _std_dfs(self, pos, prefix, rest, alive, out):
-        n = self.nvars
-        if pos == n:
-            if rest == 0:
-                out.append(tuple(prefix))
-            return
-        remaining_vars = n - pos - 1
-        for a in range(rest, -1, -1):
-            if remaining_vars == 0 and a != rest:
-                break
-            nxt = []
-            dead = False
-            for g in alive:
-                if g[pos] > a:
-                    continue
-                if all(x == 0 for x in g[pos + 1 :]):
-                    dead = True  # generator divides the prefix
-                    break
-                nxt.append(g)
-            if dead:
-                continue
-            prefix.append(a)
-            self._std_dfs(pos + 1, prefix, rest - a, nxt, out)
-            prefix.pop()
+    def standard_monomials(self, e):
+        """Degree-e monomials outside the ideal."""
+        out = []
+
+        def leaf(deg, prefix, t):
+            if deg + t == e:
+                out.append((*prefix, t))
+
+        self._walk([e] * self.nvars, e, leaf)
+        return out
 
     def standard_divisors_of(self, cap_monomial):
         """Standard monomials dividing cap_monomial (any degree)."""
         out = []
-        self._std_div_dfs(0, [], list(self.gens), cap_monomial, out)
+
+        def leaf(deg, prefix, t):
+            out.extend((*prefix, b) for b in range(t + 1))
+
+        self._walk(cap_monomial, degree(cap_monomial), leaf)
         return out
 
-    def _std_div_dfs(self, pos, prefix, alive, cap, out):
-        if pos == self.nvars:
-            out.append(tuple(prefix))
-            return
-        for a in range(cap[pos] + 1):
-            nxt = []
-            dead = False
+    def _walk(self, caps, total, leaf):
+        """Visit the monomials outside I with exponents <= caps and degree
+        <= total, grouped by their exponents of x1..x_{n-1}.
+
+        For each such prefix (degree deg) it calls leaf(deg, prefix, t): the
+        prefix times x_n^b lies outside I, within the caps, exactly for
+        0 <= b <= t.  `prefix` is a list reused across calls.
+
+        Pruning: a generator that uses no variable after x_pos divides the
+        prefix from its exponent of x_pos on, so that exponent ends the run
+        of x_pos; every other generator stays live once its exponent of
+        x_pos is reached, and only live generators are tested further down.
+        """
+        n = self.nvars
+        if n == 0:
+            return  # the only ideal in no variables is the unit ideal
+        last = {g: max((i for i, x in enumerate(g) if x), default=-1)
+                for g in self.gens}
+        prefix = [0] * (n - 1)
+
+        def visit(pos, deg, alive):
+            hi = min(caps[pos], total - deg)
+            if pos == n - 1:
+                for g in alive:
+                    if g[pos] <= hi:
+                        hi = g[pos] - 1
+                if hi >= 0:
+                    leaf(deg, prefix, hi)
+                return
+            pending = []
             for g in alive:
-                if g[pos] > a:
-                    continue
-                if all(x == 0 for x in g[pos + 1 :]):
-                    dead = True
-                    break
-                nxt.append(g)
-            if dead:
-                continue
-            prefix.append(a)
-            self._std_div_dfs(pos + 1, prefix, nxt, cap, out)
-            prefix.pop()
+                if last[g] > pos:
+                    pending.append(g)
+                elif g[pos] <= hi:
+                    hi = g[pos] - 1
+            pending.sort(key=itemgetter(pos))
+            live = []  # grows with a; each child reads it before it grows
+            k = 0
+            for a in range(hi + 1):
+                while k < len(pending) and pending[k][pos] <= a:
+                    live.append(pending[k])
+                    k += 1
+                prefix[pos] = a
+                visit(pos + 1, deg + a, live)
+
+        visit(0, 0, self.gens)
 
     def __str__(self):
         from .monomials import format_monomial

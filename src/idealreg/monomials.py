@@ -104,13 +104,6 @@ def compare_revlex(u, v):
     return 0
 
 
-def revlex_sorted(monomials, reverse=True):
-    """Sort same-degree monomials revlex (descending by default)."""
-    import functools
-
-    return sorted(monomials, key=functools.cmp_to_key(compare_revlex), reverse=reverse)
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(n, e):
     """All degree-e monomials in n variables, tau (lex) descending."""

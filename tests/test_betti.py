@@ -4,7 +4,7 @@ import pytest
 
 from idealreg import betti
 from idealreg.fields import field_of
-from idealreg.graded import GradedIdealView, ideal_product
+from idealreg.graded import GradedIdealView, HomPolynomial, ideal_product
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import monomial_basis, parse_monomial
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
@@ -176,3 +176,31 @@ def test_strand_composite_check_fires_on_flipped_differential(i):
     _flip_one_sign(engine.differential_rows(i + 1, 3))
     with pytest.raises(AssertionError, match="koszul composite not zero"):
         engine.betti(i, 3)
+
+
+# The Euler check must be able to fire on either route to the Hilbert values.
+
+
+def _euler_mutation_fires(I):
+    table = betti.betti_table(I)
+    betti._euler_check(I, table.entries, table.cap)
+    entries = dict(table.entries)
+    key = max(entries)
+    entries[key] += 1
+    with pytest.raises(AssertionError, match="Euler characteristic mismatch"):
+        betti._euler_check(I, entries, table.cap)
+
+
+def test_euler_check_fires_on_monomial_route():
+    I = view(4, "a^2*b", "a*b*c", "b*c*d", "c*d^2")
+    assert I.is_monomial
+    _euler_mutation_fires(I)
+
+
+def test_euler_check_fires_on_degree_piece_route():
+    a_plus_b = HomPolynomial.linear_form([1, 1, 0])
+    c = HomPolynomial.linear_form([0, 0, 1])
+    I = GradedIdealView(3, [a_plus_b.multiply(a_plus_b, field_of(0)),
+                            a_plus_b.multiply(c, field_of(0))])
+    assert not I.is_monomial
+    _euler_mutation_fires(I)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from idealreg.cli import main
@@ -30,8 +31,6 @@ def test_parse_linforms():
 
 
 def test_parse_errors():
-    import pytest
-
     with pytest.raises(ParseError):
         parse_ideal_text("ideal()")
     with pytest.raises(ParseError):
@@ -137,3 +136,31 @@ def test_input_errors_exit_2():
     assert run("betti", "--ideal", "ideal()").exit_code == 2
     assert run("betti", "--ideal", "garbage").exit_code == 2
     assert run("linforms", "verify", "--family", "linforms()").exit_code == 2
+
+
+def _assert_input_error(r):
+    assert r.exit_code == 2 and r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+@pytest.mark.parametrize("char", ["1", "-3", "4"])
+def test_betti_bad_characteristic_exits_2(char):
+    _assert_input_error(run("betti", "--ideal", HOOK, "--char", char))
+
+
+def test_betti_cap_below_generator_degree_exits_2():
+    _assert_input_error(
+        run("betti", "--ideal", "ideal(a^2, a*b)", "--cap", "1")
+    )
+
+
+def test_inequality_bad_characteristic_and_cap_exit_2():
+    _assert_input_error(
+        run("inequality", "--ideal-i", "ideal(b)", "--ideal-j", HOOK,
+            "--char", "4")
+    )
+    _assert_input_error(
+        run("inequality", "--ideal-i", "ideal(b)", "--ideal-j", HOOK,
+            "--cap", "2")
+    )

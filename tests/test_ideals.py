@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealreg.ideals import (
     MonomialIdeal,
@@ -20,7 +20,7 @@ from idealreg.monomials import (
 )
 
 
-def small_ideals(nmax=4, degmax=4, max_gens=5):
+def small_ideals(nmax=4, degmax=4, max_gens=5, nmin=2):
     def build(args):
         n, k, seed = args
         rng = random.Random(seed)
@@ -32,8 +32,12 @@ def small_ideals(nmax=4, degmax=4, max_gens=5):
         return MonomialIdeal.from_gens(n, gens)
 
     return st.tuples(
-        st.integers(2, nmax), st.integers(1, max_gens), st.integers(0, 10**6)
+        st.integers(nmin, nmax), st.integers(1, max_gens), st.integers(0, 10**6)
     ).map(build)
+
+
+def unit_ideal(n):
+    return MonomialIdeal.from_gens(n, [(0,) * n])
 
 
 def brute_contains(I, u):
@@ -59,6 +63,24 @@ def test_standard_monomials_oracle(I, e):
     expected = {m for m in monomial_basis(I.nvars, e) if not brute_contains(I, m)}
     assert std == expected
     assert I.hilbert_function(e) == len(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(small_ideals(nmin=1), st.integers(1, 4).map(unit_ideal)),
+    st.integers(0, 7),
+)
+@example(unit_ideal(1), 3)
+@example(unit_ideal(3), 4)
+@example(MonomialIdeal.from_gens(1, [(3,)]), 6)
+def test_hilbert_values_count_standard_monomials(I, cap):
+    values = I.hilbert_values(cap)
+    assert len(values) == cap + 1
+    for e, v in enumerate(values):
+        assert v == sum(
+            1 for m in monomial_basis(I.nvars, e) if not brute_contains(I, m)
+        )
+        assert I.hilbert_function(e) == v
 
 
 @settings(max_examples=40, deadline=None)

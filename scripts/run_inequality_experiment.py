@@ -15,8 +15,8 @@ import argparse
 import sys
 
 from idealreg import betti
-from idealreg.graded import GradedIdealView, dimension_monomial
-from idealreg.ideals import MonomialIdeal
+from idealreg.graded import GradedIdealView
+from idealreg.ideals import MonomialIdeal, dimension_monomial
 from idealreg.samplers import (
     random_low_dimension_ideal,
     random_monomial_ideal,

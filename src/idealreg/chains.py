@@ -215,8 +215,12 @@ def omega(spec):
     d = spec.total_degree
     from math import comb
 
-    if comb(d + n - 1, n - 1) > ENUM_GUARD:
-        raise ValueError("enumeration guard exceeded")
+    size = comb(d + n - 1, n - 1)
+    if size > ENUM_GUARD:
+        raise ValueError(
+            f"enumeration guard exceeded: {size} monomials of degree {d} "
+            f"> ENUM_GUARD = {ENUM_GUARD}"
+        )
     targets = [(i, gamma(i, spec.sizes)) for i in range(1, spec.sizes[0] + 1)]
     members = []
     for m in monomial_basis(n, d):
@@ -224,7 +228,9 @@ def omega(spec):
         if all(gamma(i, shape) >= g for i, g in targets):
             members.append(m)
     if len(members) > OMEGA_GUARD:
-        raise ValueError("Omega guard exceeded")
+        raise ValueError(
+            f"Omega guard exceeded: {len(members)} > OMEGA_GUARD = {OMEGA_GUARD}"
+        )
     product = chain_ideal(n, spec.sizes[0])
     for t in spec.sizes[1:]:
         product = product.product(chain_ideal(n, t))

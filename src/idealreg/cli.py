@@ -160,7 +160,10 @@ def quotients_check(ideal, fmt):
         _fail_input(str(exc))
     body = ideal.strip()[len("ideal("):-1]
     order = [parse_monomial(p.strip(), mi.nvars)[0] for p in body.split(",")]
-    res = check_order(mi.nvars, order)
+    try:
+        res = check_order(mi.nvars, order)
+    except ValueError as exc:  # a sequence that is not minimal
+        _fail_input(str(exc))
     if isinstance(res, QuotientCertificate):
         _emit(fmt, [res.render(), f"reg = {res.max_degree()}"],
               {"certificate": res.to_dict(), "reg": res.max_degree()})
@@ -289,7 +292,10 @@ def linforms_verify(family, cap, characteristic, fmt):
     fam = _load_family(family, characteristic)
     if cap is None:
         cap = len(fam) + 3
-    rep = verify_decomposition(fam, cap)
+    try:
+        rep = verify_decomposition(fam, cap)
+    except ValueError as exc:  # cap below d
+        _fail_input(str(exc))
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -321,7 +327,10 @@ def linforms_sat(family, cap, characteristic, fmt):
     if cap is None:
         cap = len(fam)
     prod = product_generators(fam)
-    sp = saturation_degree(prod, cap)
+    try:
+        sp = saturation_degree(prod, cap)
+    except ValueError as exc:  # cap below d
+        _fail_input(str(exc))
     sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],
@@ -350,7 +359,10 @@ def _spec_of(nvars, sizes_text):
 @format_option
 def hankel_omega(nvars, sizes_text, fmt):
     spec = _spec_of(nvars, sizes_text)
-    om = omega(spec)
+    try:
+        om = omega(spec)
+    except ValueError as exc:  # an enumeration guard
+        _fail_input(str(exc))
     _emit(fmt, [f"|Omega| = {len(om.members)}"]
           + [format_monomial(m) for m in om.members],
           {"count": len(om.members),
@@ -380,7 +392,10 @@ def hankel_decompose(monomial, nvars, fmt):
 @format_option
 def hankel_certify(nvars, sizes_text, fmt):
     spec = _spec_of(nvars, sizes_text)
-    cert = certify_product(spec, validate_pairs=False)
+    try:
+        cert = certify_product(spec, validate_pairs=False)
+    except ValueError as exc:  # an enumeration guard
+        _fail_input(str(exc))
     _emit(fmt, [f"linear quotients certified for {len(cert.order)} generators",
                 f"reg = {cert.max_degree()}"],
           {"generators": len(cert.order), "reg": cert.max_degree(),

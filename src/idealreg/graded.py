@@ -8,19 +8,13 @@ and row-reduced over the working field.  No Groebner bases anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 from . import linalg
 from .fields import field_of
-from .ideals import MonomialIdeal, dimension_monomial  # noqa: F401 (re-export)
-from .monomials import (
-    basis_index,
-    degree as mono_degree,
-    mono_mul,
-    monomial_basis,
-    one,
-)
+from .ideals import MonomialIdeal
+from .monomials import basis_index, degree as mono_degree, mono_mul, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -162,12 +156,28 @@ def ring_dim(n, e):
     return comb(e + n - 1, n - 1) if e >= 0 else 0
 
 
+def multiplication_maps(n, e):
+    """Column maps of multiplication by each variable, from R_{e-1} into R_e.
+
+    maps[v][j] is the position in `monomial_basis(n, e)` of x_{v+1} times
+    the j-th monomial of `monomial_basis(n, e - 1)`, so a row over R_{e-1}
+    is multiplied by x_{v+1} by sending each column j to maps[v][j].
+    """
+    index = basis_index(n, e)
+    return [
+        [index[m[:v] + (m[v] + 1,) + m[v + 1 :]] for m in monomial_basis(n, e - 1)]
+        for v in range(n)
+    ]
+
+
 def degree_piece(I, e):
     """Basis of I_e as a subspace of R_e (cached per ideal).
 
     Built incrementally: I_e is spanned by R_1 * I_{e-1} together with the
     degree-e generators, so each degree reuses the reduced basis one degree
-    below.  Once some piece fills all of R_e, every later piece is R_e too.
+    below.  Each row of I_{e-1} is multiplied by x1..xn by shifting its
+    columns through the maps of `multiplication_maps`, built once per
+    degree.  Once some piece fills all of R_e, every later piece is R_e too.
     """
     if e in I._pieces:
         return I._pieces[e]
@@ -184,18 +194,10 @@ def degree_piece(I, e):
     else:
         rows = [g.vector(fld) for g in I.generators if g.degree == e]
         if e > mindeg:
-            prev = degree_piece(I, e - 1)
-            prev_basis = monomial_basis(n, e - 1)
-            index = basis_index(n, e)
-            for row in prev.rows:
-                for v in range(n):
-                    xv = tuple(1 if w == v else 0 for w in range(n))
-                    rows.append(
-                        {
-                            index[mono_mul(prev_basis[j], xv)]: c
-                            for j, c in row.items()
-                        }
-                    )
+            maps = multiplication_maps(n, e)
+            for row in degree_piece(I, e - 1).rows:
+                for col in maps:
+                    rows.append({col[j]: c for j, c in row.items()})
         rref, pivots = linalg.row_reduce(rows, fld, ncols)
     if len(pivots) == ncols and (full_from is None or e < full_from):
         I._full_from = e
@@ -321,7 +323,9 @@ def _saturated_piece_dim(I, e, t_limit):
 def saturation_degree(I, cap):
     """Degreewise saturation profile and the saturation degree within cap."""
     if cap < I.max_gen_degree():
-        raise ValueError("cap below the largest generator degree")
+        raise ValueError(
+            f"cap {cap} below the largest generator degree {I.max_gen_degree()}"
+        )
     t_limit = cap + I.nvars + 2
     profile = {}
     for e in range(cap + 1):

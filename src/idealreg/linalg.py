@@ -38,7 +38,7 @@ def row_reduce(rows, field, ncols=None):
     else:
         piv = {
             c: {j: Fraction(v, row[c]) for j, v in row.items()}
-            for c, row in _rref_int(map(_primitive, pending), ncols).items()
+            for c, row in _rref_int(map(primitive, pending), ncols).items()
         }
     pivots = sorted(piv)
     return [piv[c] for c in pivots], pivots
@@ -50,7 +50,7 @@ def rank(rows, field):
     pending = sorted((r for r in rows if r), key=len)
     if p:
         return _echelon_rank_mod(pending, p)
-    return _echelon_rank_int(map(_primitive, pending))
+    return _echelon_rank_int(map(primitive, pending))
 
 
 def _axpy(row, f, src, skip):
@@ -75,7 +75,7 @@ def _eliminate(row, piv):
 # ------------------------------------------------------------------ QQ kernel
 
 
-def _primitive(row):
+def primitive(row):
     """Integer row with coprime entries spanning the same line as a rational row."""
     out = {}
     den = 1

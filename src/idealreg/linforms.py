@@ -23,9 +23,10 @@ from .graded import (
     GradedIdealView,
     HomPolynomial,
     degree_piece,
+    multiplication_maps,
     ring_dim,
 )
-from .monomials import monomial_basis, variable
+from .monomials import monomial_basis
 
 PRIMARY_GUARD = 12
 
@@ -105,31 +106,57 @@ def power_piece(V, k, e):
     The basis of V is completed to a basis of R_1 by the unit vectors on
     the non-pivot coordinates; a monomial in the adapted coordinates lies
     in V^k exactly when its V-part degree is at least k.
+
+    The products are built on plain ints.  Over QQ each basis form of V is
+    scaled to a primitive integer vector, which spans the same line, so the
+    products span the same space; over GF(p) the stored rows are used and
+    each finished product is reduced mod p once.  An adapted monomial is
+    its predecessor (one unit taken off its last nonzero exponent) times
+    one linear form, the predecessor's columns shifted through the maps of
+    `multiplication_maps`; products are kept for the rest of the call.
     """
     if k < 1:
         raise ValueError("exponent must be at least 1")
     n = V.nvars
-    fld = V.field
     if e < k:
         return DegreePiece(n, e, [], [])
-    adapted = V.forms()
+    p = V.characteristic
+    forms = [{j: c for j, c in enumerate(r) if c} for r in V.rows]
+    if not p:
+        forms = [linalg.primitive(f) for f in forms]
     pivset = set(V.pivots)
-    for j in range(n):
-        if j not in pivset:
-            adapted.append(HomPolynomial.from_monomial(variable(j + 1, n), fld.one))
+    forms += [{j: 1} for j in range(n) if j not in pivset]
+    maps = [None] + [multiplication_maps(n, t) for t in range(1, e + 1)]
+    products = {(0,) * n: {0: 1}}
+
+    def product(expo):
+        poly = products.get(expo)
+        if poly is None:
+            i = max(v for v, a in enumerate(expo) if a)
+            pred = product(expo[:i] + (expo[i] - 1,) + expo[i + 1 :])
+            cols = maps[sum(expo)]
+            acc = {}
+            for v, c in forms[i].items():
+                col = cols[v]
+                for j, a in pred.items():
+                    t = col[j]
+                    acc[t] = acc.get(t, 0) + a * c
+            if p:
+                poly = {t: w for t, a in acc.items() if (w := a % p)}
+            else:
+                poly = {t: a for t, a in acc.items() if a}
+            products[expo] = poly
+        return poly
+
     r = V.dim
     rows = []
     count = 0
-    for expo in monomial_basis(len(adapted), e):
+    for expo in monomial_basis(n, e):
         if sum(expo[:r]) < k:
             continue
         count += 1
-        poly = HomPolynomial.from_monomial((0,) * n, fld.one)
-        for f, a in zip(adapted, expo):
-            for _ in range(a):
-                poly = poly.multiply(f, fld)
-        rows.append(poly.vector(fld))
-    rref, pivots = linalg.row_reduce(rows, fld)
+        rows.append(product(expo))
+    rref, pivots = linalg.row_reduce(rows, V.field)
     assert len(pivots) == count, "adapted monomials must be independent"
     return DegreePiece(n, e, rref, pivots)
 
@@ -187,7 +214,7 @@ def verify_decomposition(family, cap, components=None):
     """
     d = len(family)
     if cap < d:
-        raise ValueError("cap below the product's generation degree")
+        raise ValueError(f"cap {cap} below the product's generation degree {d}")
     fld = field_of(family[0].characteristic)
     product = product_generators(family)
     if components is None:

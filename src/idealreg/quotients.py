@@ -106,7 +106,10 @@ def check_order(nvars, ordered_gens):
     for i, u in enumerate(gens):
         for j, v in enumerate(gens):
             if i != j and divides(v, u):
-                raise ValueError("generating sequence is not minimal")
+                raise ValueError(
+                    f"generating sequence is not minimal: {format_monomial(v)} "
+                    f"divides {format_monomial(u)}"
+                )
     steps = []
     for t, u in enumerate(gens):
         if t == 0:

@@ -23,12 +23,11 @@ from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
     colon_piece,
-    dimension_monomial,
     hilbert_value,
     ideal_product,
     saturation_degree,
 )
-from idealreg.ideals import MonomialIdeal, saturation
+from idealreg.ideals import MonomialIdeal, dimension_monomial, saturation
 from idealreg.linforms import (
     associated_prime_check,
     pinched_family,

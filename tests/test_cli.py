@@ -164,3 +164,26 @@ def test_inequality_bad_characteristic_and_cap_exit_2():
         run("inequality", "--ideal-i", "ideal(b)", "--ideal-j", HOOK,
             "--cap", "2")
     )
+
+
+TWO_LINES = "linforms([[1,0]],[[0,1]])"
+
+
+@pytest.mark.parametrize("command", ["verify", "sat"])
+def test_linforms_cap_below_product_degree_exits_2(command):
+    r = run("linforms", command, "--family", TWO_LINES, "--cap", "0")
+    _assert_input_error(r)
+    assert "cap 0 below" in r.stderr and "degree 2" in r.stderr
+
+
+def test_quotients_check_non_minimal_exits_2():
+    r = run("quotients", "check", "--ideal", "ideal(a,a*b)")
+    _assert_input_error(r)
+    assert "not minimal: a divides a*b" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["omega", "certify"])
+def test_hankel_enumeration_guard_exits_2(command):
+    r = run("hankel", command, "--n", "30", "--t", "8,8,8")
+    _assert_input_error(r)
+    assert "ENUM_GUARD = 10000000" in r.stderr

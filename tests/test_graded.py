@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from idealreg import linalg
 from idealreg.fields import field_of
 from idealreg.graded import (
     GradedIdealView,
@@ -118,3 +120,39 @@ def test_saturation_exceeds_cap_flag():
     I = view(2, "a^2", "a*b")
     sp = saturation_degree(I, 4)
     assert sp.sat_degree == 2 and not sp.exceeds_cap
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """1..3 homogeneous generators of degree 1..3 in 1..3 variables, with
+    1..4 terms each, over QQ or GF(p)."""
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    coeffs = st.integers(1, char - 1) if char else st.integers(-9, 9).filter(bool)
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        basis = monomial_basis(n, draw(st.integers(1, 3)))
+        terms = draw(st.dictionaries(
+            st.sampled_from(basis), coeffs, min_size=1, max_size=4))
+        gens.append(HomPolynomial.make(terms))
+    return GradedIdealView(n, gens, char)
+
+
+@given(homogeneous_ideals())
+@settings(deadline=None)
+def test_degree_piece_equals_rref_of_full_spanning_set(I):
+    # every m*g with deg m = e - deg g, reduced in one go, against the
+    # incremental route that shifts the rows of I_{e-1}
+    fld = I.field
+    n = I.nvars
+    for e in range(I.max_gen_degree() + 3):
+        spanning = [
+            g.scale_by_monomial(m).vector(fld)
+            for g in I.generators
+            if g.degree <= e
+            for m in monomial_basis(n, e - g.degree)
+        ]
+        rows, pivots = linalg.row_reduce(spanning, fld)
+        piece = degree_piece(I, e)
+        assert piece.pivots == pivots
+        assert piece.rows == rows

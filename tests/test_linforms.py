@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, linalg
 from idealreg.fields import field_of
@@ -8,6 +9,7 @@ from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
     degree_piece,
+    ideal_product,
     saturation_degree,
 )
 from idealreg.linforms import (
@@ -77,11 +79,46 @@ def test_power_piece_matches_spanning_route():
         view = GradedIdealView(V.nvars, gens)
         prod = view
         for _ in range(k - 1):
-            from idealreg.graded import ideal_product
-
             prod = ideal_product(prod, view)
         for e in range(k, k + 3):
             assert power_piece(V, k, e).dim == degree_piece(prod, e).dim
+
+
+@st.composite
+def linear_subspaces(draw):
+    """A subspace V of R_1 in 1..4 variables over QQ or GF(p).
+
+    Integer rows over QQ mostly have RREFs with non-integer entries."""
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, n))
+    rows = draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=dim, max_size=dim,
+    ))
+    try:
+        return LinearIdeal.from_rows(n, rows, char)
+    except ValueError:  # every row vanishes over the field
+        assume(False)
+
+
+@given(linear_subspaces(), st.integers(1, 3))
+@example(LinearIdeal.from_rows(3, [[2, 3, 5]]), 2)  # dim 1, RREF (1, 3/2, 5/2)
+@example(LinearIdeal.from_rows(3, [[2, 1, 0], [0, 3, 1], [1, 1, 1]]), 3)
+@example(LinearIdeal.from_rows(3, [[1, 2, 0], [0, 1, 2]], 3), 2)  # GF(3)
+@settings(deadline=None)
+def test_power_piece_equals_generator_route_piece(V, k):
+    # rows and pivots of V^k in each degree 0..k+2, against the degree
+    # pieces of the product of k copies of (V), built from generators
+    view = GradedIdealView(V.nvars, V.forms(), V.characteristic)
+    prod = view
+    for _ in range(k - 1):
+        prod = ideal_product(prod, view)
+    for e in range(k + 3):
+        ours = power_piece(V, k, e)
+        theirs = degree_piece(prod, e)
+        assert ours.pivots == theirs.pivots
+        assert ours.rows == theirs.rows
 
 
 def test_primary_components_count_and_guard():

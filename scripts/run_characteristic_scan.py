@@ -12,27 +12,11 @@ and therefore field-independent).
 
 import argparse
 import sys
-from itertools import combinations
 
 from idealreg import betti
+from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import GradedIdealView
-from idealreg.ideals import MonomialIdeal
 from idealreg.quotients import search_order
-
-FACETS = [
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-]
-
-
-def projective_plane_ideal():
-    facets = {frozenset(f) for f in FACETS}
-    gens = [
-        tuple(1 if i + 1 in t else 0 for i in range(6))
-        for t in combinations(range(1, 7), 3)
-        if frozenset(t) not in facets
-    ]
-    return MonomialIdeal.from_gens(6, gens)
 
 
 def main():

@@ -16,18 +16,12 @@ import sys
 
 from idealreg import betti
 from idealreg.graded import GradedIdealView
-from idealreg.ideals import MonomialIdeal, dimension_monomial
+from idealreg.ideals import dimension_monomial
 from idealreg.samplers import (
     random_low_dimension_ideal,
     random_monomial_ideal,
     rng_from_seed,
 )
-
-
-def pad(mi, n):
-    return MonomialIdeal.from_gens(
-        n, [g + (0,) * (n - mi.nvars) for g in mi.gens]
-    )
 
 
 def run_pool(rng, trials, constrained):
@@ -43,7 +37,7 @@ def run_pool(rng, trials, constrained):
         if I.is_unit or J.is_unit:
             continue
         n = max(I.nvars, J.nvars)
-        I, J = pad(I, n), pad(J, n)
+        I, J = I.padded(n), J.padded(n)
         rep = betti.inequality_report(
             GradedIdealView.from_monomial_ideal(I),
             GradedIdealView.from_monomial_ideal(J),

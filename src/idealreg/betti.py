@@ -294,7 +294,7 @@ def koszul_strand_betti(I, i, j):
     """beta_ij(R/I) from the degree-j Koszul strand (generic route)."""
     if not 0 <= i <= I.nvars or j < 0:
         raise ValueError("strand indices out of range")
-    if not hasattr(I, "_strands"):
+    if I._strands is None:
         I._strands = StrandEngine(I)
     return I._strands.betti(i, j)
 

@@ -2,8 +2,12 @@
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (an
 inequality that fails, a non-polymatroidal ideal, a missing order, ...),
-2 for malformed input.  Structured output is JSON with sorted keys, so a
-run with the same seed and characteristic is byte-identical.
+2 for bad input.  Commands raise ValueError for bad input (ParseError is
+one) and for a tripped guard; `main` is the one place that turns it into
+exit 2 with a single ``input error: <message>`` line on stderr.  Any
+other exception, such as a failed internal check, still propagates.
+Structured output is JSON with sorted keys, so a run with the same seed
+and characteristic is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .chains import (
 )
 from .fixtures import run_fixtures
 from .graded import GradedIdealView, saturation_degree
-from .ideals import MonomialIdeal
 from .linforms import (
     is_linearly_general,
     primary_components,
@@ -31,7 +34,7 @@ from .linforms import (
     verify_decomposition,
 )
 from .monomials import format_monomial, parse_monomial
-from .parsing import ParseError, parse_ideal_text, parse_linforms_text
+from .parsing import parse_ideal_gens, parse_ideal_text, parse_linforms_text
 from .polymatroid import (
     is_polymatroidal,
     polymatroidal_product,
@@ -54,23 +57,11 @@ def _emit(fmt, text_lines, payload):
             click.echo(line)
 
 
-def _load_monomial_ideal(text, characteristic):
-    try:
-        return GradedIdealView.from_monomial_ideal(
-            parse_ideal_text(text), characteristic
-        )
-    except ValueError as exc:  # ParseError, or a refused characteristic
-        _fail_input(str(exc))
-
-
-def _pad_to_common_ambient(I, J):
-    if I.nvars == J.nvars:
-        return I, J
+def _parse_pair(ideal_i, ideal_j):
+    """Two ``ideal(...)`` texts as monomial ideals in a common ambient."""
+    I, J = parse_ideal_text(ideal_i), parse_ideal_text(ideal_j)
     n = max(I.nvars, J.nvars)
-    pad = lambda X: MonomialIdeal.from_gens(
-        n, [g + (0,) * (n - X.nvars) for g in X.gens]
-    )
-    return pad(I), pad(J)
+    return I.padded(n), J.padded(n)
 
 
 format_option = click.option(
@@ -79,7 +70,18 @@ format_option = click.option(
 char_option = click.option("--char", "characteristic", type=int, default=0)
 
 
-@click.group()
+class _Main(click.Group):
+    """The CLI's one error boundary: a ValueError from any command is bad
+    input, reported by `_fail_input`."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail_input(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Exact regularity and Betti computations for graded ideals."""
 
@@ -91,11 +93,8 @@ def main():
 @format_option
 def betti_cmd(ideal, cap, characteristic, fmt):
     """Betti table and regularity of a monomial ideal."""
-    I = _load_monomial_ideal(ideal, characteristic)
-    try:
-        table = betti.betti_table(I, cap)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    I = GradedIdealView.from_monomial_ideal(parse_ideal_text(ideal), characteristic)
+    table = betti.betti_table(I, cap)
     reg = betti.regularity(I, cap)
     lines = [table.render(), f"reg = {reg.value}"]
     payload = {
@@ -119,15 +118,10 @@ def betti_cmd(ideal, cap, characteristic, fmt):
 @format_option
 def inequality_cmd(ideal_i, ideal_j, cap, characteristic, fmt):
     """Check reg(IJ) <= reg(I) + reg(J) for two monomial ideals."""
-    try:
-        mi, mj = _pad_to_common_ambient(
-            parse_ideal_text(ideal_i), parse_ideal_text(ideal_j)
-        )
-        I = GradedIdealView.from_monomial_ideal(mi, characteristic)
-        J = GradedIdealView.from_monomial_ideal(mj, characteristic)
-        rep = betti.inequality_report(I, J, cap)
-    except ValueError as exc:  # ParseError, characteristic or cap
-        _fail_input(str(exc))
+    mi, mj = _parse_pair(ideal_i, ideal_j)
+    I = GradedIdealView.from_monomial_ideal(mi, characteristic)
+    J = GradedIdealView.from_monomial_ideal(mj, characteristic)
+    rep = betti.inequality_report(I, J, cap)
     lines = [
         f"reg(I) = {rep.reg_i.value}",
         f"reg(J) = {rep.reg_j.value}",
@@ -154,16 +148,7 @@ def quotients():
 @click.option("--ideal", required=True, help="generators in the order to check")
 @format_option
 def quotients_check(ideal, fmt):
-    try:
-        mi = parse_ideal_text(ideal)
-    except ParseError as exc:
-        _fail_input(str(exc))
-    body = ideal.strip()[len("ideal("):-1]
-    order = [parse_monomial(p.strip(), mi.nvars)[0] for p in body.split(",")]
-    try:
-        res = check_order(mi.nvars, order)
-    except ValueError as exc:  # a sequence that is not minimal
-        _fail_input(str(exc))
+    res = check_order(*parse_ideal_gens(ideal))
     if isinstance(res, QuotientCertificate):
         _emit(fmt, [res.render(), f"reg = {res.max_degree()}"],
               {"certificate": res.to_dict(), "reg": res.max_degree()})
@@ -179,11 +164,7 @@ def quotients_check(ideal, fmt):
 @click.option("--ideal", required=True)
 @format_option
 def quotients_search(ideal, fmt):
-    try:
-        mi = parse_ideal_text(ideal)
-    except ParseError as exc:
-        _fail_input(str(exc))
-    cert = search_order(mi)
+    cert = search_order(parse_ideal_text(ideal))
     if cert is None:
         _emit(fmt, ["no order exists"], {"order_exists": False})
         sys.exit(1)
@@ -201,11 +182,7 @@ def polymatroid():
 @click.option("--ideal", required=True)
 @format_option
 def polymatroid_check(ideal, fmt):
-    try:
-        mi = parse_ideal_text(ideal)
-    except ParseError as exc:
-        _fail_input(str(exc))
-    res = is_polymatroidal(mi)
+    res = is_polymatroidal(parse_ideal_text(ideal))
     if res is True:
         _emit(fmt, ["polymatroidal: true"], {"polymatroidal": True})
         sys.exit(0)
@@ -221,13 +198,7 @@ def polymatroid_check(ideal, fmt):
 @click.option("--ideal-j", "ideal_j", required=True)
 @format_option
 def polymatroid_product(ideal_i, ideal_j, fmt):
-    try:
-        I, J = _pad_to_common_ambient(
-            parse_ideal_text(ideal_i), parse_ideal_text(ideal_j)
-        )
-        P = polymatroidal_product(I, J)
-    except (ParseError, ValueError) as exc:
-        _fail_input(str(exc))
+    P = polymatroidal_product(*_parse_pair(ideal_i, ideal_j))
     cert = revlex_certificate(P)
     _emit(fmt, [str(P), f"reg = {cert.max_degree()}"],
           {"product": [format_monomial(g) for g in P.gens],
@@ -240,14 +211,8 @@ def polymatroid_product(ideal_i, ideal_j, fmt):
               help="semicolon-separated comma lists, e.g. '1,2;2,3'")
 @format_option
 def polymatroid_transversal(nvars, subsets, fmt):
-    try:
-        sets = [
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in subsets.split(";")
-        ]
-        T = transversal_ideal(nvars, sets)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    sets = [tuple(int(x) for x in chunk.split(",")) for chunk in subsets.split(";")]
+    T = transversal_ideal(nvars, sets)
     _emit(fmt, [str(T)], {"generators": [format_monomial(g) for g in T.gens]})
 
 
@@ -256,19 +221,12 @@ def linforms():
     """Products of ideals of linear forms."""
 
 
-def _load_family(text, characteristic):
-    try:
-        return parse_linforms_text(text, characteristic)
-    except ParseError as exc:
-        _fail_input(str(exc))
-
-
 @linforms.command("decompose")
 @click.option("--family", required=True, help="linforms(...) matrices")
 @char_option
 @format_option
 def linforms_decompose(family, characteristic, fmt):
-    fam = _load_family(family, characteristic)
+    fam = parse_linforms_text(family, characteristic)
     comps = primary_components(fam)
     lines = []
     payload = []
@@ -289,13 +247,10 @@ def linforms_decompose(family, characteristic, fmt):
 @char_option
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
-    fam = _load_family(family, characteristic)
+    fam = parse_linforms_text(family, characteristic)
     if cap is None:
         cap = len(fam) + 3
-    try:
-        rep = verify_decomposition(fam, cap)
-    except ValueError as exc:  # cap below d
-        _fail_input(str(exc))
+    rep = verify_decomposition(fam, cap)
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -311,7 +266,7 @@ def linforms_verify(family, cap, characteristic, fmt):
 @char_option
 @format_option
 def linforms_general(family, characteristic, fmt):
-    fam = _load_family(family, characteristic)
+    fam = parse_linforms_text(family, characteristic)
     verdict = is_linearly_general(fam)
     _emit(fmt, [f"linearly general: {verdict}"], {"linearly_general": verdict})
     sys.exit(0 if verdict else 1)
@@ -323,14 +278,10 @@ def linforms_general(family, characteristic, fmt):
 @char_option
 @format_option
 def linforms_sat(family, cap, characteristic, fmt):
-    fam = _load_family(family, characteristic)
+    fam = parse_linforms_text(family, characteristic)
     if cap is None:
         cap = len(fam)
-    prod = product_generators(fam)
-    try:
-        sp = saturation_degree(prod, cap)
-    except ValueError as exc:  # cap below d
-        _fail_input(str(exc))
+    sp = saturation_degree(product_generators(fam), cap)
     sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],
@@ -343,26 +294,13 @@ def hankel():
     """Gap-chain ideals (initial ideals of Hankel minors)."""
 
 
-def _spec_of(nvars, sizes_text):
-    try:
-        sizes = tuple(
-            sorted((int(x) for x in sizes_text.split(",")), reverse=True)
-        )
-        return ChainProductSpec(nvars, sizes)
-    except ValueError as exc:
-        _fail_input(str(exc))
-
-
 @hankel.command("omega")
 @click.option("--n", "nvars", type=int, required=True)
 @click.option("--t", "sizes_text", required=True, help="comma list, e.g. 2,2")
 @format_option
 def hankel_omega(nvars, sizes_text, fmt):
-    spec = _spec_of(nvars, sizes_text)
-    try:
-        om = omega(spec)
-    except ValueError as exc:  # an enumeration guard
-        _fail_input(str(exc))
+    sizes = sorted(map(int, sizes_text.split(",")), reverse=True)
+    om = omega(ChainProductSpec(nvars, tuple(sizes)))
     _emit(fmt, [f"|Omega| = {len(om.members)}"]
           + [format_monomial(m) for m in om.members],
           {"count": len(om.members),
@@ -374,11 +312,7 @@ def hankel_omega(nvars, sizes_text, fmt):
 @click.option("--n", "nvars", type=int, default=None)
 @format_option
 def hankel_decompose(monomial, nvars, fmt):
-    try:
-        u = parse_monomial(monomial, nvars)[0]
-        dec = canonical_decomposition(u)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    dec = canonical_decomposition(parse_monomial(monomial, nvars)[0])
     gammas = {i: gamma(i, dec.shape) for i in range(1, dec.shape[0] + 1)}
     _emit(fmt, [dec.render(), f"shape = {dec.shape}", f"gamma = {gammas}"],
           {"factors": [format_monomial(f) for f in dec.factors],
@@ -391,11 +325,8 @@ def hankel_decompose(monomial, nvars, fmt):
 @click.option("--t", "sizes_text", required=True)
 @format_option
 def hankel_certify(nvars, sizes_text, fmt):
-    spec = _spec_of(nvars, sizes_text)
-    try:
-        cert = certify_product(spec, validate_pairs=False)
-    except ValueError as exc:  # an enumeration guard
-        _fail_input(str(exc))
+    sizes = sorted(map(int, sizes_text.split(",")), reverse=True)
+    cert = certify_product(ChainProductSpec(nvars, tuple(sizes)), validate_pairs=False)
     _emit(fmt, [f"linear quotients certified for {len(cert.order)} generators",
                 f"reg = {cert.max_degree()}"],
           {"generators": len(cert.order), "reg": cert.max_degree(),
@@ -407,10 +338,7 @@ def hankel_certify(nvars, sizes_text, fmt):
 @format_option
 def fixtures_cmd(only, fmt):
     """Run the worked-example suite."""
-    try:
-        results = run_fixtures(only)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    results = run_fixtures(only)
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in results]
     n_fail = sum(1 for _, ok in results if not ok)
     lines.append(f"{len(results) - n_fail}/{len(results)} passed")

@@ -22,20 +22,12 @@ class RationalField:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
 
     def __repr__(self):
         return "QQ"
@@ -57,17 +49,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.characteristic
 
-    def sub(self, a, b):
-        return (a - b) % self.characteristic
-
     def mul(self, a, b):
         return (a * b) % self.characteristic
 
     def neg(self, a):
         return -a % self.characteristic
-
-    def inv(self, a):
-        return pow(a, -1, self.characteristic)
 
     def __repr__(self):
         return f"GF({self.characteristic})"

@@ -95,6 +95,7 @@ class GradedIdealView:
         self._pieces = {}
         self._quotients = {}
         self._monomial = None
+        self._strands = None  # the Koszul strand engine, built by betti
 
     @classmethod
     def from_monomial_ideal(cls, I, characteristic=0):
@@ -177,30 +178,28 @@ def degree_piece(I, e):
     degree-e generators, so each degree reuses the reduced basis one degree
     below.  Each row of I_{e-1} is multiplied by x1..xn by shifting its
     columns through the maps of `multiplication_maps`, built once per
-    degree.  Once some piece fills all of R_e, every later piece is R_e too.
+    degree.  When I_{e-1} = R_{e-1}, I_e = R_e with no reduction.
     """
     if e in I._pieces:
         return I._pieces[e]
     fld = I.field
     n = I.nvars
     ncols = ring_dim(n, e)
-    full_from = getattr(I, "_full_from", None)
-    mindeg = min(g.degree for g in I.generators)
+    mindeg = I.min_gen_degree()
+    below = degree_piece(I, e - 1) if e > mindeg else None
     if e < mindeg:
         rref, pivots = [], []
-    elif full_from is not None and e > full_from:
+    elif below is not None and below.dim == ring_dim(n, e - 1):
         rref = [{j: fld.one} for j in range(ncols)]
         pivots = list(range(ncols))
     else:
         rows = [g.vector(fld) for g in I.generators if g.degree == e]
-        if e > mindeg:
+        if below is not None:
             maps = multiplication_maps(n, e)
-            for row in degree_piece(I, e - 1).rows:
+            for row in below.rows:
                 for col in maps:
                     rows.append({col[j]: c for j, c in row.items()})
         rref, pivots = linalg.row_reduce(rows, fld, ncols)
-    if len(pivots) == ncols and (full_from is None or e < full_from):
-        I._full_from = e
     piece = DegreePiece(n, e, rref, pivots)
     I._pieces[e] = piece
     return piece

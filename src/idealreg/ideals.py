@@ -67,6 +67,14 @@ class MonomialIdeal:
             acc = lcm_monomial(acc, g)
         return acc
 
+    def padded(self, n):
+        """The same ideal in n >= nvars variables (x_{nvars+1}.. unused)."""
+        if n == self.nvars:
+            return self
+        return MonomialIdeal.from_gens(
+            n, [g + (0,) * (n - self.nvars) for g in self.gens]
+        )
+
     def product(self, other):
         if self.nvars != other.nvars:
             raise ValueError("ambient mismatch")

@@ -67,13 +67,6 @@ class LinearIdeal:
     def forms(self):
         return [HomPolynomial.linear_form(r) for r in self.rows]
 
-    def degree_one_piece(self):
-        fld = self.field
-        rows = [
-            {j: c for j, c in enumerate(r) if c != fld.zero} for r in self.rows
-        ]
-        return DegreePiece(self.nvars, 1, rows, list(self.pivots))
-
 
 def sum_ideal(family, A):
     """I_A = sum of the subspaces indexed by A (1-based indices)."""

@@ -23,8 +23,11 @@ class ParseError(ValueError):
     pass
 
 
-def parse_ideal_text(text, nvars=None):
-    """``ideal(...)`` -> MonomialIdeal (ambient inferred unless given)."""
+def parse_ideal_gens(text, nvars=None):
+    """``ideal(...)`` -> (ambient, generator exponents in input order).
+
+    The ambient is inferred from the largest variable index unless given.
+    """
     m = _IDEAL_RE.match(text.strip())
     if m is None:
         raise ParseError("expected ideal(<monomial>, ...)")
@@ -32,19 +35,21 @@ def parse_ideal_text(text, nvars=None):
     if not body:
         raise ParseError("empty ideal")
     parts = [p.strip() for p in body.split(",")]
-    parsed = []
     top = 0
     for p in parts:
         try:
-            expo, used = parse_monomial(p)
+            top = max(top, parse_monomial(p)[1])
         except ValueError as exc:
             raise ParseError(f"bad monomial {p!r}: {exc}") from exc
-        parsed.append(p)
-        top = max(top, used)
     n = nvars if nvars is not None else top
     if n < 1:
         raise ParseError("could not infer any variable")
-    return MonomialIdeal.from_gens(n, [parse_monomial(p, n)[0] for p in parsed])
+    return n, [parse_monomial(p, n)[0] for p in parts]
+
+
+def parse_ideal_text(text, nvars=None):
+    """``ideal(...)`` -> MonomialIdeal (ambient inferred unless given)."""
+    return MonomialIdeal.from_gens(*parse_ideal_gens(text, nvars))
 
 
 def parse_linforms_text(text, characteristic=0):

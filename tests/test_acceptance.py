@@ -19,6 +19,7 @@ from idealreg.chains import (
     gamma,
     omega,
 )
+from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
@@ -91,30 +92,6 @@ def gens(n, *names):
 def view(n, *names, char=0):
     return GradedIdealView.from_monomial_ideal(
         MonomialIdeal.from_gens(n, gens(n, *names)), char
-    )
-
-
-def pad(mi, n):
-    return MonomialIdeal.from_gens(
-        n, [g + (0,) * (n - mi.nvars) for g in mi.gens]
-    )
-
-
-def projective_plane_ideal():
-    facets = {
-        frozenset(f)
-        for f in [
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-        ]
-    }
-    return MonomialIdeal.from_gens(
-        6,
-        [
-            tuple(1 if i + 1 in t else 0 for i in range(6))
-            for t in combinations(range(1, 7), 3)
-            if frozenset(t) not in facets
-        ],
     )
 
 
@@ -203,7 +180,7 @@ def test_criterion_6():
         I = random_polymatroidal(rng, nmax=6)
         J = random_polymatroidal(rng, nmax=6)
         n = max(I.nvars, J.nvars)
-        P = polymatroidal_product(pad(I, n), pad(J, n))
+        P = polymatroidal_product(I.padded(n), J.padded(n))
         assert is_polymatroidal(P) is True
         assert verify_certificate(revlex_certificate(P))
         done += 1
@@ -213,7 +190,7 @@ def test_criterion_6():
         J = random_matroidal(rng, nmax=6)
         n = max(I.nvars, J.nvars)
         try:
-            P = squarefree_product(pad(I, n), pad(J, n))
+            P = squarefree_product(I.padded(n), J.padded(n))
         except ValueError:
             continue  # no squarefree product for this pair
         assert is_matroidal(P) is True
@@ -326,7 +303,7 @@ def test_inequality_on_low_dimension_pairs():
         # side brought up to the common ambient ring
         if J.is_unit or J.nvars > I.nvars:
             continue
-        Ip, Jp = I, pad(J, I.nvars)
+        Ip, Jp = I, J.padded(I.nvars)
         assert dimension_monomial(Ip) <= 1
         rep = betti.inequality_report(
             GradedIdealView.from_monomial_ideal(Ip),

@@ -1,10 +1,11 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealreg import betti
 from idealreg.fields import field_of
+from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import GradedIdealView, HomPolynomial, ideal_product
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import monomial_basis, parse_monomial
@@ -100,6 +101,28 @@ def test_strand_engine_matches_monomial_table(I):
             assert engine.betti(i, j) == table.entries.get((i, j), 0)
 
 
+@st.composite
+def small_monomial_ideals(draw):
+    """A proper monomial ideal in 1..5 variables, exponents <= 2."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * n).filter(any), min_size=1, max_size=6))
+    return MonomialIdeal.from_gens(n, gens)
+
+
+@given(small_monomial_ideals())
+@example(projective_plane_ideal())
+@settings(deadline=None)
+def test_betti_numbers_over_gf_p_dominate_qq(mi):
+    # beta_ij over GF(p) >= beta_ij over QQ entrywise (universal
+    # coefficients in Hochster's formula); strict for the projective
+    # plane at p = 2
+    qq = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, 0)).entries
+    for p in (2, 3):
+        gf = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, p)).entries
+        assert all(gf.get(k, 0) >= v for k, v in qq.items()), (p, qq, gf)
+
+
 def test_field_independence_generic_position():
     # a squarefree ideal whose resolution is characteristic-free
     I0 = view(3, "a*b", "b*c")
@@ -108,25 +131,9 @@ def test_field_independence_generic_position():
         assert t.entries == betti.betti_table(I0).entries
 
 
-def _projective_plane_ideal():
-    facets = {
-        frozenset(f)
-        for f in [
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-        ]
-    }
-    gens = [
-        tuple(1 if i + 1 in t else 0 for i in range(6))
-        for t in combinations(range(1, 7), 3)
-        if frozenset(t) not in facets
-    ]
-    assert len(gens) == 10
-    return MonomialIdeal.from_gens(6, gens)
-
-
 def test_projective_plane_characteristic_dependence():
-    mi = _projective_plane_ideal()
+    mi = projective_plane_ideal()
+    assert len(mi.gens) == 10
     char0 = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, 0))
     char2 = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, 2))
     assert char0.entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}

@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from idealreg import betti
 from idealreg.cli import main
+from idealreg.monomials import format_monomial, monomial_basis
 from idealreg.parsing import (
     ParseError,
     parse_any,
@@ -187,3 +189,30 @@ def test_hankel_enumeration_guard_exits_2(command):
     r = run("hankel", command, "--n", "30", "--t", "8,8,8")
     _assert_input_error(r)
     assert "ENUM_GUARD = 10000000" in r.stderr
+
+
+def test_quotients_search_guard_exits_2():
+    # the 28 quadrics in 7 variables are past SEARCH_GUARD = 24
+    quadrics = ", ".join(format_monomial(m) for m in monomial_basis(7, 2))
+    r = run("quotients", "search", "--ideal", f"ideal({quadrics})")
+    _assert_input_error(r)
+    assert "search guard exceeded: 28 > 24" in r.stderr
+
+
+def test_linforms_decompose_primary_guard_exits_2():
+    # 13 factors are past PRIMARY_GUARD = 12
+    r = run("linforms", "decompose", "--family",
+            "linforms(" + ", ".join(["[[1,0]]"] * 13) + ")")
+    _assert_input_error(r)
+    assert "too many factors: 13 > 12" in r.stderr
+
+
+def test_failed_check_is_not_reported_as_input_error(monkeypatch):
+    # only ValueError means bad input; a failed internal check propagates
+    def broken(I, cap=None):
+        raise AssertionError("koszul composite not zero")
+
+    monkeypatch.setattr(betti, "betti_table", broken)
+    r = run("betti", "--ideal", HOOK)
+    assert r.exit_code != 2 and isinstance(r.exception, AssertionError)
+    assert "input error" not in r.stderr

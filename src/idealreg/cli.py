@@ -44,6 +44,19 @@ from .polymatroid import (
 from .quotients import QuotientCertificate, check_order, search_order
 
 
+# largest --cap of `linforms verify` and `linforms sat`: both sweep every
+# degree up to the cap, and their pieces grow like cap^(n-1)
+CAP_GUARD = 32
+
+
+def _sweep_cap(cap, default):
+    if cap is None:
+        return default
+    if cap > CAP_GUARD:
+        raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
+    return cap
+
+
 def _fail_input(msg):
     click.echo(f"input error: {msg}", err=True)
     sys.exit(2)
@@ -248,9 +261,7 @@ def linforms_decompose(family, characteristic, fmt):
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    if cap is None:
-        cap = len(fam) + 3
-    rep = verify_decomposition(fam, cap)
+    rep = verify_decomposition(fam, _sweep_cap(cap, len(fam) + 3))
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -279,9 +290,7 @@ def linforms_general(family, characteristic, fmt):
 @format_option
 def linforms_sat(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    if cap is None:
-        cap = len(fam)
-    sp = saturation_degree(product_generators(fam), cap)
+    sp = saturation_degree(product_generators(fam), _sweep_cap(cap, len(fam)))
     sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],

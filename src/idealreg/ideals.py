@@ -7,18 +7,24 @@ purely combinatorial and characteristic-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, islice
+from operator import add, itemgetter, le
 
-from .monomials import degree, divides, lcm_monomial, mono_mul, one, support
+from .monomials import degree, divides, lcm_monomial, one, support
 
 
 def minimalize(monomials):
-    """Prune to the minimal generating set (drop multiples)."""
-    gens = sorted(set(monomials), key=degree)
+    """Prune to the minimal generating set (drop multiples), degree-sorted.
+
+    Distinct monomials of one degree never divide each other, so u is tested
+    only against the kept generators of lower degree, out[:lower].
+    """
     out = []
-    for u in gens:
-        if not any(divides(v, u) for v in out):
+    lower = 0
+    for u in sorted(set(monomials), key=sum):
+        if out and sum(out[-1]) < sum(u):
+            lower = len(out)
+        if not any(all(map(le, v, u)) for v in islice(out, lower)):
             out.append(u)
     return out
 
@@ -78,7 +84,7 @@ class MonomialIdeal:
     def product(self, other):
         if self.nvars != other.nvars:
             raise ValueError("ambient mismatch")
-        prods = {mono_mul(u, v) for u in self.gens for v in other.gens}
+        prods = {tuple(map(add, u, v)) for u in self.gens for v in other.gens}
         return MonomialIdeal.from_gens(self.nvars, prods)
 
     def hilbert_values(self, cap):

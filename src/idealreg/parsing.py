@@ -59,8 +59,10 @@ def parse_linforms_text(text, characteristic=0):
         raise ParseError("expected linforms([[...]], ...)")
     try:
         matrices = ast.literal_eval("[" + m.group(1) + "]")
-    except (SyntaxError, ValueError) as exc:
-        raise ParseError(f"bad matrix list: {exc}") from exc
+    except (SyntaxError, TypeError, ValueError) as exc:
+        raise ParseError(
+            "bad matrix list: expected comma-separated lists of integer rows"
+        ) from exc
     if not matrices:
         raise ParseError("empty family")
     family = []

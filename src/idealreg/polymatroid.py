@@ -11,18 +11,10 @@ both closure facts are re-asserted on every product this module builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import sub
 
-from .ideals import MonomialIdeal, minimalize
-from .monomials import (
-    compare_revlex,
-    distance,
-    format_monomial,
-    mono_div,
-    mono_mul,
-    nu,
-    variable,
-)
+from .ideals import MonomialIdeal
+from .monomials import format_monomial, mono_mul, variable
 from .quotients import QuotientCertificate, check_order
 
 
@@ -46,7 +38,8 @@ class ExchangeFailure:
 
 
 def _revlex_desc(gens):
-    return sorted(gens, key=cmp_to_key(compare_revlex), reverse=True)
+    """Same-degree monomials revlex-descending: reversed exponents ascending."""
+    return sorted(gens, key=lambda u: u[::-1])
 
 
 def is_polymatroidal(I):
@@ -66,22 +59,23 @@ def is_polymatroidal(I):
         for v in ordered:
             if u == v:
                 continue
-            for i in range(1, n + 1):
-                if nu(u, i) <= nu(v, i):
+            d_uv = sum(map(abs, map(sub, u, v)))  # twice the distance
+            up = [j for j in range(n) if v[j] > u[j]]
+            for i in range(n):
+                if u[i] <= v[i]:
                     continue
-                found = False
-                for j in range(1, n + 1):
-                    if nu(v, j) <= nu(u, j):
-                        continue
-                    w = mono_mul(mono_div(u, variable(i, n)), variable(j, n))
+                for j in up:
+                    w = list(u)
+                    w[i] -= 1
+                    w[j] += 1
+                    w = tuple(w)
                     if w in gen_set:
-                        assert distance(w, v) < distance(u, v), (
+                        assert sum(map(abs, map(sub, w, v))) < d_uv, (
                             "exchange must decrease distance"
                         )
-                        found = True
                         break
-                if not found:
-                    return ExchangeFailure(u, v, i)
+                else:
+                    return ExchangeFailure(u, v, i + 1)
     return True
 
 
@@ -121,15 +115,11 @@ def squarefree_product(I, J):
     for X in (I, J):
         if not is_matroidal(X):
             raise ValueError("squarefree product needs matroidal factors")
-    prods = [
-        mono_mul(u, v)
-        for u in I.gens
-        for v in J.gens
-        if all(e <= 1 for e in mono_mul(u, v))
-    ]
+    products = (mono_mul(u, v) for u in I.gens for v in J.gens)
+    prods = [w for w in products if all(e <= 1 for e in w)]
     if not prods:
         raise ValueError("no squarefree product of generators exists")
-    P = MonomialIdeal.from_gens(I.nvars, minimalize(prods))
+    P = MonomialIdeal.from_gens(I.nvars, prods)
     assert is_matroidal(P), "squarefree product lost matroidality"
     return P
 

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import le
 
 from .ideals import MonomialIdeal, minimalize
 from .monomials import (
-    compare_revlex,
     degree,
-    divides,
     format_monomial,
     gcd_monomial,
     mono_div,
@@ -88,14 +86,18 @@ class QuotientFailure:
         return False
 
 
-def _colon_step(prefix, u):
-    """(prefix) : u; returns (variable indices, failure offender or None)."""
-    colon = monomial_colon(prefix, u)
-    offender = next((v for v in colon if degree(v) >= 2), None)
-    if offender is not None:
-        return None, offender
-    vars_ = tuple(sorted(i + 1 for v in colon for i, e in enumerate(v) if e))
-    return vars_, None
+def _linear_colon(prefix, u):
+    """Variables generating (prefix) : u, or None if it needs more.
+
+    No v in prefix may divide u.  The colon is generated by the
+    w = max(v - u, 0); the degree-1 ones are the variables S in it, and it
+    is generated by S exactly when every w meets S.
+    """
+    ws = [[a - b if a > b else 0 for a, b in zip(v, u)] for v in prefix]
+    S = {w.index(1) for w in ws if sum(w) == 1}
+    if all(any(w[i] for i in S) for w in ws):
+        return tuple(sorted(i + 1 for i in S))
+    return None
 
 
 def check_order(nvars, ordered_gens):
@@ -103,21 +105,22 @@ def check_order(nvars, ordered_gens):
     gens = [tuple(u) for u in ordered_gens]
     if not gens:
         raise ValueError("empty generating sequence")
+    for u in gens:
+        if len(u) != nvars:
+            raise ValueError(f"ambient mismatch: {len(u)} vs {nvars} variables")
     for i, u in enumerate(gens):
         for j, v in enumerate(gens):
-            if i != j and divides(v, u):
+            if i != j and all(map(le, v, u)):
                 raise ValueError(
                     f"generating sequence is not minimal: {format_monomial(v)} "
                     f"divides {format_monomial(u)}"
                 )
-    steps = []
-    for t, u in enumerate(gens):
-        if t == 0:
-            steps.append(())
-            continue
-        vars_, offender = _colon_step(gens[:t], u)
-        if offender is not None:
-            return QuotientFailure(t + 1, offender)
+    steps = [()]
+    for t in range(1, len(gens)):
+        vars_ = _linear_colon(gens[:t], gens[t])
+        if vars_ is None:
+            colon = monomial_colon(gens[:t], gens[t])
+            return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
         steps.append(vars_)
     return QuotientCertificate(nvars, tuple(gens), tuple(steps))
 
@@ -126,18 +129,6 @@ def verify_certificate(cert):
     """Re-check a (possibly deserialized) certificate from scratch."""
     res = check_order(cert.nvars, cert.order)
     return isinstance(res, QuotientCertificate) and res.colon_vars == cert.colon_vars
-
-
-def _presort(gens):
-    by_degree = {}
-    for u in gens:
-        by_degree.setdefault(degree(u), []).append(u)
-    out = []
-    for d in sorted(by_degree):
-        out.extend(
-            sorted(by_degree[d], key=cmp_to_key(compare_revlex), reverse=True)
-        )
-    return out
 
 
 def search_order(I):
@@ -155,7 +146,8 @@ def search_order(I):
         raise TypeError("search_order expects a MonomialIdeal")
     if len(gens) > SEARCH_GUARD:
         raise ValueError(f"search guard exceeded: {len(gens)} > {SEARCH_GUARD}")
-    gens = _presort(gens)
+    # by degree, then revlex-descending: reversed exponents ascending
+    gens.sort(key=lambda u: (degree(u), u[::-1]))
     dead = set()
 
     def extend(prefix, remaining):
@@ -165,10 +157,8 @@ def search_order(I):
         if key in dead:
             return None
         for k, u in enumerate(remaining):
-            if prefix:
-                _, offender = _colon_step(prefix, u)
-                if offender is not None:
-                    continue
+            if prefix and _linear_colon(prefix, u) is None:
+                continue
             res = extend(prefix + [u], remaining[:k] + remaining[k + 1 :])
             if res is not None:
                 return res

@@ -207,6 +207,25 @@ def test_linforms_decompose_primary_guard_exits_2():
     assert "too many factors: 13 > 12" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "sat"])
+def test_linforms_cap_guard_exits_2(command):
+    # a cap past CAP_GUARD = 32 is refused before any degree is swept
+    r = run("linforms", command, "--family", "linforms([[1,0]])",
+            "--cap", "100000000000")
+    _assert_input_error(r)
+    assert "cap 100000000000 exceeds CAP_GUARD = 32" in r.stderr
+
+
+@pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])
+def test_bad_linforms_body_stderr_is_deterministic(body):
+    family = f"linforms({body})"
+    first = run("linforms", "sat", "--family", family)
+    second = run("linforms", "sat", "--family", family)
+    _assert_input_error(first)
+    assert first.stderr == second.stderr
+    assert "0x" not in first.stderr and "bad matrix list" in first.stderr
+
+
 def test_failed_check_is_not_reported_as_input_error(monkeypatch):
     # only ValueError means bad input; a failed internal check propagates
     def broken(I, cap=None):

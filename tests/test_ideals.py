@@ -49,6 +49,24 @@ def test_minimalize():
     assert set(minimalize(gens)) == {(1, 0), (0, 3)}
 
 
+def brute_minimalize(monomials):
+    """All-pairs pruning: keep u when no other monomial divides it."""
+    gens = sorted(set(monomials), key=degree)
+    return [u for u in gens if not any(v != u and divides(v, u) for v in gens)]
+
+
+monomial_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=14)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_lists)
+@example([(0, 2, 0), (1, 0, 0), (0, 1, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)])
+def test_minimalize_matches_all_pairs(monomials):
+    assert minimalize(monomials) == brute_minimalize(monomials)
+
+
 def test_from_gens_rejects():
     with pytest.raises(ValueError):
         MonomialIdeal.from_gens(2, [])

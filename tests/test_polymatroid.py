@@ -1,9 +1,22 @@
+import random
+from functools import cmp_to_key
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from idealreg import betti
+from idealreg.fixtures import hook_ideal
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
-from idealreg.monomials import monomial_basis, parse_monomial
+from idealreg.monomials import (
+    compare_revlex,
+    mono_div,
+    mono_mul,
+    monomial_basis,
+    nu,
+    parse_monomial,
+    variable,
+)
 from idealreg.polymatroid import (
     ExchangeFailure,
     is_matroidal,
@@ -46,6 +59,58 @@ def test_hook_failure_witness():
     assert w.u == gens(4, "a^2*b")[0]
     assert w.v == gens(4, "c*d^2")[0]
     assert w.index == 2
+
+
+def exchange_oracle(I):
+    """True or the first failing (u, v, i), straight from the axiom: u, v
+    revlex-descending, i and j ascending, x_j * u / x_i looked up in G(I)."""
+    gens = set(I.gens)
+    ordered = sorted(I.gens, key=cmp_to_key(compare_revlex), reverse=True)
+    n = I.nvars
+    for u in ordered:
+        for v in ordered:
+            for i in range(1, n + 1):
+                if u == v or nu(u, i) <= nu(v, i):
+                    continue
+                if not any(
+                    nu(v, j) > nu(u, j)
+                    and mono_mul(mono_div(u, variable(i, n)), variable(j, n))
+                    in gens
+                    for j in range(1, n + 1)
+                ):
+                    return (u, v, i)
+    return True
+
+
+def equigenerated_ideals():
+    def build(args):
+        n, d, k, seed = args
+        basis = monomial_basis(n, d)
+        rng = random.Random(seed)
+        return MonomialIdeal.from_gens(n, rng.sample(basis, min(k, len(basis))))
+
+    return st.tuples(
+        st.integers(2, 5), st.integers(1, 3), st.integers(1, 12),
+        st.integers(0, 10**6),
+    ).map(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(),
+    st.integers(0, 10**6).map(
+        lambda seed: random_polymatroidal(rng_from_seed(seed), nmax=5)
+    ),
+))
+@example(hook_ideal())
+def test_exchange_check_matches_oracle(I):
+    res = is_polymatroidal(I)
+    expected = exchange_oracle(I)
+    if expected is True:
+        assert res is True
+    else:
+        assert isinstance(res, ExchangeFailure)
+        assert (res.u, res.v, res.index) == expected
 
 
 def test_not_equigenerated():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealreg import betti
 from idealreg.graded import GradedIdealView
@@ -13,6 +14,7 @@ from idealreg.monomials import (
 from idealreg.quotients import (
     QuotientCertificate,
     QuotientFailure,
+    _linear_colon,
     check_order,
     monomial_colon,
     regularity_from_certificate,
@@ -49,6 +51,44 @@ def test_monomial_colon_brute_force_oracle():
                 assert colon.contains_monomial(w) == mi.contains_monomial(
                     mono_mul(w, u)
                 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_linear_colon_matches_monomial_colon(seed):
+    # every step of a shuffled G(I): prefix and u are minimal generators,
+    # so no prefix member divides u
+    rng = rng_from_seed(seed)
+    mi = random_monomial_ideal(rng, nmax=5, degmax=4, max_gens=8)
+    order = list(mi.gens)
+    rng.shuffle(order)
+    for t in range(1, len(order)):
+        colon = monomial_colon(order[:t], order[t])
+        if any(degree(w) >= 2 for w in colon):
+            expected = None
+        else:
+            expected = tuple(sorted(w.index(1) + 1 for w in colon))
+        assert _linear_colon(order[:t], order[t]) == expected
+
+
+def test_linear_colon_examples():
+    # the w are a^2*b, a*b, b: all meet S = {x2}
+    hook = gens(4, "a^2*b", "a*b*c", "b*c*d")
+    assert _linear_colon(hook, gens(4, "c*d^2")[0]) == (2,)
+    assert _linear_colon(gens(4, "a*b", "b*c"), gens(4, "b^2")[0]) == (1, 3)
+    # w = b*d misses S = {x1}; w = b^2 misses S = {x1}
+    assert _linear_colon(gens(4, "a^2", "b*d"), gens(4, "a*c")[0]) is None
+    assert _linear_colon(gens(3, "a", "b^2*c"), gens(3, "c")[0]) is None
+
+
+def test_check_order_ambient_mismatch():
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        check_order(3, [(1, 0), (0, 1, 0)])
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        check_order(3, [(1, 0, 0), (0, 1)])
+    cert = QuotientCertificate(3, ((1, 0, 0), (0, 1)), ((), (1,)))
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        verify_certificate(cert)
 
 
 def test_check_order_hook():

@@ -36,13 +36,13 @@ from math import comb
 from . import linalg
 from .graded import (
     GradedIdealView,
-    HomPolynomial,
-    degree_piece,
+    degree_piece,  # noqa: F401 (bench/tracing.py patches betti.degree_piece)
     hilbert_value,
     ideal_product,
+    multiplication_maps,
     quotient_basis,
 )
-from .monomials import degree as mono_degree, mono_mul, monomial_basis, variable
+from .monomials import degree as mono_degree
 
 MULTIDEGREE_GUARD = 10_000_000
 
@@ -199,7 +199,8 @@ class StrandEngine:
     """Degree-j strands of K(x1..xn) tensor R/I, one homological index at a time.
 
     Sign convention: e_S with S = {s1 < ... < si} maps to
-    sum_k (-1)^(k+1) x_{s_k} e_{S minus s_k}.
+    sum_k (-1)^(k+1) x_{s_k} e_{S minus s_k}.  Multiplication by x_{v+1}
+    on quotient pieces comes from the column maps of `multiplication_maps`.
     """
 
     def __init__(self, I):
@@ -210,21 +211,19 @@ class StrandEngine:
         self._rank = {}
         self._rows = {}
 
-    def _mult_rows(self, e, v):
-        """Multiplication by x_{v+1}: (R/I)_e -> (R/I)_{e+1}, rows per basis elem."""
-        key = (e, v)
-        if key not in self._mult:
+    def _mult_rows(self, e):
+        """Multiplication by x1..xn: (R/I)_e -> (R/I)_{e+1}.
+
+        Entry v holds the rows of x_{v+1}, one per quotient basis element.
+        """
+        if e not in self._mult:
             src = quotient_basis(self.I, e)
             dst = quotient_basis(self.I, e + 1)
-            basis = monomial_basis(self.n, e)
-            xv = variable(v + 1, self.n)
-            rows = []
-            for j in src.columns:
-                m = mono_mul(basis[j], xv)
-                vec = HomPolynomial.from_monomial(m).vector(self.fld)
-                rows.append(dst.reduce(vec, self.fld))
-            self._mult[key] = rows
-        return self._mult[key]
+            self._mult[e] = [
+                [dst.reduce({col[j]: 1}, self.fld) for j in src.columns]
+                for col in multiplication_maps(self.n, e + 1)
+            ]
+        return self._mult[e]
 
     def term_dim(self, i, j):
         if i < 0 or i > self.n or j - i < 0:
@@ -236,7 +235,12 @@ class StrandEngine:
         return subs, {S: k for k, S in enumerate(subs)}
 
     def differential_rows(self, i, j):
-        """Rows (domain-major) of d_i at internal degree j."""
+        """Rows (domain-major) of d_i at internal degree j.
+
+        The row of e_S tensor q is the disjoint union over k of the signed
+        blocks x_{s_k} q at the offset of the face S minus s_k: distinct k
+        give distinct faces, so no entry is ever summed or cancelled.
+        """
         key = (i, j)
         if key in self._rows:
             return self._rows[key]
@@ -248,24 +252,19 @@ class StrandEngine:
         subs, _ = self._subset_offsets(i)
         _, index_dst = self._subset_offsets(i - 1)
         qdim_src = quotient_basis(self.I, e).dim
+        p = self.fld.characteristic
+        mult = self._mult_rows(e)
         rows = []
         for S in subs:
-            mult_cache = [
-                (k, index_dst[S[:k] + S[k + 1 :]], self._mult_rows(e, S[k]))
+            blocks = [
+                (index_dst[S[:k] + S[k + 1 :]] * qdim_dst, k % 2, mult[S[k]])
                 for k in range(i)
             ]
             for q in range(qdim_src):
                 row = {}
-                for k, tpos, mrows in mult_cache:
-                    sign = 1 if k % 2 == 0 else -1
+                for off, odd, mrows in blocks:
                     for q2, c in mrows[q].items():
-                        col = tpos * qdim_dst + q2
-                        val = c if sign > 0 else self.fld.neg(c)
-                        acc = self.fld.add(row.get(col, self.fld.zero), val)
-                        if acc == self.fld.zero:
-                            row.pop(col, None)
-                        else:
-                            row[col] = acc
+                        row[off + q2] = (p - c if p else -c) if odd else c
                 rows.append(row)
         self._rows[key] = rows
         return rows
@@ -294,9 +293,7 @@ def koszul_strand_betti(I, i, j):
     """beta_ij(R/I) from the degree-j Koszul strand (generic route)."""
     if not 0 <= i <= I.nvars or j < 0:
         raise ValueError("strand indices out of range")
-    if I._strands is None:
-        I._strands = StrandEngine(I)
-    return I._strands.betti(i, j)
+    return StrandEngine(I).betti(i, j)
 
 
 # ----------------------------------------------------------------------- tables

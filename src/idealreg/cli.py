@@ -26,7 +26,7 @@ from .chains import (
     omega,
 )
 from .fixtures import run_fixtures
-from .graded import GradedIdealView, saturation_degree
+from .graded import GradedIdealView, ring_dim, saturation_degree
 from .linforms import (
     is_linearly_general,
     primary_components,
@@ -44,16 +44,27 @@ from .polymatroid import (
 from .quotients import QuotientCertificate, check_order, search_order
 
 
-# largest --cap of `linforms verify` and `linforms sat`: both sweep every
-# degree up to the cap, and their pieces grow like cap^(n-1)
+# `linforms verify` and `linforms sat` sweep every degree up to the cap,
+# and their pieces grow like cap^(n-1).  CAP_GUARD is the largest --cap;
+# PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1), the column count
+# of the top piece.  On two-factor families the sweeps at about 5000
+# columns took 2-10 s (2 cores, Python 3.11), and time grows faster than
+# the column count.
 CAP_GUARD = 32
+PIECE_GUARD = 5000
 
 
-def _sweep_cap(cap, default):
+def _sweep_cap(cap, default, nvars):
     if cap is None:
-        return default
-    if cap > CAP_GUARD:
+        cap = default
+    elif cap > CAP_GUARD:
         raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
+    cols = ring_dim(nvars, cap)
+    if cols > PIECE_GUARD:
+        raise ValueError(
+            f"degree-{cap} piece in {nvars} variables has {cols} columns, "
+            f"above PIECE_GUARD = {PIECE_GUARD}"
+        )
     return cap
 
 
@@ -261,7 +272,7 @@ def linforms_decompose(family, characteristic, fmt):
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    rep = verify_decomposition(fam, _sweep_cap(cap, len(fam) + 3))
+    rep = verify_decomposition(fam, _sweep_cap(cap, len(fam) + 3, fam[0].nvars))
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -290,7 +301,9 @@ def linforms_general(family, characteristic, fmt):
 @format_option
 def linforms_sat(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    sp = saturation_degree(product_generators(fam), _sweep_cap(cap, len(fam)))
+    sp = saturation_degree(
+        product_generators(fam), _sweep_cap(cap, len(fam), fam[0].nvars)
+    )
     sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],

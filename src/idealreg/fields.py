@@ -1,7 +1,10 @@
 """Exact scalars: arbitrary-precision rationals (default) and GF(p).
 
-All linear algebra is exact; the working field is chosen once per run by
-its characteristic (0 or a prime p).
+A field is its characteristic (0 or a prime p) plus scalar conversion:
+calling it maps an integer or rational to a Fraction, or to an int in
+0..p-1.  Arithmetic is plain Python arithmetic; code working over GF(p)
+reduces mod `characteristic` where it needs to.  The working field is
+chosen once per run.
 """
 
 from __future__ import annotations
@@ -11,23 +14,9 @@ from fractions import Fraction as _rat
 
 class RationalField:
     characteristic = 0
-    zero = _rat(0)
-    one = _rat(1)
 
     def __call__(self, a):
         return _rat(a)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
     def __repr__(self):
         return "QQ"
@@ -40,20 +29,9 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.characteristic = p
-        self.zero = 0
-        self.one = 1
 
     def __call__(self, a):
         return int(a) % self.characteristic
-
-    def add(self, a, b):
-        return (a + b) % self.characteristic
-
-    def mul(self, a, b):
-        return (a * b) % self.characteristic
-
-    def neg(self, a):
-        return -a % self.characteristic
 
     def __repr__(self):
         return f"GF({self.characteristic})"

@@ -220,16 +220,17 @@ def in_rowspace(vec, rref_rows, pivots, field):
 
 def kernel_basis(rref_rows, pivots, ncols, field):
     """Right null space basis from an RREF; one vector per free column."""
+    p = field.characteristic
     pivset = set(pivots)
     out = []
     for f in range(ncols):
         if f in pivset:
             continue
-        v = {f: field.one}
-        for p, row in zip(pivots, rref_rows):
+        v = {f: 1}
+        for q, row in zip(pivots, rref_rows):
             c = row.get(f)
             if c is not None:
-                v[p] = field.neg(c)
+                v[q] = p - c if p else -c
         out.append(v)
     return out
 
@@ -295,9 +296,10 @@ def intersect_rowspaces(space_a, space_b, field):
     for i, row in enumerate(rows_a):
         for j, v in row.items():
             sys_rows.setdefault(j, {})[i] = v
+    p = field.characteristic
     for i, row in enumerate(rows_b):
         for j, v in row.items():
-            sys_rows.setdefault(j, {})[ra + i] = field.neg(v)
+            sys_rows.setdefault(j, {})[ra + i] = p - v if p else -v
     ker = kernel(list(sys_rows.values()), ra + rb, field)
     alphas = [{i: c for i, c in k.items() if i < ra} for k in ker]
     return row_reduce(matmul(alphas, rows_a, field), field)

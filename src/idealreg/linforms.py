@@ -47,13 +47,11 @@ class LinearIdeal:
         for r in coeff_rows:
             if len(r) != nvars:
                 raise ValueError("coefficient row length mismatch")
-            sparse.append({j: fld(c) for j, c in enumerate(r) if fld(c) != fld.zero})
+            sparse.append({j: x for j, x in enumerate(map(fld, r)) if x})
         rref, pivots = linalg.row_reduce(sparse, fld)
         if not rref:
             raise ValueError("zero ideal of linear forms")
-        dense = tuple(
-            tuple(row.get(j, fld.zero) for j in range(nvars)) for row in rref
-        )
+        dense = tuple(tuple(row.get(j, 0) for j in range(nvars)) for row in rref)
         return cls(nvars, characteristic, dense, tuple(pivots))
 
     @property
@@ -85,7 +83,7 @@ def product_generators(family):
     n = family[0].nvars
     char = family[0].characteristic
     fld = field_of(char)
-    gens = [HomPolynomial.from_monomial((0,) * n, fld.one)]
+    gens = [HomPolynomial.from_monomial((0,) * n)]
     for V in family:
         if V.nvars != n or V.characteristic != char:
             raise ValueError("family ambient or field mismatch")
@@ -274,7 +272,6 @@ def _detect_pinched_family(family):
     n = family[0].nvars
     if n != d + 1:
         return False
-    fld = field_of(family[0].characteristic)
     for i, V in enumerate(family):
         expect = LinearIdeal.from_rows(
             n,
@@ -313,7 +310,6 @@ def associated_prime_check(family, A, cap):
     A = sorted(set(A))
     if not A or A[0] < 1 or A[-1] > d:
         raise ValueError("subset out of range")
-    fld = field_of(family[0].characteristic)
     expo = [0] * n
     expo[n - 1] = len(A) - 1
     for i in range(1, d + 1):
@@ -327,7 +323,7 @@ def associated_prime_check(family, A, cap):
     )
     from .graded import colon_piece
 
-    g = HomPolynomial.from_monomial(witness, fld.one)
+    g = HomPolynomial.from_monomial(witness)
     for e in range(1, cap + 1):
         colon = colon_piece(product, g, e)
         expect = degree_piece(target_view, e)

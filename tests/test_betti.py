@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti
 from idealreg.fields import field_of
@@ -99,6 +99,41 @@ def test_strand_engine_matches_monomial_table(I):
     for j in range(cap + 1):
         for i in range(min(I.nvars, j) + 1):
             assert engine.betti(i, j) == table.entries.get((i, j), 0)
+
+
+@st.composite
+def sheared_monomial_views(draw):
+    """(I, J): a monomial ideal I in 2..3 variables and its image J under
+    x1 -> x1 + c*x2, c nonzero in the field; J is not monomial."""
+    n = draw(st.integers(2, 3))
+    gens = draw(st.lists(
+        st.tuples(*[st.integers(0, 2)] * n).filter(any), min_size=1, max_size=4))
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    c = draw(st.integers(1, char - 1) if char else st.integers(-3, 3).filter(bool))
+    mi = MonomialIdeal.from_gens(n, gens)
+    assume(any(g[0] for g in mi.gens))
+    fld = field_of(char)
+    shear = HomPolynomial.linear_form([1, c] + [0] * (n - 2))
+    images = []
+    for g in mi.gens:
+        poly = HomPolynomial.from_monomial((0,) + g[1:])
+        for _ in range(g[0]):
+            poly = poly.multiply(shear, fld)
+        images.append(poly)
+    return (GradedIdealView.from_monomial_ideal(mi, char),
+            GradedIdealView(n, images, char))
+
+
+@given(sheared_monomial_views())
+@settings(max_examples=100, deadline=None)
+def test_strand_route_matches_monomial_route_after_coordinate_change(pair):
+    # a linear change of coordinates keeps the graded Betti numbers, so the
+    # monomial route is an oracle for strands whose multiplication rows
+    # carry quotient coordinates other than 1
+    I, J = pair
+    assert not J.is_monomial
+    table = betti.betti_table(J)
+    assert table.entries == betti.betti_table(I, table.cap).entries
 
 
 @st.composite

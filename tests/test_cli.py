@@ -216,6 +216,26 @@ def test_linforms_cap_guard_exits_2(command):
     assert "cap 100000000000 exceeds CAP_GUARD = 32" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "sat"])
+def test_linforms_piece_guard_exits_2(command):
+    # cap 32 passes CAP_GUARD, but R_32 in 5 variables has 58905 columns
+    r = run("linforms", command, "--family",
+            "linforms([[1,0,0,0,0]],[[0,1,0,0,0]])", "--cap", "32")
+    _assert_input_error(r)
+    assert "has 58905 columns, above PIECE_GUARD = 5000" in r.stderr
+
+
+def test_linforms_piece_guard_checks_default_cap():
+    # 8 factors in 10 variables: the default verify cap 11 gives 167960 columns
+    family = "linforms(" + ", ".join(
+        "[[" + ",".join("1" if j == i else "0" for j in range(10)) + "]]"
+        for i in range(8)
+    ) + ")"
+    r = run("linforms", "verify", "--family", family)
+    _assert_input_error(r)
+    assert "degree-11 piece in 10 variables has 167960 columns" in r.stderr
+
+
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])
 def test_bad_linforms_body_stderr_is_deterministic(body):
     family = f"linforms({body})"

@@ -38,6 +38,20 @@ def test_hompolynomial_validation():
         HomPolynomial.linear_form([0, 0])
 
 
+def test_multiply_reduces_and_drops_vanishing_coefficients():
+    s = HomPolynomial.linear_form([1, 1])
+    # (a+b)^2 = a^2 + b^2 over GF(2): the coefficient 2 of a*b vanishes
+    assert s.multiply(s, field_of(2)).terms == (((0, 2), 1), ((2, 0), 1))
+    assert s.multiply(s, field_of(0)).terms == (
+        ((0, 2), 1), ((1, 1), 2), ((2, 0), 1),
+    )
+    t = HomPolynomial.linear_form([2, 1])
+    # (2a+b)^2 = a^2 + a*b + b^2 over GF(3): 4 and 4 taken mod 3
+    assert t.multiply(t, field_of(3)).terms == (
+        ((0, 2), 1), ((1, 1), 1), ((2, 0), 1),
+    )
+
+
 def test_degree_piece_dims_match_hilbert():
     I = view(3, "a^2", "b*c")
     for e in range(6):
@@ -49,11 +63,10 @@ def test_monomial_and_generic_hilbert_agree():
     # same ideal through the combinatorial and the linear-algebra path
     gens = ["a^2*b", "b^2*c", "c^3"]
     I = view(3, *gens)
-    fld = field_of(0)
     J = GradedIdealView(
         3,
         [
-            HomPolynomial.from_monomial(parse_monomial(s, 3)[0], fld.one)
+            HomPolynomial.from_monomial(parse_monomial(s, 3)[0], 1)
             for s in gens
         ],
     )

@@ -106,6 +106,7 @@ def linear_subspaces(draw):
 @example(LinearIdeal.from_rows(3, [[2, 3, 5]]), 2)  # dim 1, RREF (1, 3/2, 5/2)
 @example(LinearIdeal.from_rows(3, [[2, 1, 0], [0, 3, 1], [1, 1, 1]]), 3)
 @example(LinearIdeal.from_rows(3, [[1, 2, 0], [0, 1, 2]], 3), 2)  # GF(3)
+@example(LinearIdeal.from_rows(2, [[1, 1]], 2), 2)  # (a+b)^2 = a^2 + b^2 in GF(2)
 @settings(deadline=None)
 def test_power_piece_equals_generator_route_piece(V, k):
     # rows and pivots of V^k in each degree 0..k+2, against the degree

@@ -105,10 +105,9 @@ def _upper_koszul_faces(a, std_set):
     """Faces S with x^(a - e_S) in I, by cardinality (S as 0-based tuples).
 
     Membership is answered by the precomputed set of standard divisors of
-    lcm(G(I)); every queried monomial divides that lcm.
+    lcm(G(I)); every queried monomial divides that lcm.  The candidates
+    of `_monomial_candidates` lie in I, so the empty face is always there.
     """
-    if a in std_set:
-        return []  # x^a outside I: void complex, no homology contribution
     supp = [v for v, e in enumerate(a) if e > 0]
     levels = [[()]]
     while True:
@@ -182,8 +181,6 @@ def _monomial_entries(mi, cap, fld):
     entries = {(0, 0): 1}
     for a in _monomial_candidates(std, std_set, lcm, mi.nvars, cap):
         levels = _upper_koszul_faces(a, std_set)
-        if not levels:
-            continue
         j = sum(a)
         for c, h in enumerate(_homology_of_complex(levels, fld)):
             if h:

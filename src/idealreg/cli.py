@@ -45,19 +45,43 @@ from .quotients import QuotientCertificate, check_order, search_order
 
 
 # `linforms verify` and `linforms sat` sweep every degree up to the cap,
-# and their pieces grow like cap^(n-1).  CAP_GUARD is the largest --cap;
-# PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1), the column count
-# of the top piece.  On two-factor families the sweeps at about 5000
-# columns took 2-10 s (2 cores, Python 3.11), and time grows faster than
-# the column count.
+# and their pieces grow like cap^(n-1).  CAP_GUARD is the largest cap,
+# given or default; the default grows with the number of factors, and
+# `linforms sat` on 200 copies of (x1) in 2 variables (cap 200) took
+# 7.8 s.  PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1), the
+# column count of the top piece.  On two-factor families the sweeps at
+# about 5000 columns took 2-10 s (2 cores, Python 3.11), and time grows
+# faster than the column count.
+#
+# `linforms verify` also builds a power piece of each of the 2^d - 1
+# primary components in every degree, so SWEEP_GUARD bounds dim R_cap
+# times 2^d - 1.  The time per unit grows with the cap, so the bound is
+# set by the slowest families below it.  Timings on the same host:
+#   8 factors in 2 variables, cap 32:        8 415 -> 10.9 s
+#   2 factors in 4 variables, cap 24:        8 775 ->  7.4 s
+#   10 factors in 2 variables, default cap: 14 322 ->  4.6 s (refused)
+#   2 factors in 4 variables, cap 29:       14 880 -> 20.6 s (refused)
+#   5 factors in 5 variables, default cap:  15 345 ->  1.3 s (refused)
+#   6 factors in 3 variables, cap 24:       20 475 -> 22.6 s (refused)
+#   6 factors in 6 variables, default cap: 126 126 -> 24.2 s (refused)
 CAP_GUARD = 32
 PIECE_GUARD = 5000
+SWEEP_GUARD = 10_000
+
+# `betti` and `inequality` check each table against the Hilbert function
+# up to the cap, which one walk counts over the monomials of x1..x_{n-1}
+# of degree <= cap: dim R_cap = C(cap+n-1, n-1) of them.  WALK_GUARD
+# bounds that count for a given --cap (the default cap is set by the
+# ideal).  `betti --ideal "ideal(d)"`, one walk step per monomial, took
+# 0.4 s at cap 100 (176 851), 2.3 s at cap 200 (1 373 701), 3.9 s at
+# cap 228 (2 027 795) and 19.9 s at cap 400 (10 827 401).
+WALK_GUARD = 2_000_000
 
 
-def _sweep_cap(cap, default, nvars):
+def _sweep_cap(cap, default, nvars, components=1):
     if cap is None:
         cap = default
-    elif cap > CAP_GUARD:
+    if cap > CAP_GUARD:
         raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
     cols = ring_dim(nvars, cap)
     if cols > PIECE_GUARD:
@@ -65,7 +89,21 @@ def _sweep_cap(cap, default, nvars):
             f"degree-{cap} piece in {nvars} variables has {cols} columns, "
             f"above PIECE_GUARD = {PIECE_GUARD}"
         )
+    if cols * components > SWEEP_GUARD:
+        raise ValueError(
+            f"{cols} columns times {components} primary components is "
+            f"{cols * components}, above SWEEP_GUARD = {SWEEP_GUARD}"
+        )
     return cap
+
+
+def _check_walk(cap, nvars):
+    count = 0 if cap is None else ring_dim(nvars, cap)
+    if count > WALK_GUARD:
+        raise ValueError(
+            f"cap {cap} in {nvars} variables walks {count} monomials, "
+            f"above WALK_GUARD = {WALK_GUARD}"
+        )
 
 
 def _fail_input(msg):
@@ -118,6 +156,7 @@ def main():
 def betti_cmd(ideal, cap, characteristic, fmt):
     """Betti table and regularity of a monomial ideal."""
     I = GradedIdealView.from_monomial_ideal(parse_ideal_text(ideal), characteristic)
+    _check_walk(cap, I.nvars)
     table = betti.betti_table(I, cap)
     reg = betti.regularity(I, cap)
     lines = [table.render(), f"reg = {reg.value}"]
@@ -145,6 +184,7 @@ def inequality_cmd(ideal_i, ideal_j, cap, characteristic, fmt):
     mi, mj = _parse_pair(ideal_i, ideal_j)
     I = GradedIdealView.from_monomial_ideal(mi, characteristic)
     J = GradedIdealView.from_monomial_ideal(mj, characteristic)
+    _check_walk(cap, I.nvars)
     rep = betti.inequality_report(I, J, cap)
     lines = [
         f"reg(I) = {rep.reg_i.value}",
@@ -272,7 +312,8 @@ def linforms_decompose(family, characteristic, fmt):
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    rep = verify_decomposition(fam, _sweep_cap(cap, len(fam) + 3, fam[0].nvars))
+    cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars, 2 ** len(fam) - 1)
+    rep = verify_decomposition(fam, cap)
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -301,9 +342,8 @@ def linforms_general(family, characteristic, fmt):
 @format_option
 def linforms_sat(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    sp = saturation_degree(
-        product_generators(fam), _sweep_cap(cap, len(fam), fam[0].nvars)
-    )
+    cap = _sweep_cap(cap, len(fam), fam[0].nvars)
+    sp = saturation_degree(product_generators(fam), cap)
     sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],

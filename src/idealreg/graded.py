@@ -9,6 +9,7 @@ and row-reduced over the working field.  No Groebner bases anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import linalg
@@ -94,9 +95,12 @@ class GradedIdealView:
         self.generators = generators
         self.characteristic = characteristic
         self.field = field_of(characteristic)
-        self._pieces = {}
-        self._quotients = {}
-        self._monomial = None
+        self._pieces = {}  # e -> DegreePiece, the one cache of the view
+        self._monomial = (
+            MonomialIdeal.from_gens(nvars, (g.terms[0][0] for g in generators))
+            if all(g.is_monomial for g in generators)
+            else None
+        )
 
     @classmethod
     def from_monomial_ideal(cls, I, characteristic=0):
@@ -108,15 +112,11 @@ class GradedIdealView:
 
     @property
     def is_monomial(self):
-        return all(g.is_monomial for g in self.generators)
+        return self._monomial is not None
 
     def monomial_ideal(self):
-        if not self.is_monomial:
-            raise ValueError("not a monomial ideal")
         if self._monomial is None:
-            self._monomial = MonomialIdeal.from_gens(
-                self.nvars, (g.terms[0][0] for g in self.generators)
-            )
+            raise ValueError("not a monomial ideal")
         return self._monomial
 
     def max_gen_degree(self):
@@ -140,14 +140,20 @@ class GradedIdealView:
 
 @dataclass
 class DegreePiece:
-    nvars: int
-    degree: int
+    """A subspace of K^ncols (here R_e) as canonical RREF rows and pivots."""
+
     rows: list
     pivots: list
+    ncols: int
 
     @property
     def dim(self):
         return len(self.pivots)
+
+    @cached_property
+    def quotient(self):
+        """The complement basis of this subspace, built on first use."""
+        return QuotientBasis(self)
 
     def contains_vector(self, vec, fld):
         return linalg.in_rowspace(vec, self.rows, self.pivots, fld)
@@ -173,7 +179,7 @@ def multiplication_maps(n, e):
 
 
 def degree_piece(I, e):
-    """Basis of I_e as a subspace of R_e (cached per ideal).
+    """Basis of I_e as a subspace of R_e (cached in the view's `_pieces`).
 
     Built incrementally: I_e is spanned by R_1 * I_{e-1} together with the
     degree-e generators, so each degree reuses the reduced basis one degree
@@ -200,8 +206,8 @@ def degree_piece(I, e):
             for row in below.rows:
                 for col in maps:
                     rows.append({col[j]: c for j, c in row.items()})
-        rref, pivots = linalg.row_reduce(rows, fld, ncols)
-    piece = DegreePiece(n, e, rref, pivots)
+        rref, pivots = linalg.row_reduce(rows, fld)
+    piece = DegreePiece(rref, pivots, ncols)
     I._pieces[e] = piece
     return piece
 
@@ -209,14 +215,9 @@ def degree_piece(I, e):
 class QuotientBasis:
     """Monomial complement basis of (R/I)_e (the non-pivot columns)."""
 
-    def __init__(self, I, e):
-        self.piece = degree_piece(I, e)
-        self.nvars = I.nvars
-        self.degree = e
-        pivset = set(self.piece.pivots)
-        self.columns = [
-            j for j in range(ring_dim(I.nvars, e)) if j not in pivset
-        ]
+    def __init__(self, piece):
+        self.pivot_rows = dict(zip(piece.pivots, piece.rows))
+        self.columns = [j for j in range(piece.ncols) if j not in self.pivot_rows]
         self.position = {j: k for k, j in enumerate(self.columns)}
 
     @property
@@ -225,14 +226,13 @@ class QuotientBasis:
 
     def reduce(self, vec, fld):
         """R_e coordinates -> quotient coordinates (dict over positions)."""
-        res = linalg.reduce_vector(vec, self.piece.rows, self.piece.pivots, fld)
+        res = linalg.reduce_vector(vec, self.pivot_rows, fld)
         return {self.position[j]: c for j, c in res.items()}
 
 
 def quotient_basis(I, e):
-    if e not in I._quotients:
-        I._quotients[e] = QuotientBasis(I, e)
-    return I._quotients[e]
+    """Monomial basis of (R/I)_e, held by the degree piece I_e."""
+    return degree_piece(I, e).quotient
 
 
 def hilbert_value(I, e):
@@ -269,7 +269,7 @@ def colon_piece(I, g, e):
             sys_rows.setdefault(q, {})[j] = c
     ker = linalg.kernel(list(sys_rows.values()), len(cols), fld)
     rref, pivots = linalg.row_reduce(ker, fld)
-    return DegreePiece(n, e, rref, pivots)
+    return DegreePiece(rref, pivots, len(cols))
 
 
 @dataclass

@@ -23,22 +23,20 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def row_reduce(rows, field, ncols=None):
+def row_reduce(rows, field):
     """Reduce sparse rows; returns (rref_rows, pivot_columns).
 
     rref_rows are sorted by pivot column and normalized: each pivot column
-    occurs only in its own row, with coefficient one.  Passing the ambient
-    column count lets the reduction stop once every column is a pivot
-    (remaining rows cannot change the row space).
+    occurs only in its own row, with coefficient one.
     """
     p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
-        piv = _rref_mod(pending, p, ncols)
+        piv = _rref_mod(pending, p)
     else:
         piv = {
             c: {j: Fraction(v, row[c]) for j, v in row.items()}
-            for c, row in _rref_int(map(primitive, pending), ncols).items()
+            for c, row in _rref_int(map(primitive, pending)).items()
         }
     pivots = sorted(piv)
     return [piv[c] for c in pivots], pivots
@@ -96,12 +94,10 @@ def _divide_content(row):
     return row
 
 
-def _rref_int(rows, ncols):
+def _rref_int(rows):
     """Pivot column -> primitive integer row, reduced against every other pivot."""
     piv = {}
     for row in rows:
-        if ncols is not None and len(piv) == ncols:
-            break
         hits = [(c, row.pop(c)) for c in row.keys() & piv.keys()]
         if hits:
             # one common multiplier m makes every quotient m*b/a integral
@@ -161,12 +157,10 @@ def _echelon_rank_int(rows):
 # --------------------------------------------------------------- GF(p) kernel
 
 
-def _rref_mod(rows, p, ncols):
+def _rref_mod(rows, p):
     """Pivot column -> row with lead 1, reduced against every other pivot."""
     piv = {}
     for row in rows:
-        if ncols is not None and len(piv) == ncols:
-            break
         row = _mod(_eliminate(dict(row), piv), p)
         if not row:
             continue
@@ -207,15 +201,16 @@ def _mod(row, p):
 # ---------------------------------------------------------------- on an RREF
 
 
-def reduce_vector(vec, rref_rows, pivots, field):
-    """Residue of vec modulo the row space (pivot coordinates eliminated)."""
-    row = _eliminate(dict(vec), dict(zip(pivots, rref_rows)))
+def reduce_vector(vec, piv, field):
+    """Residue of vec modulo the row space of an RREF given as
+    {pivot column: row} (pivot coordinates eliminated)."""
+    row = _eliminate(dict(vec), piv)
     p = field.characteristic
     return _mod(row, p) if p else row
 
 
 def in_rowspace(vec, rref_rows, pivots, field):
-    return not reduce_vector(vec, rref_rows, pivots, field)
+    return not reduce_vector(vec, dict(zip(pivots, rref_rows)), field)
 
 
 def kernel_basis(rref_rows, pivots, ncols, field):

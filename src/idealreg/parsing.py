@@ -23,10 +23,10 @@ class ParseError(ValueError):
     pass
 
 
-def parse_ideal_gens(text, nvars=None):
+def parse_ideal_gens(text):
     """``ideal(...)`` -> (ambient, generator exponents in input order).
 
-    The ambient is inferred from the largest variable index unless given.
+    The ambient is inferred from the largest variable index.
     """
     m = _IDEAL_RE.match(text.strip())
     if m is None:
@@ -41,15 +41,14 @@ def parse_ideal_gens(text, nvars=None):
             top = max(top, parse_monomial(p)[1])
         except ValueError as exc:
             raise ParseError(f"bad monomial {p!r}: {exc}") from exc
-    n = nvars if nvars is not None else top
-    if n < 1:
+    if top < 1:
         raise ParseError("could not infer any variable")
-    return n, [parse_monomial(p, n)[0] for p in parts]
+    return top, [parse_monomial(p, top)[0] for p in parts]
 
 
-def parse_ideal_text(text, nvars=None):
-    """``ideal(...)`` -> MonomialIdeal (ambient inferred unless given)."""
-    return MonomialIdeal.from_gens(*parse_ideal_gens(text, nvars))
+def parse_ideal_text(text):
+    """``ideal(...)`` -> MonomialIdeal (ambient inferred)."""
+    return MonomialIdeal.from_gens(*parse_ideal_gens(text))
 
 
 def parse_linforms_text(text, characteristic=0):

@@ -236,6 +236,44 @@ def test_linforms_piece_guard_checks_default_cap():
     assert "degree-11 piece in 10 variables has 167960 columns" in r.stderr
 
 
+def test_linforms_verify_sweep_guard_exits_2():
+    # 12 factors in 2 variables: 16 columns at the default cap 15 times
+    # 4095 primary components is past SWEEP_GUARD = 10000
+    family = "linforms(" + ", ".join(f"[[1,{k}]]" for k in range(12)) + ")"
+    r = run("linforms", "verify", "--family", family)
+    _assert_input_error(r)
+    assert "is 65520, above SWEEP_GUARD = 10000" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "sat"])
+def test_linforms_generator_guard_exits_2(command):
+    # 7 copies of (x1, x2, x3) have 3^7 = 2187 product generators
+    m = "[[1,0,0],[0,1,0],[0,0,1]]"
+    r = run("linforms", command, "--family",
+            "linforms(" + ", ".join([m] * 7) + ")", "--cap", "7")
+    _assert_input_error(r)
+    assert "too many product generators: 2187 > 1000" in r.stderr
+
+
+def test_linforms_sat_default_cap_guard_exits_2():
+    # the default sat cap is the number of factors, here past CAP_GUARD
+    r = run("linforms", "sat", "--family",
+            "linforms(" + ", ".join(["[[1,0]]"] * 33) + ")")
+    _assert_input_error(r)
+    assert "cap 33 exceeds CAP_GUARD = 32" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--ideal", "ideal(a*b, c*d)"),
+    ("inequality", "--ideal-i", "ideal(a*b)", "--ideal-j", "ideal(c*d)"),
+])
+def test_walk_guard_exits_2(argv):
+    # the Euler check would walk C(16003, 3) monomials of x1..x3
+    r = run(*argv, "--cap", "16000")
+    _assert_input_error(r)
+    assert "walks 682922696001 monomials, above WALK_GUARD" in r.stderr
+
+
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])
 def test_bad_linforms_body_stderr_is_deterministic(body):
     family = f"linforms({body})"

@@ -57,6 +57,11 @@ def test_degree_piece_dims_match_hilbert():
     for e in range(6):
         assert ring_dim(3, e) - degree_piece(I, e).dim == hilbert_value(I, e)
         assert quotient_basis(I, e).dim == hilbert_value(I, e)
+        # the piece holds the quotient basis; the view keeps no other cache
+        assert quotient_basis(I, e) is degree_piece(I, e).quotient
+    assert set(vars(I)) == {
+        "nvars", "generators", "characteristic", "field", "_pieces", "_monomial"
+    }
 
 
 def test_monomial_and_generic_hilbert_agree():

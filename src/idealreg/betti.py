@@ -102,29 +102,31 @@ class InequalityReport:
 
 
 def _upper_koszul_faces(a, std_set):
-    """Faces S with x^(a - e_S) in I, by cardinality (S as 0-based tuples).
+    """Faces S with x^(a - e_S) in I, by cardinality.
 
-    Membership is answered by the precomputed set of standard divisors of
-    lcm(G(I)); every queried monomial divides that lcm.  The candidates
-    of `_monomial_candidates` lie in I, so the empty face is always there.
+    A face is a 0-based tuple of positions in supp(a), not of variables:
+    the homology does not depend on the labels, and complexes that differ
+    only by a relabelling of the support then compare equal.  Membership
+    is answered by the precomputed set of standard divisors of lcm(G(I));
+    every queried monomial divides that lcm.  The candidates of
+    `_monomial_candidates` lie in I, so the empty face is always there.
     """
     supp = [v for v, e in enumerate(a) if e > 0]
+    k = len(supp)
     levels = [[()]]
+    layer = [((), a)]  # faces of the last level with their x^(a - e_S)
     while True:
-        prev = levels[-1]
         nxt = []
-        for face in prev:
-            start = supp.index(face[-1]) + 1 if face else 0
-            for v in supp[start:]:
-                s = face + (v,)
-                red = list(a)
-                for w in s:
-                    red[w] -= 1
-                if tuple(red) not in std_set:
-                    nxt.append(s)
+        for face, b in layer:
+            for pos in range(face[-1] + 1 if face else 0, k):
+                v = supp[pos]
+                c = b[:v] + (b[v] - 1,) + b[v + 1 :]
+                if c not in std_set:
+                    nxt.append((face + (pos,), c))
         if not nxt:
             return levels
-        levels.append(nxt)
+        levels.append([face for face, _ in nxt])
+        layer = nxt
 
 
 def _boundary_rows(domain, codomain_index, fld):
@@ -141,17 +143,21 @@ def _boundary_rows(domain, codomain_index, fld):
 
 
 def _homology_of_complex(levels, fld):
-    """h_c for the complex spanned by the faces, including the empty face."""
+    """h_c for the complex spanned by the faces, including the empty face.
+
+    The int boundary rows go to the integer kernels as they are; the ranks
+    reduce them in place, so they are taken after the d∘d check.
+    """
     index_maps = [{f: k for k, f in enumerate(lv)} for lv in levels]
     boundaries = [None]
     for c in range(1, len(levels)):
         boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], fld))
     for c in range(1, len(levels) - 1):
-        composite = linalg.matmul(boundaries[c + 1], boundaries[c], fld)
+        composite = linalg.int_matmul(boundaries[c + 1], boundaries[c], fld)
         assert all(not row for row in composite), "koszul sign error"
     ranks = [0] * (len(levels) + 1)
     for c in range(1, len(levels)):
-        ranks[c] = linalg.rank(boundaries[c], fld)
+        ranks[c] = linalg.int_rank(boundaries[c], fld)
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
@@ -175,17 +181,27 @@ def _monomial_candidates(std, std_set, lcm, n, cap):
 
 
 def _monomial_entries(mi, cap, fld):
+    """Nonzero beta_ij(R/I), j <= cap, summed over the candidate multidegrees.
+
+    Many candidates share one upper Koszul complex once its faces are
+    labelled by support position, so its homology is taken once per
+    distinct complex, in a memo that lives for this call only.
+    """
     lcm = mi.lcm_of_gens()
     std = mi.standard_divisors_of(lcm)
     std_set = set(std)
     entries = {(0, 0): 1}
+    homology = {}  # complex, as a tuple of levels -> its h list
     for a in _monomial_candidates(std, std_set, lcm, mi.nvars, cap):
         levels = _upper_koszul_faces(a, std_set)
+        key = tuple(map(tuple, levels))
+        hs = homology.get(key)
+        if hs is None:
+            hs = homology[key] = _homology_of_complex(levels, fld)
         j = sum(a)
-        for c, h in enumerate(_homology_of_complex(levels, fld)):
+        for c, h in enumerate(hs):
             if h:
-                key = (c + 1, j)
-                entries[key] = entries.get(key, 0) + h
+                entries[c + 1, j] = entries.get((c + 1, j), 0) + h
     return entries
 
 

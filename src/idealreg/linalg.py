@@ -15,6 +15,10 @@ There is one kernel per field kind, both on plain Python ints:
   divided out again.  Fractions are made only for the final RREF, when each
   pivot row is divided by its lead entry, so the result is the same
   canonical RREF entry for entry.
+
+Rows whose entries are already ints (integers over QQ, residues mod p) can
+skip the scaling: `int_rank` and `int_matmul` hand them to the kernels as
+they are, and `int_rank` reduces them in place.
 """
 
 from __future__ import annotations
@@ -43,12 +47,26 @@ def row_reduce(rows, field):
 
 
 def rank(rows, field):
-    """Rank by echelon elimination: no back-substitution, no normalization."""
+    """Rank by echelon elimination: no back-substitution, no normalization.
+
+    The rows are left as they are: the kernel reduces copies of them,
+    scaled to primitive integer rows over QQ.
+    """
+    copy = dict if field.characteristic else primitive
+    return int_rank([copy(r) for r in rows if r], field)
+
+
+def int_rank(rows, field):
+    """Rank of rows whose entries are ints: integers over QQ, residues mod p.
+
+    The rows go to the kernel as they are and are reduced in place, so pass
+    only rows that nothing reads afterwards.
+    """
     p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
         return _echelon_rank_mod(pending, p)
-    return _echelon_rank_int(map(primitive, pending))
+    return _echelon_rank_int(pending)
 
 
 def _axpy(row, f, src, skip):
@@ -180,7 +198,6 @@ def _echelon_rank_mod(rows, p):
     """Each row is reduced at its leftmost entry until that column is new."""
     piv = {}
     for row in rows:
-        row = dict(row)
         while row:
             lead = min(row)
             prow = piv.get(lead)
@@ -242,26 +259,28 @@ def matmul(rows_a, rows_b, field):
     matrices by their common denominators, which are divided back out of the
     exact integer product.
     """
-    p = field.characteristic
-    if p:
-        return [_mod(acc, p) for acc in _int_product(rows_a, rows_b)]
+    if field.characteristic:
+        return int_matmul(rows_a, rows_b, field)
     da, a = _clear_denominators(rows_a)
     db, b = _clear_denominators(rows_b)
     den = da * db
     return [
-        {k: Fraction(v, den) for k, v in acc.items() if v}
-        for acc in _int_product(a, b)
+        {k: Fraction(v, den) for k, v in acc.items()}
+        for acc in int_matmul(a, b, field)
     ]
 
 
-def _int_product(rows_a, rows_b):
+def int_matmul(rows_a, rows_b, field):
+    """`matmul` of matrices whose entries are ints (integers over QQ,
+    residues mod p), taken as they are; the product has nonzero int entries."""
+    p = field.characteristic
     out = []
     for row in rows_a:
         acc = {}
         for j, c in row.items():
             for k, v in rows_b[j].items():
                 acc[k] = acc.get(k, 0) + c * v
-        out.append(acc)
+        out.append(_mod(acc, p) if p else {k: v for k, v in acc.items() if v})
     return out
 
 

@@ -9,6 +9,7 @@ from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import GradedIdealView, HomPolynomial, ideal_product
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import monomial_basis, parse_monomial
+from idealreg.quotients import regularity_from_certificate, search_order
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
 
 
@@ -145,6 +146,57 @@ def small_monomial_ideals(draw):
     return MonomialIdeal.from_gens(n, gens)
 
 
+def _faces_by_variable(a, std_set):
+    """Upper Koszul complex of a, faces labelled by variable index."""
+    supp = [v for v, e in enumerate(a) if e > 0]
+    levels = [[()]]
+    while True:
+        nxt = []
+        for face in levels[-1]:
+            start = supp.index(face[-1]) + 1 if face else 0
+            for v in supp[start:]:
+                red = list(a)
+                for w in face + (v,):
+                    red[w] -= 1
+                if tuple(red) not in std_set:
+                    nxt.append(face + (v,))
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+@given(small_monomial_ideals())
+@example(projective_plane_ideal())
+@settings(deadline=None)
+def test_memoized_entries_match_homology_of_every_candidate(mi):
+    # oracle: no memo, faces labelled by variable, one homology per candidate
+    cap = betti.taylor_degree_cap(mi)
+    lcm = mi.lcm_of_gens()
+    std = mi.standard_divisors_of(lcm)
+    std_set = set(std)
+    for char in (0, 2):
+        fld = field_of(char)
+        oracle = {(0, 0): 1}
+        for a in betti._monomial_candidates(std, std_set, lcm, mi.nvars, cap):
+            levels = _faces_by_variable(a, std_set)
+            for c, h in enumerate(betti._homology_of_complex(levels, fld)):
+                if h:
+                    oracle[c + 1, sum(a)] = oracle.get((c + 1, sum(a)), 0) + h
+        assert betti._monomial_entries(mi, cap, fld) == oracle
+
+
+@given(small_monomial_ideals())
+@settings(deadline=None)
+def test_linear_quotients_give_top_degree_regularity(mi):
+    # linear quotients make I componentwise linear, so reg(I) is the top
+    # generator degree, over any field
+    cert = search_order(mi)
+    assume(cert is not None)
+    for char in (0, 2):
+        reg = betti.regularity(GradedIdealView.from_monomial_ideal(mi, char))
+        assert reg.value == regularity_from_certificate(cert) == mi.max_gen_degree()
+
+
 @given(small_monomial_ideals())
 @example(projective_plane_ideal())
 @settings(deadline=None)
@@ -218,11 +270,8 @@ def _flip_one_sign(rows):
     row[k] = -row[k]
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_koszul_sign_check_fires_on_flipped_boundary(monkeypatch, level):
-    fld = field_of(0)
-    simplex = [list(combinations(range(3), c)) for c in range(4)]
-    assert betti._homology_of_complex(simplex, fld) == [0, 0, 0, 0]
+def _flip_boundaries_at(monkeypatch, level):
+    """Flip one sign in every boundary matrix out of faces of size `level`."""
     boundary_rows = betti._boundary_rows
 
     def flipped(domain, codomain_index, fld):
@@ -232,8 +281,30 @@ def test_koszul_sign_check_fires_on_flipped_boundary(monkeypatch, level):
         return rows
 
     monkeypatch.setattr(betti, "_boundary_rows", flipped)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_koszul_sign_check_fires_on_flipped_boundary(monkeypatch, level):
+    fld = field_of(0)
+    simplex = [list(combinations(range(3), c)) for c in range(4)]
+    assert betti._homology_of_complex(simplex, fld) == [0, 0, 0, 0]
+    _flip_boundaries_at(monkeypatch, level)
     with pytest.raises(AssertionError, match="koszul sign error"):
         betti._homology_of_complex(simplex, fld)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("level", [1, 2])
+def test_koszul_sign_check_fires_through_the_homology_memo(monkeypatch, level, char):
+    # the table takes homology once per distinct complex; the check must
+    # still run on each.  Only K^(1,1,1) of (a, b, c) has faces of size 2.
+    # The unflipped table comes first, so a memo kept across tables would
+    # answer the flipped one unchecked.
+    I = view(3, "a", "b", "c", char=char)
+    assert betti.betti_table(I).entries[2, 2] == 3
+    _flip_boundaries_at(monkeypatch, level)
+    with pytest.raises(AssertionError, match="koszul sign error"):
+        betti.betti_table(I)
 
 
 @pytest.mark.parametrize("i", [1, 2])

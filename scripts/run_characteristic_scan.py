@@ -33,10 +33,10 @@ def main():
     for text in args.chars.split(","):
         p = int(text)
         table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, p))
-        r = betti.regularity(GradedIdealView.from_monomial_ideal(mi, p))
-        regs[p] = r.value
-        print(f"\ncharacteristic {p}: reg = {r.value} "
-              f"(certified: {r.certified})")
+        reg = table.regularity_pair()[0] + 1  # reg(I) = reg(R/I) + 1
+        regs[p] = reg
+        print(f"\ncharacteristic {p}: reg = {reg} "
+              f"(certified: {table.certified})")
         print(table.render())
 
     print("\nlinear-quotient search (field-independent):", end=" ")

@@ -145,19 +145,19 @@ def _boundary_rows(domain, codomain_index, fld):
 def _homology_of_complex(levels, fld):
     """h_c for the complex spanned by the faces, including the empty face.
 
-    The int boundary rows go to the integer kernels as they are; the ranks
-    reduce them in place, so they are taken after the d∘d check.
+    The ranks reduce the boundary rows in place, so they are taken after
+    the d∘d check.
     """
     index_maps = [{f: k for k, f in enumerate(lv)} for lv in levels]
     boundaries = [None]
     for c in range(1, len(levels)):
         boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], fld))
     for c in range(1, len(levels) - 1):
-        composite = linalg.int_matmul(boundaries[c + 1], boundaries[c], fld)
+        composite = linalg.matmul(boundaries[c + 1], boundaries[c], fld)
         assert all(not row for row in composite), "koszul sign error"
     ranks = [0] * (len(levels) + 1)
     for c in range(1, len(levels)):
-        ranks[c] = linalg.int_rank(boundaries[c], fld)
+        ranks[c] = linalg.rank(boundaries[c], fld)
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
@@ -227,7 +227,10 @@ class StrandEngine:
     def _mult_rows(self, e):
         """Multiplication by x1..xn: (R/I)_e -> (R/I)_{e+1}.
 
-        Entry v holds the rows of x_{v+1}, one per quotient basis element.
+        Entry v holds the rows of x_{v+1}, one per quotient basis element,
+        times the common lead D of I_{e+1} (`QuotientBasis`).  One D per
+        degree leaves every rank as it is and scales the d∘d composite by
+        the nonzero D_e * D_(e+1).
         """
         if e not in self._mult:
             src = quotient_basis(self.I, e)
@@ -283,9 +286,11 @@ class StrandEngine:
         return rows
 
     def rank(self, i, j):
+        """Rank of d_i at degree j, on copies: the cached rows are read again."""
         key = (i, j)
         if key not in self._rank:
-            self._rank[key] = linalg.rank(self.differential_rows(i, j), self.fld)
+            rows = [dict(r) for r in self.differential_rows(i, j)]
+            self._rank[key] = linalg.rank(rows, self.fld)
         return self._rank[key]
 
     def betti(self, i, j):

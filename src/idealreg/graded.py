@@ -77,8 +77,11 @@ class HomPolynomial:
         )
 
     def vector(self, fld):
+        """Int coordinates in R_e: residues mod p, or over QQ the primitive
+        integer multiple, which spans the same line."""
         idx = basis_index(self.nvars(), self.degree)
-        return {idx[m]: fld(c) for m, c in self.terms}
+        vec = {idx[m]: fld(c) for m, c in self.terms}
+        return vec if fld.characteristic else linalg.primitive(vec)
 
 
 class GradedIdealView:
@@ -140,7 +143,8 @@ class GradedIdealView:
 
 @dataclass
 class DegreePiece:
-    """A subspace of K^ncols (here R_e) as canonical RREF rows and pivots."""
+    """A subspace of K^ncols (here R_e) as the canonical int RREF rows of
+    `linalg.row_reduce` (primitive, positive lead over QQ) and pivots."""
 
     rows: list
     pivots: list
@@ -156,7 +160,7 @@ class DegreePiece:
         return QuotientBasis(self)
 
     def contains_vector(self, vec, fld):
-        return linalg.in_rowspace(vec, self.rows, self.pivots, fld)
+        return not self.quotient.reduce(vec, fld)
 
 
 def ring_dim(n, e):
@@ -213,10 +217,14 @@ def degree_piece(I, e):
 
 
 class QuotientBasis:
-    """Monomial complement basis of (R/I)_e (the non-pivot columns)."""
+    """Monomial complement basis of (R/I)_e (the non-pivot columns).
+
+    The pivot rows are scaled to one common lead D (1 mod p and for
+    monomial pieces), so `reduce` gives D times the residue, on ints.
+    """
 
     def __init__(self, piece):
-        self.pivot_rows = dict(zip(piece.pivots, piece.rows))
+        self.lead, self.pivot_rows = linalg.common_lead(piece.rows, piece.pivots)
         self.columns = [j for j in range(piece.ncols) if j not in self.pivot_rows]
         self.position = {j: k for k, j in enumerate(self.columns)}
 
@@ -225,8 +233,9 @@ class QuotientBasis:
         return len(self.columns)
 
     def reduce(self, vec, fld):
-        """R_e coordinates -> quotient coordinates (dict over positions)."""
-        res = linalg.reduce_vector(vec, self.pivot_rows, fld)
+        """R_e coordinates -> D times the quotient coordinates (dict over
+        positions)."""
+        res = linalg.reduce_vector(vec, self.pivot_rows, self.lead, fld)
         return {self.position[j]: c for j, c in res.items()}
 
 

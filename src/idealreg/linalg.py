@@ -1,47 +1,39 @@
-"""Sparse exact row reduction.
+"""Sparse exact row reduction on integer rows.
 
-Rows are dicts {column index: nonzero scalar}.  Pivoting prefers short rows
-to limit fill-in; `row_reduce` returns the reduced row-echelon form, so
-pivot columns appear in exactly one row with coefficient 1.
+Rows are dicts {column index: nonzero int}: integers over QQ, residues
+mod p.  Pivoting prefers short rows to limit fill-in.  `row_reduce`
+returns the canonical reduced row-echelon form: each pivot column occurs
+only in its own row.  Its pivot entry (the lead) is 1 mod p; over QQ each
+row is the primitive integer multiple of the rational RREF row, so its
+lead is positive and its entries are coprime.
 
 There is one kernel per field kind, both on plain Python ints:
 
-* GF(p): entries are ints in 0..p-1; products are accumulated unreduced and
-  taken mod p once per row update.
-* QQ: each input row is scaled to a primitive integer vector (clear the
-  denominators, divide out the gcd), which spans the same line.
-  Elimination is fraction-free: a row is cross-multiplied by a gcd-reduced
-  factor of the pivot (Bareiss, Math. Comp. 22, 1968) and its content is
-  divided out again.  Fractions are made only for the final RREF, when each
-  pivot row is divided by its lead entry, so the result is the same
-  canonical RREF entry for entry.
+* GF(p): products are accumulated unreduced and taken mod p once per row
+  update.
+* QQ: elimination is fraction-free: a row is cross-multiplied by a
+  gcd-reduced factor of the pivot (Bareiss, Math. Comp. 22, 1968) and its
+  content is divided out again.
 
-Rows whose entries are already ints (integers over QQ, residues mod p) can
-skip the scaling: `int_rank` and `int_matmul` hand them to the kernels as
-they are, and `int_rank` reduces them in place.
+`row_reduce` is the edge: its input rows may hold Fractions, and
+`primitive` scales each to a primitive integer row spanning the same line.
+Every other function takes int rows; `rank` reduces them in place.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
 def row_reduce(rows, field):
-    """Reduce sparse rows; returns (rref_rows, pivot_columns).
-
-    rref_rows are sorted by pivot column and normalized: each pivot column
-    occurs only in its own row, with coefficient one.
-    """
+    """Reduce sparse rows; returns (rref_rows, pivots), sorted by pivot
+    column.  The input rows are left as they are."""
     p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
         piv = _rref_mod(pending, p)
     else:
-        piv = {
-            c: {j: Fraction(v, row[c]) for j, v in row.items()}
-            for c, row in _rref_int(map(primitive, pending)).items()
-        }
+        piv = _rref_int(map(primitive, pending))
     pivots = sorted(piv)
     return [piv[c] for c in pivots], pivots
 
@@ -49,24 +41,14 @@ def row_reduce(rows, field):
 def rank(rows, field):
     """Rank by echelon elimination: no back-substitution, no normalization.
 
-    The rows are left as they are: the kernel reduces copies of them,
-    scaled to primitive integer rows over QQ.
-    """
-    copy = dict if field.characteristic else primitive
-    return int_rank([copy(r) for r in rows if r], field)
-
-
-def int_rank(rows, field):
-    """Rank of rows whose entries are ints: integers over QQ, residues mod p.
-
-    The rows go to the kernel as they are and are reduced in place, so pass
-    only rows that nothing reads afterwards.
+    The rows are reduced in place, so pass copies of rows that are read
+    afterwards.  Over QQ each row's content is divided out on entry.
     """
     p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
         return _echelon_rank_mod(pending, p)
-    return _echelon_rank_int(pending)
+    return _echelon_rank_int([_divide_content(r) for r in pending])
 
 
 def _axpy(row, f, src, skip):
@@ -78,14 +60,6 @@ def _axpy(row, f, src, skip):
                 row[j] = w
             else:
                 del row[j]
-
-
-def _eliminate(row, piv):
-    """Subtract from row the multiples of the lead-1 pivot rows that clear
-    its pivot columns (unreduced mod p)."""
-    for c in row.keys() & piv.keys():
-        _axpy(row, row.pop(c), piv[c], c)
-    return row
 
 
 # ------------------------------------------------------------------ QQ kernel
@@ -113,7 +87,8 @@ def _divide_content(row):
 
 
 def _rref_int(rows):
-    """Pivot column -> primitive integer row, reduced against every other pivot."""
+    """Pivot column -> primitive integer row with a positive lead, reduced
+    against every other pivot."""
     piv = {}
     for row in rows:
         hits = [(c, row.pop(c)) for c in row.keys() & piv.keys()]
@@ -131,14 +106,16 @@ def _rref_int(rows):
             _divide_content(row)
         lead = min(row)
         a = row[lead]
+        if a < 0:
+            a = -a
+            for j in row:
+                row[j] = -row[j]
         for prow in piv.values():
             b = prow.pop(lead, None)
             if b is None:
                 continue
             g = gcd(a, b)
             s, f = a // g, b // g
-            if s < 0:
-                s, f = -s, -f
             if s != 1:
                 for j in prow:
                     prow[j] *= s
@@ -179,7 +156,10 @@ def _rref_mod(rows, p):
     """Pivot column -> row with lead 1, reduced against every other pivot."""
     piv = {}
     for row in rows:
-        row = _mod(_eliminate(dict(row), piv), p)
+        row = dict(row)
+        for c in row.keys() & piv.keys():  # unreduced, against lead-1 rows
+            _axpy(row, row.pop(c), piv[c], c)
+        row = _mod(row, p)
         if not row:
             continue
         lead = min(row)
@@ -218,31 +198,54 @@ def _mod(row, p):
 # ---------------------------------------------------------------- on an RREF
 
 
-def reduce_vector(vec, piv, field):
-    """Residue of vec modulo the row space of an RREF given as
-    {pivot column: row} (pivot coordinates eliminated)."""
-    row = _eliminate(dict(vec), piv)
+def common_lead(rref_rows, pivots):
+    """(D, {pivot column: row}) with each row of an RREF scaled to the lead
+    D, the lcm of its leads (1 mod p).  A row whose lead is D is shared."""
+    d = lcm(*(row[c] for c, row in zip(pivots, rref_rows)))
+    piv = {}
+    for c, row in zip(pivots, rref_rows):
+        s = d // row[c]
+        piv[c] = row if s == 1 else {j: s * v for j, v in row.items()}
+    return d, piv
+
+
+def reduce_vector(vec, piv, lead, field):
+    """`lead` times the residue of vec modulo the row space of an RREF given
+    as {pivot column: row}, each row with pivot entry `lead` (pivot
+    coordinates eliminated).  No pivot row holds another pivot column, so
+    each is subtracted vec[pivot] times from lead * vec."""
+    row = dict(vec)
+    hits = [(c, row.pop(c)) for c in row.keys() & piv.keys()]
+    if lead != 1:
+        for j in row:
+            row[j] *= lead
+    for c, b in hits:
+        _axpy(row, b, piv[c], c)
     p = field.characteristic
     return _mod(row, p) if p else row
 
 
 def in_rowspace(vec, rref_rows, pivots, field):
-    return not reduce_vector(vec, dict(zip(pivots, rref_rows)), field)
+    lead, piv = common_lead(rref_rows, pivots)
+    return not reduce_vector(vec, piv, lead, field)
 
 
 def kernel_basis(rref_rows, pivots, ncols, field):
-    """Right null space basis from an RREF; one vector per free column."""
+    """Right null space basis from an RREF; one vector per free column,
+    scaled by the lcm of the leads of the rows it touches."""
     p = field.characteristic
     pivset = set(pivots)
+    pivot_rows = [(q, row, row[q]) for q, row in zip(pivots, rref_rows)]
     out = []
     for f in range(ncols):
         if f in pivset:
             continue
-        v = {f: 1}
-        for q, row in zip(pivots, rref_rows):
-            c = row.get(f)
-            if c is not None:
-                v[q] = p - c if p else -c
+        hits = [(q, c, a) for q, row, a in pivot_rows
+                if (c := row.get(f)) is not None]
+        m = lcm(*(a for _, _, a in hits))
+        v = {f: m}
+        for q, c, a in hits:
+            v[q] = p - c if p else -c * (m // a)
         out.append(v)
     return out
 
@@ -255,24 +258,8 @@ def kernel(rows, ncols, field):
 def matmul(rows_a, rows_b, field):
     """Row-convention composite: row i of result = (row i of A) applied to B.
 
-    A's columns index B's rows.  Over QQ both factors are scaled to integer
-    matrices by their common denominators, which are divided back out of the
-    exact integer product.
+    A's columns index B's rows; the product has nonzero int entries.
     """
-    if field.characteristic:
-        return int_matmul(rows_a, rows_b, field)
-    da, a = _clear_denominators(rows_a)
-    db, b = _clear_denominators(rows_b)
-    den = da * db
-    return [
-        {k: Fraction(v, den) for k, v in acc.items()}
-        for acc in int_matmul(a, b, field)
-    ]
-
-
-def int_matmul(rows_a, rows_b, field):
-    """`matmul` of matrices whose entries are ints (integers over QQ,
-    residues mod p), taken as they are; the product has nonzero int entries."""
     p = field.characteristic
     out = []
     for row in rows_a:
@@ -282,17 +269,6 @@ def int_matmul(rows_a, rows_b, field):
                 acc[k] = acc.get(k, 0) + c * v
         out.append(_mod(acc, p) if p else {k: v for k, v in acc.items() if v})
     return out
-
-
-def _clear_denominators(rows):
-    """(d, integer rows) with d the lcm of all denominators and rows scaled by d."""
-    den = lcm(*{v.denominator for row in rows for v in row.values()})
-    if den == 1:
-        return 1, [{j: v.numerator for j, v in row.items()} for row in rows]
-    return den, [
-        {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        for row in rows
-    ]
 
 
 def intersect_rowspaces(space_a, space_b, field):

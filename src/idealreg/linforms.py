@@ -42,11 +42,15 @@ GENERATOR_GUARD = 1000
 
 @dataclass(frozen=True)
 class LinearIdeal:
-    """Ideal generated by a subspace V of R_1, stored as a canonical RREF."""
+    """Ideal generated by a subspace V of R_1, stored as a canonical RREF.
+
+    Coefficients may be given as ints, Fractions or their strings; the
+    stored rows are the int rows of `linalg.row_reduce`.
+    """
 
     nvars: int
     characteristic: int
-    rows: tuple  # RREF rows as dense coefficient tuples
+    rows: tuple  # RREF rows as dense int coefficient tuples
     pivots: tuple
 
     @classmethod
@@ -112,12 +116,10 @@ def power_piece(V, k, e):
     the non-pivot coordinates; a monomial in the adapted coordinates lies
     in V^k exactly when its V-part degree is at least k.
 
-    The products are built on plain ints.  Over QQ each basis form of V is
-    scaled to a primitive integer vector, which spans the same line, so the
-    products span the same space; over GF(p) the stored rows are used and
-    each finished product is reduced mod p once.  An adapted monomial is
-    its predecessor (one unit taken off its last nonzero exponent) times
-    one linear form, the predecessor's columns shifted through the maps of
+    The products are built on the int rows of V; over GF(p) each finished
+    product is reduced mod p once.  An adapted monomial is its predecessor
+    (one unit taken off its last nonzero exponent) times one linear form,
+    the predecessor's columns shifted through the maps of
     `multiplication_maps`; products are kept for the rest of the call.
     """
     if k < 1:
@@ -127,8 +129,6 @@ def power_piece(V, k, e):
         return DegreePiece([], [], ring_dim(n, e))
     p = V.characteristic
     forms = [{j: c for j, c in enumerate(r) if c} for r in V.rows]
-    if not p:
-        forms = [linalg.primitive(f) for f in forms]
     pivset = set(V.pivots)
     forms += [{j: 1} for j in range(n) if j not in pivset]
     maps = [None] + [multiplication_maps(n, t) for t in range(1, e + 1)]

@@ -6,7 +6,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from idealreg import betti
 from idealreg.fields import field_of
 from idealreg.fixtures import projective_plane_ideal
-from idealreg.graded import GradedIdealView, HomPolynomial, ideal_product
+from idealreg.graded import (
+    GradedIdealView,
+    HomPolynomial,
+    ideal_product,
+    quotient_basis,
+)
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import monomial_basis, parse_monomial
 from idealreg.quotients import regularity_from_certificate, search_order
@@ -313,6 +318,37 @@ def test_strand_composite_check_fires_on_flipped_differential(i):
     engine = betti.StrandEngine(view(3, "a^4"))
     assert engine.betti(i, 3) == 0
     _flip_one_sign(engine.differential_rows(i + 1, 3))
+    with pytest.raises(AssertionError, match="koszul composite not zero"):
+        engine.betti(i, 3)
+
+
+def _linear_form_engine():
+    """Strands of R/(2a + 3b): the common lead D of I_2 is 4, so the
+    multiplication rows out of (R/I)_1 carry a scale other than 1."""
+    I = GradedIdealView(3, [HomPolynomial.linear_form([2, 3, 0])])
+    assert quotient_basis(I, 2).lead == 4
+    return betti.StrandEngine(I)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_strand_composite_check_fires_on_a_scaled_piece(i):
+    # R/(2a + 3b) is a polynomial ring, so multiplication is injective and
+    # no flipped sign can cancel
+    assert _linear_form_engine().betti(i, 3) == 0
+    engine = _linear_form_engine()
+    _flip_one_sign(engine.differential_rows(i + 1, 3))
+    with pytest.raises(AssertionError, match="koszul composite not zero"):
+        engine.betti(i, 3)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_strand_composite_check_fires_on_one_rescaled_multiplication_row(i):
+    # every row of a degree carries the same scale D; one row at 2 D breaks
+    # x_u x_v = x_v x_u, and the composite check must see it
+    engine = _linear_form_engine()
+    row = next(r for rows in engine._mult_rows(1) for r in rows if r)
+    for k in row:
+        row[k] *= 2
     with pytest.raises(AssertionError, match="koszul composite not zero"):
         engine.betti(i, 3)
 

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from idealreg import linalg
+from idealreg import betti, linalg
 from idealreg.fields import field_of
 from idealreg.graded import (
     GradedIdealView,
@@ -18,7 +20,7 @@ from idealreg.graded import (
     saturation_degree,
 )
 from idealreg.ideals import MonomialIdeal, saturation
-from idealreg.monomials import monomial_basis, parse_monomial
+from idealreg.monomials import basis_index, monomial_basis, parse_monomial
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
 
 
@@ -141,10 +143,10 @@ def test_saturation_exceeds_cap_flag():
 
 
 @st.composite
-def homogeneous_ideals(draw):
+def homogeneous_ideals(draw, chars=(0, 2, 3, 32003)):
     """1..3 homogeneous generators of degree 1..3 in 1..3 variables, with
     1..4 terms each, over QQ or GF(p)."""
-    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    char = draw(st.sampled_from(chars))
     coeffs = st.integers(1, char - 1) if char else st.integers(-9, 9).filter(bool)
     n = draw(st.integers(1, 3))
     gens = []
@@ -177,3 +179,89 @@ def test_degree_piece_equals_rref_of_full_spanning_set(I):
         piece = degree_piece(I, e)
         assert piece.pivots == pivots
         assert piece.rows == rows
+
+
+def _gauss_jordan(rows, ncols, p):
+    """(pivots, lead-1 RREF rows) of dense rows: Fractions over QQ, residues
+    mod p."""
+    norm = (lambda x: x % p) if p else Fraction
+    inv = (lambda a: pow(a, -1, p)) if p else (lambda a: 1 / a)
+    out = {}
+    for row in rows:
+        r = [norm(row.get(j, 0)) for j in range(ncols)]
+        for q, prow in out.items():
+            r = [norm(a - r[q] * b) for a, b in zip(r, prow)]
+        lead = next((j for j, a in enumerate(r) if a), None)
+        if lead is None:
+            continue
+        s = inv(r[lead])
+        r = [norm(a * s) for a in r]
+        for q, prow in out.items():
+            out[q] = [norm(a - prow[lead] * b) for a, b in zip(prow, r)]
+        out[lead] = r
+    pivots = sorted(out)
+    return pivots, [out[q] for q in pivots]
+
+
+@given(homogeneous_ideals(chars=(0, 2, 32003)))
+@settings(max_examples=60, deadline=None)
+def test_pieces_and_strands_hold_ints(I):
+    # below the edge every row is an int row; each piece is the Fraction
+    # (or mod p) RREF of its spanning set, row by row up to the lead, and
+    # its quotient basis reduces to D times the residue of that RREF
+    assume(not I.is_monomial)
+    fld = I.field
+    p = fld.characteristic
+    n = I.nvars
+    cap = I.max_gen_degree() + 1
+    engine = betti.StrandEngine(I)
+    for j in range(cap + 1):
+        for i in range(min(n, j) + 1):
+            engine.betti(i, j)
+    strand_rows = [r for rows in engine._rows.values() for r in rows]
+    strand_rows += [r for mult in engine._mult.values() for rows in mult for r in rows]
+    for e, piece in I._pieces.items():
+        assert all(type(v) is int for row in piece.rows for v in row.values())
+        index = basis_index(n, e)
+        spanning = [
+            {index[t]: c for t, c in g.scale_by_monomial(m).terms}
+            for g in I.generators
+            if g.degree <= e
+            for m in monomial_basis(n, e - g.degree)
+        ]
+        pivots, oracle = _gauss_jordan(spanning, piece.ncols, p)
+        assert piece.pivots == pivots
+        for q, row, expect in zip(pivots, piece.rows, oracle):
+            scale = pow(row[q], -1, p) if p else Fraction(1, row[q])
+            assert [v * scale % p if p else v * scale
+                    for v in (row.get(j, 0) for j in range(piece.ncols))] == expect
+        qb = piece.quotient
+        D = qb.lead
+        assert D == lcm(*(row[q] for q, row in zip(piece.pivots, piece.rows)))
+        vectors = [{j: 1} for j in range(piece.ncols)]
+        vectors.append({j: j + 1 for j in range(piece.ncols)})
+        for v in vectors:
+            residue = {}
+            for j in qb.columns:
+                r = v.get(j, 0) - sum(v.get(q, 0) * row[j]
+                                      for q, row in zip(pivots, oracle))
+                r = r * D % p if p else r * D
+                if r:
+                    residue[qb.position[j]] = r
+            got = qb.reduce(v, fld)
+            assert got == residue
+            assert all(type(c) is int for c in got.values())
+    assert all(type(v) is int for row in strand_rows for v in row.values())
+
+
+def test_fraction_generators_give_the_pieces_and_table_of_their_integer_multiples():
+    a_b = {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-2, 3)}
+    ac_b2 = {(1, 0, 1): Fraction(3, 4), (0, 2, 0): Fraction(5, 6)}
+    I = GradedIdealView(3, [HomPolynomial.make(a_b), HomPolynomial.make(ac_b2)])
+    J = GradedIdealView(3, [
+        HomPolynomial.make({m: int(12 * c) for m, c in a_b.items()}),
+        HomPolynomial.make({m: int(12 * c) for m, c in ac_b2.items()}),
+    ])
+    for e in range(6):
+        assert degree_piece(I, e) == degree_piece(J, e)
+    assert betti.betti_table(I).entries == betti.betti_table(J).entries

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,7 @@ def _from_sympy(M):
 
 
 def _clean_sparse(dense, fld):
+    """Sparse rows with entries converted by the field: Fractions over QQ."""
     out = []
     for row in dense:
         r = {}
@@ -60,12 +62,27 @@ def _clean_sparse(dense, fld):
     return out
 
 
+def _int_rows(dense):
+    """Sparse rows of an integer matrix, as the int kernels take them."""
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def _assert_canonical(rref, pivots):
+    """Primitive int rows with a positive lead, alone in its pivot column."""
+    assert pivots == sorted(pivots)
+    for p, row in zip(pivots, rref):
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        for q, other in zip(pivots, rref):
+            if q != p:
+                assert p not in other
+
+
 @settings(max_examples=150)
 @given(sparse_matrices())
 def test_rank_matches_sympy(dense):
     fld = field_of(0)
-    rows = _clean_sparse(dense, fld)
-    assert linalg.rank(rows, fld) == sympy.Matrix(dense).rank()
+    assert linalg.rank(_int_rows(dense), fld) == sympy.Matrix(dense).rank()
 
 
 @settings(max_examples=100)
@@ -84,28 +101,24 @@ def test_rank_mod_p_matches_sympy(dense):
 @given(sparse_matrices())
 def test_rref_shape(dense):
     fld = field_of(0)
-    rows = _clean_sparse(dense, fld)
+    rows = _int_rows(dense)
     rref, pivots = linalg.row_reduce(rows, fld)
-    assert pivots == sorted(pivots)
-    for p, row in zip(pivots, rref):
-        assert row[p] == 1
-        for q, other in zip(pivots, rref):
-            if q != p:
-                assert p not in other
+    _assert_canonical(rref, pivots)
+    assert rows == _int_rows(dense)  # the input rows are not modified
 
 
 @settings(max_examples=100)
 @given(sparse_matrices())
 def test_kernel_annihilates(dense):
     fld = field_of(0)
-    rows = _clean_sparse(dense, fld)
+    rows = _int_rows(dense)
     ncols = len(dense[0])
     ker = linalg.kernel(rows, ncols, fld)
-    assert len(ker) == ncols - linalg.rank(rows, fld)
+    assert len(ker) == ncols - linalg.rank(_int_rows(dense), fld)
     for v in ker:
+        assert all(type(c) is int and c for c in v.values())
         for row in rows:
-            s = sum((row[j] * v[j] for j in set(row) & set(v)), 0)
-            assert s == 0
+            assert sum(row[j] * v[j] for j in set(row) & set(v)) == 0
 
 
 @settings(max_examples=60)
@@ -116,11 +129,12 @@ def test_intersect_rowspaces_dim(da, db):
     da = [r + [0] * (w - len(r)) for r in da]
     db = [r + [0] * (w - len(r)) for r in db]
     fld = field_of(0)
-    A = linalg.row_reduce(_clean_sparse(da, fld), fld)
-    B = linalg.row_reduce(_clean_sparse(db, fld), fld)
+    A = linalg.row_reduce(_int_rows(da), fld)
+    B = linalg.row_reduce(_int_rows(db), fld)
     inter, piv = linalg.intersect_rowspaces(A, B, fld)
+    _assert_canonical(inter, piv)
     ra, rb = len(A[1]), len(B[1])
-    rsum = linalg.rank(_clean_sparse(da + db, fld), fld)
+    rsum = linalg.rank(_int_rows(da + db), fld)
     assert len(piv) == ra + rb - rsum  # dim(U cap W) = dim U + dim W - dim(U+W)
     for row in inter:
         assert linalg.in_rowspace(row, A[0], A[1], fld)
@@ -129,18 +143,19 @@ def test_intersect_rowspaces_dim(da, db):
 
 def test_matmul_convention():
     fld = field_of(0)
-    A = [{0: fld(1), 1: fld(2)}]  # 1x2
-    B = [{0: fld(3)}, {0: fld(5)}]  # 2x1
-    C = linalg.matmul(A, B, fld)
-    assert C == [{0: fld(13)}]
-    A = [{0: Fraction(1, 2), 1: Fraction(2, 3)}]
-    B = [{0: Fraction(3, 5)}, {0: Fraction(-9, 4)}]
-    assert linalg.matmul(A, B, fld) == [{0: Fraction(-6, 5)}]
+    A = [{0: 1, 1: 2}]  # 1x2
+    B = [{0: 3}, {0: 5}]  # 2x1
+    assert linalg.matmul(A, B, fld) == [{0: 13}]
+    assert linalg.matmul(A, [{0: 2}, {0: -1}], fld) == [{}]  # zeros not stored
+    # 3*5 + 4*2 = 23 = 2 mod 7
+    assert linalg.matmul([{0: 3, 1: 4}], [{0: 5}, {0: 2}], field_of(7)) == [{0: 2}]
 
 
 @settings(max_examples=150)
 @given(rational_matrices())
 def test_rref_matches_sympy(dense):
+    # Fraction input is the edge: the RREF holds ints, and each row divided
+    # by its lead is sympy's row
     fld = field_of(0)
     rows = _clean_sparse(dense, fld)
     ncols = len(dense[0])
@@ -148,8 +163,10 @@ def test_rref_matches_sympy(dense):
     expected = _from_sympy(R)[: len(sym_pivots)]
     rref, pivots = linalg.row_reduce(rows, fld)
     assert pivots == list(sym_pivots)
-    assert _dense(rref, ncols) == expected
-    assert all(type(v) is Fraction and v for row in rref for v in row.values())
+    _assert_canonical(rref, pivots)
+    by_lead = [{j: Fraction(v, row[p]) for j, v in row.items()}
+               for p, row in zip(pivots, rref)]
+    assert _dense(by_lead, ncols) == expected
     assert rows == _clean_sparse(dense, fld)  # the input rows are not modified
 
 
@@ -157,17 +174,18 @@ def test_rref_matches_sympy(dense):
 @given(rational_matrices())
 def test_rank_rational_matches_sympy(dense):
     fld = field_of(0)
-    assert linalg.rank(_clean_sparse(dense, fld), fld) == sympy.Matrix(dense).rank()
+    rows = [linalg.primitive(r) for r in _clean_sparse(dense, fld)]
+    assert linalg.rank(rows, fld) == sympy.Matrix(dense).rank()
 
 
 @settings(max_examples=100)
-@given(rational_matrices(), st.data())
-def test_matmul_rational_matches_sympy(da, data):
+@given(sparse_matrices(), st.data())
+def test_matmul_matches_sympy(da, data):
     inner = len(da[0])
     cols = data.draw(st.integers(1, 6))
-    row = st.lists(RATIONALS, min_size=cols, max_size=cols)
+    row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
     db = data.draw(st.lists(row, min_size=inner, max_size=inner))
     fld = field_of(0)
-    C = linalg.matmul(_clean_sparse(da, fld), _clean_sparse(db, fld), fld)
-    assert _dense(C, cols) == _from_sympy(sympy.Matrix(da) * sympy.Matrix(db))
+    C = linalg.matmul(_int_rows(da), _int_rows(db), fld)
+    assert _dense(C, cols) == (sympy.Matrix(da) * sympy.Matrix(db)).tolist()
     assert all(v for row in C for v in row.values())  # zeros are not stored

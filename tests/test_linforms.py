@@ -30,8 +30,20 @@ from idealreg.samplers import random_linear_family, rng_from_seed
 def test_linear_ideal_canonical():
     V = LinearIdeal.from_rows(3, [[2, 4, 0], [1, 2, 0], [0, 0, 3]])
     assert V.dim == 2
+    assert V.rows == ((1, 2, 0), (0, 0, 1)) and V.pivots == (0, 2)
+    # the rational RREF is (1, 0, -5/6), (0, 1, 5/2)
+    W = LinearIdeal.from_rows(3, [[3, 1, 0], [0, 2, 5]])
+    assert W.rows == ((6, 0, -5), (0, 2, 5))
     with pytest.raises(ValueError):
         LinearIdeal.from_rows(2, [[0, 0]])
+
+
+def test_linear_ideal_from_fraction_strings_stores_int_rows():
+    # the benchmark pool gives coefficients as strings such as '56/47'
+    V = LinearIdeal.from_rows(3, [["1", "0", "56/47"], ["0", "1", "-49/47"]])
+    assert V.rows == ((47, 0, 56), (0, 47, -49)) and V.pivots == (0, 1)
+    assert all(type(c) is int for row in V.rows for c in row)
+    assert V == LinearIdeal.from_rows(3, [[47, 0, 56], [0, 47, -49]])
 
 
 def test_sum_ideal():

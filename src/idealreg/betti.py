@@ -1,25 +1,42 @@
-"""Graded Betti numbers of R/I via Koszul strand homology, and regularity.
+"""Graded Betti numbers of R/I, and regularity, along three routes.
 
-Two evaluation routes share the same contract:
-
-* generic route: for any homogeneous ideal, the internal-degree-j strand of
-  the Koszul complex on x1..xn tensored with R/I is materialized from
-  quotient pieces (R/I)_{j-i}, with signed multiplication differentials;
-  the homology dimension comes from two ranks and a dimension count, and
-  the composite of consecutive differentials is asserted to vanish.
-
-* monomial route: the same strands split into blocks indexed by monomial
+* monomial route: the Koszul strands split into blocks indexed by monomial
   multidegrees.  The block of multidegree a is the complex spanned by the
   squarefree e_S with x^(a - e_S) outside the ideal-free basis; only
   multidegrees dividing the lcm of the minimal generators can carry
   homology, which is what makes certified full tables affordable.
 
-Cross-check: every table is compared with the Hilbert function of R/I in
-each degree j <= cap through the Euler characteristic of the strand,
+* certificate route, for a non-monomial ideal generated in the single
+  degree m: a Bayer-Stillman certificate (`RegularityCertificate`, after
+  "A criterion for detecting m-regularity", Invent. Math. 87, 1987) shows
+  reg(I) <= m from the pieces of degrees m and m + 1 alone.  Then the
+  resolution is linear, and the certificate's dims give the Hilbert
+  function of R/I beyond degree m, so the table is read off
+  (1 - t)^n HS(R/I) with no strand built.
+
+* strand route, for every other homogeneous ideal: the internal-degree-j
+  strand of the Koszul complex on x1..xn tensored with R/I is
+  materialized from quotient pieces (R/I)_{j-i}, with signed
+  multiplication differentials; the homology dimension comes from two
+  ranks and a dimension count, and the composite of consecutive
+  differentials is asserted to vanish.  A non-monomial ideal falls back
+  to it when it is not equigenerated or when the certificate search finds
+  nothing (the search is one-sided: reg(I) > m, or a small field such as
+  GF(2) with too few good forms).
+
+Cross-checks.  The monomial and strand tables are compared with the
+Hilbert function of R/I in each degree j <= cap through the Euler
+characteristic of the strand,
 sum_i (-1)^i beta_ij = sum_k (-1)^k C(n, k) dim (R/I)_{j-k}.  For a monomial
 ideal all those Hilbert values come from one counting walk over the
 standard monomials (`MonomialIdeal.hilbert_values`); otherwise each is
-read off the degree piece I_e.
+read off the degree piece I_e.  The certificate table is built from the
+Hilbert function, so the Euler check would hold by construction; there
+it is replaced by four checks: each certificate step is an exact rank
+computation, the derived dim (R/I)_{m+1} must equal the one of the piece
+I_{m+1} the search built, the coefficients of t^j for 0 < j < m must
+vanish, and every derived Betti number must be >= 0 and vanish for i > n.
+The strand route stays the oracle of the certificate route in the tests.
 
 Certification: for a monomial ideal all Betti numbers vanish in internal
 degrees beyond deg lcm(G(I)) (the Taylor complex bound), so a table with
@@ -29,22 +46,31 @@ never certified; values are reported "within cap".
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from . import linalg
 from .graded import (
+    DegreePiece,
     GradedIdealView,
-    degree_piece,  # noqa: F401 (bench/tracing.py patches betti.degree_piece)
+    degree_piece,
     hilbert_value,
     ideal_product,
     multiplication_maps,
     quotient_basis,
+    ring_dim,
 )
 from .monomials import degree as mono_degree
 
 MULTIDEGREE_GUARD = 10_000_000
+
+# the certificate search: forms with coefficients in -9..9 drawn from one
+# seeded stream per search, at most 8 forms tried per step
+CERTIFICATE_SEED = 1987
+CERTIFICATE_COEFFS = 9
+CERTIFICATE_TRIES = 8
 
 
 def taylor_degree_cap(I):
@@ -307,11 +333,142 @@ class StrandEngine:
         return dim - self.rank(i, j) - self.rank(i + 1, j)
 
 
-def koszul_strand_betti(I, i, j):
-    """beta_ij(R/I) from the degree-j Koszul strand (generic route)."""
-    if not 0 <= i <= I.nvars or j < 0:
-        raise ValueError("strand indices out of range")
-    return StrandEngine(I).betti(i, j)
+def _strand_entries(I, cap):
+    """Nonzero beta_ij(R/I), j <= cap, strand by strand."""
+    engine = StrandEngine(I)
+    entries = {}
+    for j in range(cap + 1):
+        for i in range(min(I.nvars, j) + 1):
+            b = engine.betti(i, j)
+            if b:
+                entries[(i, j)] = b
+    return entries
+
+
+# ------------------------------------------------------------ certificate route
+
+
+@dataclass(frozen=True)
+class RegularityCertificate:
+    """Linear forms h_1..h_k proving reg(I) <= m (Bayer-Stillman).
+
+    With J_i = I + (h_1..h_{i-1}), multiplication by h_i is injective from
+    (R/J_i)_m to (R/J_i)_{m+1} for each i, and (J_{k+1})_m = R_m; for I
+    generated in degrees <= m that makes I m-regular.  `forms` holds each
+    h_i as an int coefficient tuple over x1..xn (residues mod p), `dims`
+    each a_i = dim (R/J_i)_m.
+    """
+
+    m: int
+    forms: tuple
+    dims: tuple
+
+    def verify(self, I):
+        """Re-check every step from I's generators, on pieces of a fresh
+        view: the same forms must give the same dims and end on R_m."""
+        n = I.nvars
+        if I.max_gen_degree() > self.m or any(
+            len(h) != n or not all(type(c) is int for c in h) for h in self.forms
+        ):
+            return False
+        fresh = GradedIdealView(n, I.generators, I.characteristic)
+        return _bayer_stillman(fresh, self.m, lambda i: self.forms[i : i + 1]) == self
+
+
+def _times_form(h, into, columns):
+    """Rows of h times the monomials at `columns` of the source degree of
+    the multiplication maps `into`."""
+    support = [(col, c) for col, c in zip(into, h) if c]
+    return [{col[j]: c for col, c in support} for j in columns]
+
+
+def _extend(piece, rows, fld):
+    rref, pivots = linalg.row_reduce(piece.rows + rows, fld)
+    return DegreePiece(rref, pivots, piece.ncols)
+
+
+def _bayer_stillman(I, m, candidates):
+    """The certificate of the chain J_1 = I, J_{i+1} = J_i + (h_i), where
+    h_i is the first of `candidates(i - 1)` that is injective from
+    (R/J_i)_m to (R/J_i)_{m+1}; None when a step has no such candidate.
+
+    Each J_i is held in degrees m and m + 1 only, as local pieces: they
+    belong to J_i, not to I.  (R/J_i)_m is spanned by the quotient
+    monomials q of (J_i)_m, so the rows h*q span h*R_m modulo (J_i)_{m+1}:
+    h is injective exactly when their residues have rank dim (R/J_i)_m,
+    and they are all h adds to (J_i)_{m+1}.
+    """
+    n, fld = I.nvars, I.field
+    into_m, into_next = multiplication_maps(n, m), multiplication_maps(n, m + 1)
+    below = range(ring_dim(n, m - 1))
+    low, high = degree_piece(I, m), degree_piece(I, m + 1)
+    forms, dims = [], []
+    while low.dim < low.ncols:
+        quo = low.quotient
+        for h in candidates(len(forms)):
+            up = _times_form(h, into_next, quo.columns)
+            residues = [high.quotient.reduce(r, fld) for r in up]
+            if linalg.rank(residues, fld) == quo.dim:
+                break
+        else:
+            return None
+        forms.append(h)
+        dims.append(quo.dim)
+        low = _extend(low, _times_form(h, into_m, below), fld)
+        if low.dim < low.ncols:
+            high = _extend(high, up, fld)
+    return RegularityCertificate(m, tuple(forms), tuple(dims))
+
+
+def regularity_certificate(I):
+    """A certificate of reg(I) <= m, m the top generator degree, or None.
+
+    The forms are drawn at random, so None proves nothing.
+    """
+    n = I.nvars
+    p = I.field.characteristic
+    rng = random.Random(CERTIFICATE_SEED)
+
+    def draws(_):
+        for _ in range(CERTIFICATE_TRIES):
+            h = tuple(rng.randint(-CERTIFICATE_COEFFS, CERTIFICATE_COEFFS) for _ in range(n))
+            yield tuple(c % p for c in h) if p else h
+
+    return _bayer_stillman(I, I.max_gen_degree(), draws)
+
+
+def _certificate_entries(I, cert, cap):
+    """Nonzero beta_ij(R/I), j <= cap, of I generated in the single degree
+    m = cert.m, from its certificate.
+
+    reg(I) = m, so beta_{i,i+m-1} = (-1)^i c_{i+m-1} for i >= 1, where c_j
+    is the coefficient of t^j in (1 - t)^n HS(R/I).  The Hilbert function
+    of R/I is read off I's pieces up to degree m.  Beyond, each J_i is
+    m-regular, so h_i stays injective on R/J_i and
+    a_i(e) = a_i(e - 1) + a_{i+1}(e), with a_{k+1} = 0.
+    """
+    n, m = I.nvars, cert.m
+    hf = [hilbert_value(I, e) for e in range(m + 1)]
+    a = [*cert.dims, 0]
+    for _ in range(n):  # degrees m + 1 .. m + n
+        for i in reversed(range(len(cert.dims))):
+            a[i] += a[i + 1]
+        hf.append(a[0])
+    built = hilbert_value(I, m + 1)
+    if hf[m + 1] != built:
+        raise AssertionError(
+            f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}"
+        )
+    entries = {(0, 0): 1}
+    for j in range(1, m + n + 1):
+        c = sum((-1) ** k * comb(n, k) * hf[j - k] for k in range(min(n, j) + 1))
+        i = j - m + 1
+        b = (-1) ** i * c
+        if b < 0 or (b and not 1 <= i <= n):
+            raise AssertionError(f"certificate table not linear: c_{j} = {c}")
+        if b and j <= cap:
+            entries[(i, j)] = b
+    return entries
 
 
 # ----------------------------------------------------------------------- tables
@@ -336,7 +493,11 @@ def _euler_check(I, entries, cap):
 
 
 def betti_table(I, cap=None):
-    """All beta_ij(R/I) for j <= cap; certified for monomial I at Taylor cap."""
+    """All beta_ij(R/I) for j <= cap; certified for monomial I at Taylor cap.
+
+    A non-monomial ideal takes the certificate route when it is generated
+    in one degree and a certificate is found, the strand route otherwise.
+    """
     if cap is None:
         cap = default_cap(I)
         if I.is_monomial:
@@ -349,17 +510,17 @@ def betti_table(I, cap=None):
             raise ValueError("unit ideal")
         entries = _monomial_entries(mi, cap, I.field)
         certified = cap >= taylor_degree_cap(mi)
+        _euler_check(I, entries, cap)
+        return BettiTable(I.nvars, entries, cap, certified)
+    cert = None
+    if I.min_gen_degree() == I.max_gen_degree():
+        cert = regularity_certificate(I)
+    if cert is None:
+        entries = _strand_entries(I, cap)
+        _euler_check(I, entries, cap)
     else:
-        engine = StrandEngine(I)
-        entries = {}
-        for j in range(cap + 1):
-            for i in range(min(I.nvars, j) + 1):
-                b = engine.betti(i, j)
-                if b:
-                    entries[(i, j)] = b
-        certified = False
-    _euler_check(I, entries, cap)
-    return BettiTable(I.nvars, entries, cap, certified)
+        entries = _certificate_entries(I, cert, cap)
+    return BettiTable(I.nvars, entries, cap, False)
 
 
 def regularity(I, cap=None):

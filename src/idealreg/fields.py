@@ -2,9 +2,10 @@
 
 A field is its characteristic (0 or a prime p) plus scalar conversion:
 calling it maps an integer or rational to a Fraction, or to an int in
-0..p-1.  Arithmetic is plain Python arithmetic; code working over GF(p)
-reduces mod `characteristic` where it needs to.  The working field is
-chosen once per run.
+0..p-1, where a/b goes to a times the inverse of b mod p.  Arithmetic is
+plain Python arithmetic; code working over GF(p) reduces mod
+`characteristic` where it needs to.  The working field is chosen once per
+run.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ class PrimeField:
         self.characteristic = p
 
     def __call__(self, a):
-        return int(a) % self.characteristic
+        p = self.characteristic
+        if type(a) is int:
+            return a % p
+        a = _rat(a)
+        if a.denominator % p == 0:
+            raise ValueError(f"{a} is not defined in GF({p})")
+        return a.numerator * pow(a.denominator, -1, p) % p
 
     def __repr__(self):
         return f"GF({self.characteristic})"

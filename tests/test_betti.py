@@ -1,4 +1,6 @@
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,9 +15,14 @@ from idealreg.graded import (
     quotient_basis,
 )
 from idealreg.ideals import MonomialIdeal
+from idealreg.linforms import LinearIdeal, product_generators
 from idealreg.monomials import monomial_basis, parse_monomial
 from idealreg.quotients import regularity_from_certificate, search_order
-from idealreg.samplers import random_monomial_ideal, rng_from_seed
+from idealreg.samplers import (
+    random_linear_family,
+    random_monomial_ideal,
+    rng_from_seed,
+)
 
 
 def view(nvars, *names, char=0):
@@ -72,14 +79,14 @@ def test_strand_route_matches_monomial_route():
         I = GradedIdealView.from_monomial_ideal(mi)
         t = betti.betti_table(I)
         # fresh view so the generic engine cannot reuse monomial shortcuts
-        fresh = GradedIdealView.from_monomial_ideal(mi)
+        engine = betti.StrandEngine(GradedIdealView.from_monomial_ideal(mi))
         for (i, j), v in t.entries.items():
             if j <= mi.max_gen_degree() + 2:
-                assert betti.koszul_strand_betti(fresh, i, j) == v
+                assert engine.betti(i, j) == v
         for j in range(mi.max_gen_degree() + 2):
             for i in range(min(mi.nvars, j) + 1):
                 if (i, j) not in t.entries:
-                    assert betti.koszul_strand_betti(fresh, i, j) == 0
+                    assert engine.betti(i, j) == 0
 
 
 @st.composite
@@ -136,10 +143,15 @@ def test_strand_route_matches_monomial_route_after_coordinate_change(pair):
     # a linear change of coordinates keeps the graded Betti numbers, so the
     # monomial route is an oracle for strands whose multiplication rows
     # carry quotient coordinates other than 1
+    # and for the strand engine itself, which the equigenerated J with a
+    # certificate no longer reach through `betti_table`
     I, J = pair
     assert not J.is_monomial
     table = betti.betti_table(J)
-    assert table.entries == betti.betti_table(I, table.cap).entries
+    expected = betti.betti_table(I, table.cap).entries
+    assert table.entries == expected
+    fresh = GradedIdealView(J.nvars, J.generators, J.characteristic)
+    assert betti._strand_entries(fresh, table.cap) == expected
 
 
 @st.composite
@@ -248,12 +260,6 @@ def test_unit_ideal_rejected():
     I = view(2, "1")
     with pytest.raises(ValueError):
         betti.betti_table(I)
-
-
-def test_uncapped_strand_indices_rejected():
-    I = view(2, "a^2")
-    with pytest.raises(ValueError):
-        betti.koszul_strand_betti(I, -1, 2)
 
 
 def test_veronese_linear_resolution():
@@ -379,3 +385,146 @@ def test_euler_check_fires_on_degree_piece_route():
                             a_plus_b.multiply(c, field_of(0))])
     assert not I.is_monomial
     _euler_mutation_fires(I)
+
+
+# The certificate route: Bayer-Stillman certificates, checked against the
+# strand route as oracle.
+
+LINFORMS_POOL = Path(__file__).resolve().parent.parent / "bench" / "linforms_pool.json"
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """1..4 generators of one degree 1..3 in 1..3 variables, with 1..4
+    terms each, over QQ or GF(p)."""
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    coeffs = st.integers(1, char - 1) if char else st.integers(-9, 9).filter(bool)
+    n = draw(st.integers(1, 3))
+    basis = monomial_basis(n, draw(st.integers(1, 3)))
+    gens = [
+        HomPolynomial.make(draw(st.dictionaries(
+            st.sampled_from(basis), coeffs, min_size=1, max_size=4)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return GradedIdealView(n, gens, char)
+
+
+@given(equigenerated_ideals())
+@example(GradedIdealView(2, [HomPolynomial.make({(2, 1): 1, (1, 2): 1})], 2))
+@settings(max_examples=150, deadline=None)
+def test_certificate_table_matches_strand_table(I):
+    # every entry up to m + n, zeros included; a certificate at m bounds
+    # the strand regularity by m, and without one the table is the strands'.
+    # The example ab(a + b) over GF(2) is 3-regular, but every linear form
+    # over GF(2) divides it, so no certificate exists there.
+    m, n = I.max_gen_degree(), I.nvars
+    cap = m + n
+    strands = betti._strand_entries(
+        GradedIdealView(n, I.generators, I.characteristic), cap)
+    cert = betti.regularity_certificate(I)
+    if cert is None:
+        if not I.is_monomial:
+            assert betti.betti_table(I, cap).entries == strands
+        return
+    assert cert.m == m and cert.verify(I)
+    assert all(j - i <= m - 1 for i, j in strands)
+    assert betti._certificate_entries(I, cert, cap) == strands
+    if not I.is_monomial:
+        assert betti.betti_table(I, cap).entries == strands
+
+
+def _pool_products():
+    with open(LINFORMS_POOL) as fh:
+        pool = json.load(fh)
+    for rec in pool["families"]:
+        n = rec["nvars"]
+        fam = [LinearIdeal.from_rows(n, V, pool["characteristic"])
+               for V in rec["factors"]]
+        yield len(fam), product_generators(fam)
+
+
+def test_certificate_tables_of_the_linforms_pool_match_the_strands():
+    # all recorded criterion-3 families over QQ: each product of d ideals
+    # of linear forms is certified at m = d, with the strand table
+    count = 0
+    for d, prod in _pool_products():
+        cert = betti.regularity_certificate(prod)
+        assert cert is not None and cert.m == d
+        cap = d + prod.nvars
+        fresh = GradedIdealView(prod.nvars, prod.generators, 0)
+        assert betti._certificate_entries(prod, cert, cap) == betti._strand_entries(
+            fresh, cap)
+        count += 1
+    assert count == 302
+
+
+def _criterion_3_product(seed):
+    fam = random_linear_family(rng_from_seed(seed), nmax=5, dmax=4)
+    return len(fam), product_generators(fam)
+
+
+def test_certificate_route_reads_no_piece_above_m_plus_1(monkeypatch):
+    def no_strands(*args):
+        raise AssertionError("strand engine reached")
+
+    monkeypatch.setattr(betti.StrandEngine, "__init__", no_strands)
+    for seed in (0, 3, 9):
+        d, prod = _criterion_3_product(seed)
+        assert not prod.is_monomial
+        reg = betti.regularity(prod, cap=d + prod.nvars)
+        assert reg.value == d and not reg.certified
+        assert max(prod._pieces) <= d + 1
+
+
+# `verify` must reject a certificate that is wrong in any of its parts.
+
+
+def test_verify_rejects_a_form_that_is_not_injective():
+    # R/(a^2) in degree 2 is spanned by ab and b^2, and a * ab lies in (a^2)
+    I = view(2, "a^2")
+    assert betti.RegularityCertificate(2, ((0, 1),), (2,)).verify(I)
+    assert not betti.RegularityCertificate(2, ((1, 0),), (2,)).verify(I)
+
+
+def test_verify_rejects_a_truncated_form_list_and_a_wrong_dim():
+    d, prod = _criterion_3_product(9)
+    cert = betti.regularity_certificate(prod)
+    assert cert.verify(prod) and len(cert.forms) >= 2
+    truncated = betti.RegularityCertificate(d, cert.forms[:-1], cert.dims[:-1])
+    assert not truncated.verify(prod)
+    for k in range(len(cert.dims)):
+        dims = list(cert.dims)
+        dims[k] += 1
+        assert not betti.RegularityCertificate(d, cert.forms, tuple(dims)).verify(prod)
+
+
+def test_verify_rejects_forms_of_the_wrong_length_and_m_below_the_generators():
+    d, prod = _criterion_3_product(9)
+    cert = betti.regularity_certificate(prod)
+    short = tuple(h[:-1] for h in cert.forms)
+    assert not betti.RegularityCertificate(d, short, cert.dims).verify(prod)
+    assert not betti.RegularityCertificate(d - 1, cert.forms, cert.dims).verify(prod)
+
+
+# The checks that replace the Euler check on the certificate route must fire.
+
+
+def test_certificate_table_check_fires_on_a_wrong_dim():
+    # the derived Hilbert value in degree m + 1 is the sum of the dims
+    d, prod = _criterion_3_product(9)
+    cert = betti.regularity_certificate(prod)
+    wrong = betti.RegularityCertificate(d, cert.forms, (cert.dims[0] + 1,) + cert.dims[1:])
+    with pytest.raises(AssertionError, match="certificate Hilbert value"):
+        betti._certificate_entries(prod, wrong, d + prod.nvars)
+
+
+def test_certificate_table_check_fires_on_a_certificate_above_the_generators():
+    # (a^2, ab, ab + b^2) = (a, b)^2 fills R_2, so it is 3-regular as well,
+    # but its resolution is not linear from degree 3: c_2 = -3 must be caught
+    I = GradedIdealView(2, [HomPolynomial.make(t) for t in (
+        {(2, 0): 1}, {(1, 1): 1}, {(1, 1): 1, (0, 2): 1})])
+    assert betti.regularity_certificate(I) == betti.RegularityCertificate(2, (), ())
+    at_3 = betti.RegularityCertificate(3, (), ())
+    assert at_3.verify(I)
+    with pytest.raises(AssertionError, match="not linear"):
+        betti._certificate_entries(I, at_3, 5)

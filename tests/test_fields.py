@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from idealreg.fields import PRIME_BOUND, PrimeField, _is_prime, field_of
+from idealreg.graded import GradedIdealView, HomPolynomial, degree_piece
 
 
 def _trial_division(n):
@@ -39,3 +42,22 @@ def test_prime_bound_is_the_first_unsafe_input():
 def test_field_of_rejects_non_primes(p):
     with pytest.raises(ValueError):
         field_of(p)
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_prime_field_inverts_denominators(p):
+    fld = field_of(p)
+    assert fld(Fraction(1, 2)) == pow(2, -1, p)
+    assert fld(Fraction(-7, 5)) * 5 % p == -7 % p
+    assert fld("3/4") * 4 % p == 3 % p
+    assert fld(-1) == p - 1
+    with pytest.raises(ValueError):
+        fld(Fraction(1, p))
+
+
+def test_fraction_coefficient_over_gf_p_spans_its_inverse_multiple():
+    # a/2 + b over GF(3) is 2a + b, not the truncated b
+    half_a_plus_b = HomPolynomial.make({(1, 0): Fraction(1, 2), (0, 1): 1})
+    I = GradedIdealView(2, [half_a_plus_b], 3)
+    piece = degree_piece(I, 1)
+    assert piece.rows == [{0: 1, 1: 2}]

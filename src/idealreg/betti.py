@@ -7,9 +7,11 @@
   homology, which is what makes certified full tables affordable.
 
 * certificate route, for a non-monomial ideal generated in the single
-  degree m: a Bayer-Stillman certificate (`RegularityCertificate`, after
-  "A criterion for detecting m-regularity", Invent. Math. 87, 1987) shows
-  reg(I) <= m from the pieces of degrees m and m + 1 alone.  Then the
+  degree m: a Bayer-Stillman certificate (`graded.RegularityCertificate`,
+  after "A criterion for detecting m-regularity", Invent. Math. 87, 1987)
+  shows reg(I) <= m from the pieces of degrees m and m + 1 alone.  The
+  certificate lives in `graded`, beside the pieces it reads, because the
+  saturation profile uses it too.  Then the
   resolution is linear, and the certificate's dims give the Hilbert
   function of R/I beyond degree m, so the table is read off
   (1 - t)^n HS(R/I) with no strand built.
@@ -46,31 +48,23 @@ never certified; values are reported "within cap".
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from . import linalg
 from .graded import (
-    DegreePiece,
     GradedIdealView,
-    degree_piece,
+    degree_piece,  # noqa: F401 (bench/selftest.py traces betti.degree_piece by name)
     hilbert_value,
     ideal_product,
     multiplication_maps,
     quotient_basis,
-    ring_dim,
+    regularity_certificate,
 )
 from .monomials import degree as mono_degree
 
 MULTIDEGREE_GUARD = 10_000_000
-
-# the certificate search: forms with coefficients in -9..9 drawn from one
-# seeded stream per search, at most 8 forms tried per step
-CERTIFICATE_SEED = 1987
-CERTIFICATE_COEFFS = 9
-CERTIFICATE_TRIES = 8
 
 
 def taylor_degree_cap(I):
@@ -348,95 +342,6 @@ def _strand_entries(I, cap):
 # ------------------------------------------------------------ certificate route
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
-    """Linear forms h_1..h_k proving reg(I) <= m (Bayer-Stillman).
-
-    With J_i = I + (h_1..h_{i-1}), multiplication by h_i is injective from
-    (R/J_i)_m to (R/J_i)_{m+1} for each i, and (J_{k+1})_m = R_m; for I
-    generated in degrees <= m that makes I m-regular.  `forms` holds each
-    h_i as an int coefficient tuple over x1..xn (residues mod p), `dims`
-    each a_i = dim (R/J_i)_m.
-    """
-
-    m: int
-    forms: tuple
-    dims: tuple
-
-    def verify(self, I):
-        """Re-check every step from I's generators, on pieces of a fresh
-        view: the same forms must give the same dims and end on R_m."""
-        n = I.nvars
-        if I.max_gen_degree() > self.m or any(
-            len(h) != n or not all(type(c) is int for c in h) for h in self.forms
-        ):
-            return False
-        fresh = GradedIdealView(n, I.generators, I.characteristic)
-        return _bayer_stillman(fresh, self.m, lambda i: self.forms[i : i + 1]) == self
-
-
-def _times_form(h, into, columns):
-    """Rows of h times the monomials at `columns` of the source degree of
-    the multiplication maps `into`."""
-    support = [(col, c) for col, c in zip(into, h) if c]
-    return [{col[j]: c for col, c in support} for j in columns]
-
-
-def _extend(piece, rows, fld):
-    rref, pivots = linalg.row_reduce(piece.rows + rows, fld)
-    return DegreePiece(rref, pivots, piece.ncols)
-
-
-def _bayer_stillman(I, m, candidates):
-    """The certificate of the chain J_1 = I, J_{i+1} = J_i + (h_i), where
-    h_i is the first of `candidates(i - 1)` that is injective from
-    (R/J_i)_m to (R/J_i)_{m+1}; None when a step has no such candidate.
-
-    Each J_i is held in degrees m and m + 1 only, as local pieces: they
-    belong to J_i, not to I.  (R/J_i)_m is spanned by the quotient
-    monomials q of (J_i)_m, so the rows h*q span h*R_m modulo (J_i)_{m+1}:
-    h is injective exactly when their residues have rank dim (R/J_i)_m,
-    and they are all h adds to (J_i)_{m+1}.
-    """
-    n, fld = I.nvars, I.field
-    into_m, into_next = multiplication_maps(n, m), multiplication_maps(n, m + 1)
-    below = range(ring_dim(n, m - 1))
-    low, high = degree_piece(I, m), degree_piece(I, m + 1)
-    forms, dims = [], []
-    while low.dim < low.ncols:
-        quo = low.quotient
-        for h in candidates(len(forms)):
-            up = _times_form(h, into_next, quo.columns)
-            residues = [high.quotient.reduce(r, fld) for r in up]
-            if linalg.rank(residues, fld) == quo.dim:
-                break
-        else:
-            return None
-        forms.append(h)
-        dims.append(quo.dim)
-        low = _extend(low, _times_form(h, into_m, below), fld)
-        if low.dim < low.ncols:
-            high = _extend(high, up, fld)
-    return RegularityCertificate(m, tuple(forms), tuple(dims))
-
-
-def regularity_certificate(I):
-    """A certificate of reg(I) <= m, m the top generator degree, or None.
-
-    The forms are drawn at random, so None proves nothing.
-    """
-    n = I.nvars
-    p = I.field.characteristic
-    rng = random.Random(CERTIFICATE_SEED)
-
-    def draws(_):
-        for _ in range(CERTIFICATE_TRIES):
-            h = tuple(rng.randint(-CERTIFICATE_COEFFS, CERTIFICATE_COEFFS) for _ in range(n))
-            yield tuple(c % p for c in h) if p else h
-
-    return _bayer_stillman(I, I.max_gen_degree(), draws)
-
-
 def _certificate_entries(I, cert, cap):
     """Nonzero beta_ij(R/I), j <= cap, of I generated in the single degree
     m = cert.m, from its certificate.
@@ -514,7 +419,7 @@ def betti_table(I, cap=None):
         return BettiTable(I.nvars, entries, cap, certified)
     cert = None
     if I.min_gen_degree() == I.max_gen_degree():
-        cert = regularity_certificate(I)
+        cert = regularity_certificate(I, I.max_gen_degree())
     if cert is None:
         entries = _strand_entries(I, cap)
         _euler_check(I, entries, cap)

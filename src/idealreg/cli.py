@@ -44,14 +44,15 @@ from .polymatroid import (
 from .quotients import QuotientCertificate, check_order, search_order
 
 
-# `linforms verify` and `linforms sat` sweep every degree up to the cap,
-# and their pieces grow like cap^(n-1).  CAP_GUARD is the largest cap,
-# given or default; the default grows with the number of factors, and
-# `linforms sat` on 200 copies of (x1) in 2 variables (cap 200) took
-# 7.8 s.  PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1), the
-# column count of the top piece.  On two-factor families the sweeps at
-# about 5000 columns took 2-10 s (2 cores, Python 3.11), and time grows
-# faster than the column count.
+# `linforms verify` and `linforms sat` sweep degrees up to the cap (sat
+# looks for a certificate in each degree until one is found), and their
+# pieces grow like cap^(n-1).  CAP_GUARD is the largest cap, given or
+# default; the default grows with the number of factors, and
+# `linforms sat` on 200 copies of (x1) in 2 variables (cap 200, the guard
+# lifted) took 0.4 s.  PIECE_GUARD is the largest dim R_cap =
+# C(cap+n-1, n-1), the column count of the top piece.  On two-factor
+# families the sweeps at about 5000 columns took 2-10 s (2 cores, Python
+# 3.11), and time grows faster than the column count.
 #
 # `linforms verify` also builds a power piece of each of the 2^d - 1
 # primary components in every degree, so SWEEP_GUARD bounds dim R_cap
@@ -344,7 +345,7 @@ def linforms_sat(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
     cap = _sweep_cap(cap, len(fam), fam[0].nvars)
     sp = saturation_degree(product_generators(fam), cap)
-    sat = "exceeds cap" if sp.exceeds_cap else sp.sat_degree
+    sat = "not certified within cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],
           {"sat": None if sp.exceeds_cap else sp.sat_degree, "cap": sp.cap,

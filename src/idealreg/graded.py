@@ -4,10 +4,24 @@ A graded ideal is presented by homogeneous generators (monomial ideals embed
 as single-term generators).  Every operation works one degree at a time: the
 degree-e piece of an ideal is spanned by {m*g : g generator, deg m = e - deg g}
 and row-reduced over the working field.  No Groebner bases anywhere.
+
+Regularity certificates (Bayer-Stillman, "A criterion for detecting
+m-regularity", Invent. Math. 87, 1987) live here, beside the pieces of
+degrees m and m + 1 they read: linear forms h_1..h_k that prove
+reg(I) <= m.  They serve the Betti tables of `betti` and the saturation
+profile below.  The search is one-sided: finding no certificate proves
+nothing.
+
+Saturation is one exact downward recursion for every ideal.  It starts at
+a top degree T with (I^sat)_T = I_T, which the degree of lcm(G(I)) gives
+for a monomial ideal and a certificate at m = T gives for any other
+(sat(I) <= reg(I) <= m), and takes one kernel per degree below.  An
+ideal with no certificate up to the cap gets no number: "not certified".
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -265,26 +279,157 @@ def ideal_product(I, J):
     return GradedIdealView(I.nvars, gens, I.characteristic)
 
 
+def _preimage(target, maps, ncols, fld):
+    """{f in K^ncols : every map sends f into the subspace `target`}.
+
+    maps[k][j] is the image of the j-th unit vector under the k-th map, a
+    vector over target's ambient, so the condition is one kernel of the
+    residues modulo `target`, in its quotient basis.
+    """
+    quo = target.quotient
+    sys_rows = {}
+    for k, images in enumerate(maps):
+        for j, img in enumerate(images):
+            for q, c in quo.reduce(img, fld).items():
+                sys_rows.setdefault((k, q), {})[j] = c
+    ker = linalg.kernel(list(sys_rows.values()), ncols, fld)
+    rref, pivots = linalg.row_reduce(ker, fld)
+    return DegreePiece(rref, pivots, ncols)
+
+
 def colon_piece(I, g, e):
     """Basis of { f in R_e : f*g in I_{e+deg g} }, computed as a kernel."""
     fld = I.field
+    images = [g.scale_by_monomial(m).vector(fld) for m in monomial_basis(I.nvars, e)]
+    return _preimage(degree_piece(I, e + g.degree), [images], len(images), fld)
+
+
+# ------------------------------------------------------ regularity certificate
+
+# the certificate search: distinct nonzero forms with coefficients in -9..9
+# drawn from one seeded stream per search, at most 8 forms tried per step
+CERTIFICATE_SEED = 1987
+CERTIFICATE_COEFFS = 9
+CERTIFICATE_TRIES = 8
+
+
+@dataclass(frozen=True)
+class RegularityCertificate:
+    """Linear forms h_1..h_k proving reg(I) <= m (Bayer-Stillman).
+
+    With J_i = I + (h_1..h_{i-1}), multiplication by h_i is injective from
+    (R/J_i)_m to (R/J_i)_{m+1} for each i, and (J_{k+1})_m = R_m; for I
+    generated in degrees <= m that makes I m-regular.  `forms` holds each
+    h_i as an int coefficient tuple over x1..xn (residues mod p), `dims`
+    each a_i = dim (R/J_i)_m.
+    """
+
+    m: int
+    forms: tuple
+    dims: tuple
+
+    def verify(self, I):
+        """Re-check every step from I's generators, on pieces of a fresh
+        view: the same forms must give the same dims and end on R_m."""
+        n = I.nvars
+        if I.max_gen_degree() > self.m or any(
+            len(h) != n or not all(type(c) is int for c in h) for h in self.forms
+        ):
+            return False
+        fresh = GradedIdealView(n, I.generators, I.characteristic)
+        return _bayer_stillman(fresh, self.m, lambda i: self.forms[i : i + 1]) == self
+
+
+def _times_form(h, into, columns):
+    """Rows of h times the monomials at `columns` of the source degree of
+    the multiplication maps `into`."""
+    support = [(col, c) for col, c in zip(into, h) if c]
+    return [{col[j]: c for col, c in support} for j in columns]
+
+
+def _extend(piece, rows, fld):
+    """The canonical RREF of piece + span(rows), without reducing the
+    piece again: the rows are reduced modulo the piece, their residues
+    among themselves, and the new pivots are then cleared from the
+    piece's rows, one row at a time."""
+    quo = piece.quotient
+    residues = [linalg.reduce_vector(r, quo.pivot_rows, quo.lead, fld) for r in rows]
+    new_rows, new_pivots = linalg.row_reduce(residues, fld)
+    lead, new_piv = linalg.common_lead(new_rows, new_pivots)
+    merged = dict(zip(new_pivots, new_rows))
+    for c, row in zip(piece.pivots, piece.rows):
+        if row.keys() & new_piv:
+            row = linalg.reduce_vector(row, new_piv, lead, fld)
+            if not fld.characteristic:
+                row = linalg.primitive(row)
+        merged[c] = row
+    pivots = sorted(merged)
+    return DegreePiece([merged[c] for c in pivots], pivots, piece.ncols)
+
+
+def _bayer_stillman(I, m, candidates):
+    """The certificate of the chain J_1 = I, J_{i+1} = J_i + (h_i), where
+    h_i is the first of `candidates(i - 1)` that is injective from
+    (R/J_i)_m to (R/J_i)_{m+1}; None when a step has no such candidate.
+
+    Each J_i is held in degrees m and m + 1 only, as local pieces: they
+    belong to J_i, not to I.  (R/J_i)_m is spanned by the quotient
+    monomials q of (J_i)_m, so the rows h*q span h*R_m modulo (J_i)_{m+1}:
+    h is injective exactly when their residues have rank dim (R/J_i)_m,
+    and they are all h adds to (J_i)_{m+1}.
+    """
+    n, fld = I.nvars, I.field
+    into_m, into_next = multiplication_maps(n, m), multiplication_maps(n, m + 1)
+    below = range(ring_dim(n, m - 1))
+    low, high = degree_piece(I, m), degree_piece(I, m + 1)
+    forms, dims = [], []
+    while low.dim < low.ncols:
+        quo = low.quotient
+        for h in candidates(len(forms)):
+            up = _times_form(h, into_next, quo.columns)
+            residues = [high.quotient.reduce(r, fld) for r in up]
+            if linalg.rank(residues, fld) == quo.dim:
+                break
+        else:
+            return None
+        forms.append(h)
+        dims.append(quo.dim)
+        low = _extend(low, _times_form(h, into_m, below), fld)
+        if low.dim < low.ncols:
+            high = _extend(high, up, fld)
+    return RegularityCertificate(m, tuple(forms), tuple(dims))
+
+
+def regularity_certificate(I, m):
+    """A certificate of reg(I) <= m, or None.
+
+    Each step tries at most CERTIFICATE_TRIES distinct nonzero forms, or
+    every nonzero form of a field with fewer.  The forms are drawn at
+    random, so None proves nothing.
+    """
     n = I.nvars
-    target = quotient_basis(I, e + g.degree)
-    cols = monomial_basis(n, e)
-    sys_rows = {}
-    for j, m in enumerate(cols):
-        img = target.reduce(g.scale_by_monomial(m).vector(fld), fld)
-        for q, c in img.items():
-            sys_rows.setdefault(q, {})[j] = c
-    ker = linalg.kernel(list(sys_rows.values()), len(cols), fld)
-    rref, pivots = linalg.row_reduce(ker, fld)
-    return DegreePiece(rref, pivots, len(cols))
+    p = I.field.characteristic
+    rng = random.Random(CERTIFICATE_SEED)
+    tries = min(CERTIFICATE_TRIES, p**n - 1) if p else CERTIFICATE_TRIES
+
+    def draws(_):
+        seen = set()
+        while len(seen) < tries:
+            h = tuple(rng.randint(-CERTIFICATE_COEFFS, CERTIFICATE_COEFFS) for _ in range(n))
+            h = tuple(c % p for c in h) if p else h
+            if any(h) and h not in seen:
+                seen.add(h)
+                yield h
+
+    return _bayer_stillman(I, m, draws)
 
 
 @dataclass
 class SaturationProfile:
     cap: int
-    sat_degree: object  # int, or None when the window was insufficient
+    # int; None when no certificate was found up to the cap (then the
+    # profile is empty), or when I^sat/I reaches the cap (monomial I)
+    sat_degree: object
     profile: dict  # e -> dim (I^sat / I)_e
 
     @property
@@ -292,85 +437,52 @@ class SaturationProfile:
         return self.sat_degree is None
 
 
-def _colon_power_dim(I, e, t):
-    """dim { f in R_e : f * m^t is contained in I }."""
-    fld = I.field
-    n = I.nvars
-    target = quotient_basis(I, e + t)
-    index = basis_index(n, e + t)
-    cols = monomial_basis(n, e)
-    sys_rows = {}
-    for row_base, u in enumerate(monomial_basis(n, t)):
-        for j, m in enumerate(cols):
-            img = target.reduce({index[mono_mul(m, u)]: 1}, fld)
-            for q, c in img.items():
-                sys_rows.setdefault((row_base, q), {})[j] = c
-    return len(cols) - linalg.rank(list(sys_rows.values()), fld)
-
-
-def _saturated_piece_dim(I, e, t_limit):
-    """dim (I : m^infinity)_e.
-
-    For a monomial ideal the nonzero degrees of I^sat/I are bounded by the
-    degree of lcm(G(I)), so a single colon power suffices and the value is
-    exact.  Otherwise the colon power is iterated until two consecutive
-    dimensions agree; for polynomial ideals this is a window-bounded
-    heuristic (ascending chains can plateau before stabilizing).
-    """
-    if I.is_monomial:
-        bound = mono_degree(I.monomial_ideal().lcm_of_gens())
-        return _colon_power_dim(I, e, max(1, bound + 1 - e))
-    prev = degree_piece(I, e).dim
-    for t in range(1, t_limit + 1):
-        dim = _colon_power_dim(I, e, t)
-        if dim == prev:
-            return dim
-        prev = dim
-    return prev
-
-
 def saturation_degree(I, cap):
-    """Degreewise saturation profile and the saturation degree within cap."""
+    """Degreewise saturation profile of I up to cap, and its sat degree.
+
+    The walk starts at a top degree T with (I^sat)_T = I_T: for a monomial
+    ideal T = deg lcm(G(I)) + 1; otherwise T is the least m in
+    max_gen_degree()..cap with a regularity certificate, since
+    sat(I) <= reg(I) <= m.  Below T, I^sat : m = I^sat gives each degree
+    from the one above,
+
+        (I^sat)_e = {f in R_e : x_v * f in (I^sat)_{e+1} for every v},
+
+    one kernel per degree, and once (I^sat)_e = R_e every lower degree is
+    full too.  No piece of I above T + 1 is read.  The certificate search
+    is one-sided: when no m up to cap has a certificate, no number is
+    given (`sat_degree` None and an empty profile: not certified).
+    """
     if cap < I.max_gen_degree():
         raise ValueError(
             f"cap {cap} below the largest generator degree {I.max_gen_degree()}"
         )
-    t_limit = cap + I.nvars + 2
-    profile = {}
-    for e in range(cap + 1):
-        profile[e] = _saturated_piece_dim(I, e, t_limit) - degree_piece(I, e).dim
-    last_bad = max((e for e, d in profile.items() if d > 0), default=-1)
-    sat = last_bad + 1
-    if last_bad == cap:
-        sat = None  # still unsaturated at the window edge
-    return SaturationProfile(cap, sat, profile)
-
-
-@dataclass
-class AlmostRegularReport:
-    cap: int
-    injective: dict  # e -> bool, for the maps (R/I)_e -> (R/I)_{e+1}
-    window_start: object
-    verdict: bool
-    saturation: SaturationProfile
-
-
-def is_almost_regular(x, I, cap):
-    """Degreewise injectivity of multiplication by a linear form on R/I.
-
-    The verdict is necessarily cap-bounded: it asserts injectivity on the
-    stable window [sat(I), cap] only.
-    """
-    if x.degree != 1:
-        raise ValueError("almost-regular test requires a linear form")
-    injective = {}
-    for e in range(cap):
-        ker_dim = colon_piece(I, x, e).dim - degree_piece(I, e).dim
-        injective[e] = ker_dim == 0
-    satp = saturation_degree(I, cap)
-    lo = satp.sat_degree
-    if lo is None:
-        verdict = False
+    if I.is_monomial:
+        top = mono_degree(I.monomial_ideal().lcm_of_gens()) + 1
     else:
-        verdict = all(injective[e] for e in range(lo, cap))
-    return AlmostRegularReport(cap, injective, lo, verdict, satp)
+        top = next(
+            (m for m in range(I.max_gen_degree(), cap + 1)
+             if regularity_certificate(I, m) is not None),
+            None,
+        )
+        if top is None:
+            return SaturationProfile(cap, None, {})
+    n, fld = I.nvars, I.field
+    sat = degree_piece(I, top)
+    sat_dims = {}
+    for e in reversed(range(top)):
+        if sat.dim == sat.ncols:  # I^sat = R: full in every degree below
+            break
+        units = range(ring_dim(n, e))
+        maps = [[{col[j]: 1} for j in units] for col in multiplication_maps(n, e + 1)]
+        sat = _preimage(sat, maps, len(units), fld)
+        sat_dims[e] = sat.dim
+    profile = {
+        e: sat_dims.get(e, ring_dim(n, e)) - degree_piece(I, e).dim if e < top else 0
+        for e in range(cap + 1)
+    }
+    last_bad = max((e for e, d in profile.items() if d > 0), default=-1)
+    sat_degree = last_bad + 1
+    if last_bad == cap:
+        sat_degree = None  # still unsaturated at the window edge
+    return SaturationProfile(cap, sat_degree, profile)

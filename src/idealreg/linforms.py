@@ -32,11 +32,12 @@ from .monomials import monomial_basis
 
 PRIMARY_GUARD = 12
 # product_generators builds prod dim V_i generators, one product of basis
-# forms per choice.  `linforms sat` at the default cap took (2 cores,
-# Python 3.11), on d copies of (x1..x5): 625 = 5^4 2.9 s, 3125 = 5^5
-# 14.0 s; on d copies of 3 generic forms in 4 variables: 729 = 3^6 0.5 s,
-# 2187 = 3^7 1.3 s, 6561 = 3^8 5.1 s; on ten 2-dimensional subspaces of
-# R_1 in 4 variables: 1024 = 2^10 48.8 s.
+# forms per choice.  `linforms sat` at the default cap (product and
+# saturation, the guard lifted for the last four) took (2 cores, Python
+# 3.11), on d copies of (x1..x5): 625 = 5^4 0.04 s, 3125 = 5^5 0.17 s;
+# on d copies of 3 generic forms in 4 variables: 729 = 3^6 0.14 s,
+# 2187 = 3^7 0.60 s, 6561 = 3^8 2.4 s; on nine and ten 2-dimensional
+# subspaces of R_1 in 4 variables: 512 = 2^9 2.5 s, 1024 = 2^10 6.4 s.
 GENERATOR_GUARD = 1000
 
 
@@ -209,7 +210,7 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def verify_decomposition(family, cap, components=None):
+def verify_decomposition(family, cap):
     """Compare the product with the intersection of components, degree by degree.
 
     Both sides are computed along independent linear-algebra paths: the
@@ -222,8 +223,7 @@ def verify_decomposition(family, cap, components=None):
         raise ValueError(f"cap {cap} below the product's generation degree {d}")
     fld = field_of(family[0].characteristic)
     product = product_generators(family)
-    if components is None:
-        components = primary_components(family)
+    components = primary_components(family)
     dims = {}
     containment_ok = True
     for e in range(cap + 1):
@@ -258,26 +258,6 @@ def is_linearly_general(family):
             if sum_ideal(family, A).dim != min(n, total):
                 return False
     return True
-
-
-def reduced_components(family):
-    """The d singleton components plus the m^d component.
-
-    Valid for linearly general families whose subspaces span R_1; the
-    reduced list must verify against the product exactly like the full one.
-    """
-    n = family[0].nvars
-    if not is_linearly_general(family):
-        raise ValueError("family is not linearly general")
-    full = sum_ideal(family, range(1, len(family) + 1))
-    if full.dim != n:
-        raise ValueError("subspaces do not span all linear forms")
-    out = [
-        PrimaryComponent((i,), family[i - 1], 1)
-        for i in range(1, len(family) + 1)
-    ]
-    out.append(PrimaryComponent(tuple(range(1, len(family) + 1)), full, len(family)))
-    return out
 
 
 def _detect_pinched_family(family):

@@ -81,12 +81,3 @@ def parse_linforms_text(text, characteristic=0):
             raise ParseError(str(exc)) from exc
     return family
 
-
-def parse_any(text, characteristic=0):
-    """Dispatch on the leading keyword."""
-    t = text.strip()
-    if t.startswith("ideal"):
-        return parse_ideal_text(t)
-    if t.startswith("linforms"):
-        return parse_linforms_text(t, characteristic)
-    raise ParseError("input must start with 'ideal(' or 'linforms('")

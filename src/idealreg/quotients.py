@@ -12,7 +12,6 @@ so an exhaustive search over orderings of G(I) settles existence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import le
 
@@ -63,18 +62,11 @@ class QuotientCertificate:
             "colon_vars": [list(vs) for vs in self.colon_vars],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d):
         n = d["nvars"]
         order = tuple(parse_monomial(s, n)[0] for s in d["order"])
         return cls(n, order, tuple(tuple(vs) for vs in d["colon_vars"]))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

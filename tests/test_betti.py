@@ -5,18 +5,22 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealreg import betti
+from idealreg import betti, linalg
 from idealreg.fields import field_of
 from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
+    RegularityCertificate,
+    degree_piece,
     ideal_product,
     quotient_basis,
+    regularity_certificate,
+    saturation_degree,
 )
-from idealreg.ideals import MonomialIdeal
+from idealreg.ideals import MonomialIdeal, saturation
 from idealreg.linforms import LinearIdeal, product_generators
-from idealreg.monomials import monomial_basis, parse_monomial
+from idealreg.monomials import basis_index, mono_mul, monomial_basis, parse_monomial
 from idealreg.quotients import regularity_from_certificate, search_order
 from idealreg.samplers import (
     random_linear_family,
@@ -421,7 +425,7 @@ def test_certificate_table_matches_strand_table(I):
     cap = m + n
     strands = betti._strand_entries(
         GradedIdealView(n, I.generators, I.characteristic), cap)
-    cert = betti.regularity_certificate(I)
+    cert = regularity_certificate(I, m)
     if cert is None:
         if not I.is_monomial:
             assert betti.betti_table(I, cap).entries == strands
@@ -448,12 +452,88 @@ def test_certificate_tables_of_the_linforms_pool_match_the_strands():
     # of linear forms is certified at m = d, with the strand table
     count = 0
     for d, prod in _pool_products():
-        cert = betti.regularity_certificate(prod)
+        cert = regularity_certificate(prod, d)
         assert cert is not None and cert.m == d
         cap = d + prod.nvars
         fresh = GradedIdealView(prod.nvars, prod.generators, 0)
         assert betti._certificate_entries(prod, cert, cap) == betti._strand_entries(
             fresh, cap)
+        count += 1
+    assert count == 302
+
+
+@pytest.mark.parametrize("rows", [
+    ([[1, 0, 1, 0], [0, 1, 1, 1]], [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]),
+    ([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]], [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]),
+    ([[1, 1, 0, 0]], [[1, 1, 1, 1]]),
+])
+def test_gf2_pool_products_are_certified_by_distinct_nonzero_forms(rows):
+    # pool families 148, 277 and 279 reduced mod 2: eight draws that could
+    # be zero or repeat found no certificate; eight distinct nonzero do
+    prod = product_generators([LinearIdeal.from_rows(4, V, 2) for V in rows])
+    d = len(rows)
+    cert = regularity_certificate(prod, d)
+    assert cert is not None and cert.verify(prod)
+    fresh = GradedIdealView(4, prod.generators, 2)
+    assert betti.betti_table(prod, d + 4).entries == betti._strand_entries(fresh, d + 4)
+
+
+def test_certificate_draws_end_on_a_field_with_few_forms():
+    # GF(2) in two variables has three nonzero forms, fewer than
+    # CERTIFICATE_TRIES, and each divides ab(a + b): the search tries all
+    # three and gives up
+    I = GradedIdealView(2, [HomPolynomial.make({(2, 1): 1, (1, 2): 1})], 2)
+    assert regularity_certificate(I, 5) is None
+
+
+# Saturation is exact: checked against the combinatorial saturation of a
+# monomial ideal and against the colons (I : m^t)_e.
+
+
+def _colon_power_dim(I, e, t):
+    """dim { f in R_e : f * m^t is contained in I }."""
+    fld = I.field
+    n = I.nvars
+    target = quotient_basis(I, e + t)
+    index = basis_index(n, e + t)
+    cols = monomial_basis(n, e)
+    sys_rows = {}
+    for row_base, u in enumerate(monomial_basis(n, t)):
+        for j, m in enumerate(cols):
+            img = target.reduce({index[mono_mul(m, u)]: 1}, fld)
+            for q, c in img.items():
+                sys_rows.setdefault((row_base, q), {})[j] = c
+    return len(cols) - linalg.rank(list(sys_rows.values()), fld)
+
+
+@given(sheared_monomial_views())
+@settings(max_examples=100, deadline=None)
+def test_saturation_profile_survives_a_coordinate_change(pair):
+    # the sheared J must have the saturation profile of the monomial I;
+    # with no certificate up to the cap it gives no number at all
+    I, J = pair
+    mi = I.monomial_ideal()
+    S = saturation(mi)
+    cap = mi.max_gen_degree() + 3
+    expected = {e: mi.hilbert_function(e) - S.hilbert_function(e)
+                for e in range(cap + 1)}
+    sp = saturation_degree(J, cap)
+    if sp.sat_degree is None:
+        assert sp.profile == {}
+        return
+    assert sp.profile == expected
+    assert saturation_degree(I, cap).profile == expected
+
+
+def test_saturation_profiles_of_the_linforms_pool_match_the_colons():
+    # reg = d for these products, so (I^sat)_e = (I : m^(d - e))_e
+    count = 0
+    for d, prod in _pool_products():
+        sp = saturation_degree(prod, d)
+        assert sp.profile == {
+            e: _colon_power_dim(prod, e, d - e) - degree_piece(prod, e).dim
+            for e in range(d + 1)
+        }
         count += 1
     assert count == 302
 
@@ -476,34 +556,44 @@ def test_certificate_route_reads_no_piece_above_m_plus_1(monkeypatch):
         assert max(prod._pieces) <= d + 1
 
 
+def test_saturation_reads_no_piece_above_m_plus_1():
+    # the first m with a certificate is d; the walk goes down from there
+    for seed in (0, 3, 9):
+        d, prod = _criterion_3_product(seed)
+        assert not prod.is_monomial
+        sp = saturation_degree(prod, d + prod.nvars)
+        assert sp.sat_degree is not None and sp.sat_degree <= d
+        assert max(prod._pieces) <= d + 1
+
+
 # `verify` must reject a certificate that is wrong in any of its parts.
 
 
 def test_verify_rejects_a_form_that_is_not_injective():
     # R/(a^2) in degree 2 is spanned by ab and b^2, and a * ab lies in (a^2)
     I = view(2, "a^2")
-    assert betti.RegularityCertificate(2, ((0, 1),), (2,)).verify(I)
-    assert not betti.RegularityCertificate(2, ((1, 0),), (2,)).verify(I)
+    assert RegularityCertificate(2, ((0, 1),), (2,)).verify(I)
+    assert not RegularityCertificate(2, ((1, 0),), (2,)).verify(I)
 
 
 def test_verify_rejects_a_truncated_form_list_and_a_wrong_dim():
     d, prod = _criterion_3_product(9)
-    cert = betti.regularity_certificate(prod)
+    cert = regularity_certificate(prod, d)
     assert cert.verify(prod) and len(cert.forms) >= 2
-    truncated = betti.RegularityCertificate(d, cert.forms[:-1], cert.dims[:-1])
+    truncated = RegularityCertificate(d, cert.forms[:-1], cert.dims[:-1])
     assert not truncated.verify(prod)
     for k in range(len(cert.dims)):
         dims = list(cert.dims)
         dims[k] += 1
-        assert not betti.RegularityCertificate(d, cert.forms, tuple(dims)).verify(prod)
+        assert not RegularityCertificate(d, cert.forms, tuple(dims)).verify(prod)
 
 
 def test_verify_rejects_forms_of_the_wrong_length_and_m_below_the_generators():
     d, prod = _criterion_3_product(9)
-    cert = betti.regularity_certificate(prod)
+    cert = regularity_certificate(prod, d)
     short = tuple(h[:-1] for h in cert.forms)
-    assert not betti.RegularityCertificate(d, short, cert.dims).verify(prod)
-    assert not betti.RegularityCertificate(d - 1, cert.forms, cert.dims).verify(prod)
+    assert not RegularityCertificate(d, short, cert.dims).verify(prod)
+    assert not RegularityCertificate(d - 1, cert.forms, cert.dims).verify(prod)
 
 
 # The checks that replace the Euler check on the certificate route must fire.
@@ -512,8 +602,8 @@ def test_verify_rejects_forms_of_the_wrong_length_and_m_below_the_generators():
 def test_certificate_table_check_fires_on_a_wrong_dim():
     # the derived Hilbert value in degree m + 1 is the sum of the dims
     d, prod = _criterion_3_product(9)
-    cert = betti.regularity_certificate(prod)
-    wrong = betti.RegularityCertificate(d, cert.forms, (cert.dims[0] + 1,) + cert.dims[1:])
+    cert = regularity_certificate(prod, d)
+    wrong = RegularityCertificate(d, cert.forms, (cert.dims[0] + 1,) + cert.dims[1:])
     with pytest.raises(AssertionError, match="certificate Hilbert value"):
         betti._certificate_entries(prod, wrong, d + prod.nvars)
 
@@ -523,8 +613,8 @@ def test_certificate_table_check_fires_on_a_certificate_above_the_generators():
     # but its resolution is not linear from degree 3: c_2 = -3 must be caught
     I = GradedIdealView(2, [HomPolynomial.make(t) for t in (
         {(2, 0): 1}, {(1, 1): 1}, {(1, 1): 1, (0, 2): 1})])
-    assert betti.regularity_certificate(I) == betti.RegularityCertificate(2, (), ())
-    at_3 = betti.RegularityCertificate(3, (), ())
+    assert regularity_certificate(I, 2) == RegularityCertificate(2, (), ())
+    at_3 = RegularityCertificate(3, (), ())
     assert at_3.verify(I)
     with pytest.raises(AssertionError, match="not linear"):
         betti._certificate_entries(I, at_3, 5)

@@ -8,7 +8,6 @@ from idealreg.cli import main
 from idealreg.monomials import format_monomial, monomial_basis
 from idealreg.parsing import (
     ParseError,
-    parse_any,
     parse_ideal_text,
     parse_linforms_text,
 )
@@ -35,8 +34,6 @@ def test_parse_linforms():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_ideal_text("ideal()")
-    with pytest.raises(ParseError):
-        parse_any("nonsense(1)")
     with pytest.raises(ParseError):
         parse_linforms_text("linforms([[1,0],[1]])")
 
@@ -114,6 +111,29 @@ def test_linforms_commands():
     assert r3.exit_code == 0
     r4 = run("linforms", "sat", "--family", fam)
     assert r4.exit_code == 0 and "sat =" in r4.output
+
+
+def test_linforms_sat_profile_of_a_cube_times_a_line():
+    # I = (x, y)^3 (x - 3y) has I^sat = (x - 3y), one dimension short of it
+    # in each degree 1..3
+    r = run("linforms", "sat", "--family",
+            "linforms([[1,0],[0,1]],[[1,0],[0,1]],[[1,0],[0,1]],[[1,-3]])",
+            "--format", "structured")
+    assert r.exit_code == 0
+    assert json.loads(r.output) == {
+        "sat": 4, "cap": 4, "profile": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 0}}
+
+
+def test_linforms_sat_without_a_certificate_gives_no_number():
+    # ab(a + b) over GF(2): every linear form over GF(2) divides it
+    args = ("linforms", "sat", "--char", "2", "--family",
+            "linforms([[1,0]],[[0,1]],[[1,1]])")
+    r = run(*args)
+    assert r.exit_code == 0
+    assert "sat = not certified within cap (cap 3)" in r.output
+    r = run(*args, "--format", "structured")
+    assert r.exit_code == 0
+    assert json.loads(r.output) == {"sat": None, "cap": 3, "profile": {}}
 
 
 def test_hankel_commands():

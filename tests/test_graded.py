@@ -14,7 +14,6 @@ from idealreg.graded import (
     degree_piece,
     hilbert_value,
     ideal_product,
-    is_almost_regular,
     quotient_basis,
     ring_dim,
     saturation_degree,
@@ -124,22 +123,31 @@ def test_saturation_profile_matches_combinatorial_saturation():
             assert sp.profile[e] == expected
 
 
-def test_almost_regular_on_artinian_quotient():
-    # R/(a^2, b^2) in 2 vars: a+b is almost regular (injective from degree 1)
-    I = view(2, "a^2", "b^2")
-    x = HomPolynomial.linear_form([1, 1])
-    rep = is_almost_regular(x, I, cap=4)
-    assert rep.verdict
-    # a alone is not: a*(ab) = a^2 b = 0 but ab != 0
-    rep2 = is_almost_regular(HomPolynomial.linear_form([1, 0]), I, cap=4)
-    assert not all(rep2.injective.values())
-
-
 def test_saturation_exceeds_cap_flag():
     # (a^2) in 2 vars is saturated; (a^2, a*b) saturates to (a)
     I = view(2, "a^2", "a*b")
     sp = saturation_degree(I, 4)
     assert sp.sat_degree == 2 and not sp.exceeds_cap
+
+
+def test_saturation_of_an_m_primary_binomial_ideal():
+    # (x^3 + y^3, x^3 - y^3) = (x^3, y^3): I^sat = R and R/I reaches degree
+    # 4, so reg(I) = 5 and no certificate exists below it
+    gens = [HomPolynomial.make({(3, 0): 1, (0, 3): 1}),
+            HomPolynomial.make({(3, 0): 1, (0, 3): -1})]
+    sp = saturation_degree(GradedIdealView(2, gens), 3)
+    assert sp.exceeds_cap and sp.profile == {}
+    sp = saturation_degree(GradedIdealView(2, gens), 5)
+    assert sp.sat_degree == 5
+    assert sp.profile == {0: 1, 1: 2, 2: 3, 3: 2, 4: 1, 5: 0}
+
+
+def test_saturation_without_a_certificate_gives_no_number():
+    # ab(a + b) over GF(2) is saturated, but every linear form over GF(2)
+    # divides it, so no certificate exists at any m and no number is given
+    I = GradedIdealView(2, [HomPolynomial.make({(2, 1): 1, (1, 2): 1})], 2)
+    sp = saturation_degree(I, 6)
+    assert sp.sat_degree is None and sp.profile == {}
 
 
 @st.composite

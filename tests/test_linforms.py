@@ -20,7 +20,6 @@ from idealreg.linforms import (
     power_piece,
     primary_components,
     product_generators,
-    reduced_components,
     sum_ideal,
     verify_decomposition,
 )
@@ -167,20 +166,6 @@ def test_is_linearly_general():
     assert not is_linearly_general(pinched_family(3))  # shared y: 3 < min(4, 4)
     single = [LinearIdeal.from_rows(2, [[1, 1]])]
     assert is_linearly_general(single)
-
-
-def test_reduced_components():
-    rng = rng_from_seed(12)
-    while True:
-        fam = random_linear_family(rng, nmax=3, dmax=3)
-        full = sum_ideal(fam, range(1, len(fam) + 1))
-        if is_linearly_general(fam) and full.dim == fam[0].nvars:
-            break
-    red = reduced_components(fam)
-    assert len(red) == len(fam) + 1
-    assert verify_decomposition(fam, len(fam) + 2, components=red).equal
-    with pytest.raises(ValueError):
-        reduced_components(pinched_family(3))
 
 
 def test_associated_prime_checks():

@@ -149,9 +149,8 @@ def _upper_koszul_faces(a, std_set):
         layer = nxt
 
 
-def _boundary_rows(domain, codomain_index, fld):
+def _boundary_rows(domain, codomain_index, p):
     """Simplicial boundary rows with int signs: 1 and -1 (QQ) or p - 1 (GF(p))."""
-    p = fld.characteristic
     signs = (1, p - 1 if p else -1)
     rows = []
     for face in domain:
@@ -162,7 +161,7 @@ def _boundary_rows(domain, codomain_index, fld):
     return rows
 
 
-def _homology_of_complex(levels, fld):
+def _homology_of_complex(levels, p):
     """h_c for the complex spanned by the faces, including the empty face.
 
     The ranks reduce the boundary rows in place, so they are taken after
@@ -171,13 +170,13 @@ def _homology_of_complex(levels, fld):
     index_maps = [{f: k for k, f in enumerate(lv)} for lv in levels]
     boundaries = [None]
     for c in range(1, len(levels)):
-        boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], fld))
+        boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], p))
     for c in range(1, len(levels) - 1):
-        composite = linalg.matmul(boundaries[c + 1], boundaries[c], fld)
+        composite = linalg.matmul(boundaries[c + 1], boundaries[c], p)
         assert all(not row for row in composite), "koszul sign error"
     ranks = [0] * (len(levels) + 1)
     for c in range(1, len(levels)):
-        ranks[c] = linalg.rank(boundaries[c], fld)
+        ranks[c] = linalg.rank(boundaries[c], p)
     return [len(levels[c]) - ranks[c] - ranks[c + 1] for c in range(len(levels))]
 
 
@@ -200,7 +199,7 @@ def _monomial_candidates(std, std_set, lcm, n, cap):
     return seen
 
 
-def _monomial_entries(mi, cap, fld):
+def _monomial_entries(mi, cap, p):
     """Nonzero beta_ij(R/I), j <= cap, summed over the candidate multidegrees.
 
     Many candidates share one upper Koszul complex once its faces are
@@ -217,7 +216,7 @@ def _monomial_entries(mi, cap, fld):
         key = tuple(map(tuple, levels))
         hs = homology.get(key)
         if hs is None:
-            hs = homology[key] = _homology_of_complex(levels, fld)
+            hs = homology[key] = _homology_of_complex(levels, p)
         j = sum(a)
         for c, h in enumerate(hs):
             if h:
@@ -238,7 +237,7 @@ class StrandEngine:
 
     def __init__(self, I):
         self.I = I
-        self.fld = I.field
+        self.p = I.characteristic
         self.n = I.nvars
         self._mult = {}
         self._rank = {}
@@ -256,7 +255,7 @@ class StrandEngine:
             src = quotient_basis(self.I, e)
             dst = quotient_basis(self.I, e + 1)
             self._mult[e] = [
-                [dst.reduce({col[j]: 1}, self.fld) for j in src.columns]
+                [dst.reduce({col[j]: 1}, self.p) for j in src.columns]
                 for col in multiplication_maps(self.n, e + 1)
             ]
         return self._mult[e]
@@ -288,7 +287,7 @@ class StrandEngine:
         subs, _ = self._subset_offsets(i)
         _, index_dst = self._subset_offsets(i - 1)
         qdim_src = quotient_basis(self.I, e).dim
-        p = self.fld.characteristic
+        p = self.p
         mult = self._mult_rows(e)
         rows = []
         for S in subs:
@@ -310,7 +309,7 @@ class StrandEngine:
         key = (i, j)
         if key not in self._rank:
             rows = [dict(r) for r in self.differential_rows(i, j)]
-            self._rank[key] = linalg.rank(rows, self.fld)
+            self._rank[key] = linalg.rank(rows, self.p)
         return self._rank[key]
 
     def betti(self, i, j):
@@ -322,7 +321,7 @@ class StrandEngine:
         rows_up = self.differential_rows(i + 1, j)
         rows_dn = self.differential_rows(i, j)
         if rows_up and rows_dn:
-            composite = linalg.matmul(rows_up, rows_dn, self.fld)
+            composite = linalg.matmul(rows_up, rows_dn, self.p)
             assert all(not r for r in composite), "koszul composite not zero"
         return dim - self.rank(i, j) - self.rank(i + 1, j)
 
@@ -340,6 +339,13 @@ def _strand_entries(I, cap):
 
 
 # ------------------------------------------------------------ certificate route
+
+
+def _koszul_euler(hf, n, j):
+    """sum_k (-1)^k C(n, k) hf[j - k]: the coefficient of t^j in
+    (1 - t)^n HS(R/I) for the Hilbert values hf of R/I, and the Euler
+    characteristic of the degree-j Koszul strand."""
+    return sum((-1) ** k * comb(n, k) * hf[j - k] for k in range(min(n, j) + 1))
 
 
 def _certificate_entries(I, cert, cap):
@@ -366,7 +372,7 @@ def _certificate_entries(I, cert, cap):
         )
     entries = {(0, 0): 1}
     for j in range(1, m + n + 1):
-        c = sum((-1) ** k * comb(n, k) * hf[j - k] for k in range(min(n, j) + 1))
+        c = _koszul_euler(hf, n, j)
         i = j - m + 1
         b = (-1) ** i * c
         if b < 0 or (b and not 1 <= i <= n):
@@ -387,10 +393,7 @@ def _euler_check(I, entries, cap):
         hv = [hilbert_value(I, e) for e in range(cap + 1)]
     for j in range(cap + 1):
         lhs = sum((-1) ** i * v for (i, jj), v in entries.items() if jj == j)
-        rhs = sum(
-            (-1) ** k * comb(n, k) * hv[j - k]
-            for k in range(min(n, j) + 1)
-        )
+        rhs = _koszul_euler(hv, n, j)
         if lhs != rhs:
             raise AssertionError(
                 f"Euler characteristic mismatch in degree {j}: {lhs} != {rhs}"
@@ -413,7 +416,7 @@ def betti_table(I, cap=None):
         mi = I.monomial_ideal()
         if mi.is_unit:
             raise ValueError("unit ideal")
-        entries = _monomial_entries(mi, cap, I.field)
+        entries = _monomial_entries(mi, cap, I.characteristic)
         certified = cap >= taylor_degree_cap(mi)
         _euler_check(I, entries, cap)
         return BettiTable(I.nvars, entries, cap, certified)

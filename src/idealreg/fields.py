@@ -1,11 +1,10 @@
 """Exact scalars: arbitrary-precision rationals (default) and GF(p).
 
-A field is its characteristic (0 or a prime p) plus scalar conversion:
-calling it maps an integer or rational to a Fraction, or to an int in
-0..p-1, where a/b goes to a times the inverse of b mod p.  Arithmetic is
-plain Python arithmetic; code working over GF(p) reduces mod
-`characteristic` where it needs to.  The working field is chosen once per
-run.
+A field is its characteristic p, 0 for QQ.  `field_of` is the one check
+where a characteristic enters; below it code takes p and uses plain Python
+arithmetic, reducing mod p where it needs to.  `scalar` maps an integer or
+rational to a Fraction (p = 0), or to an int in 0..p-1, where a/b goes to
+a times the inverse of b mod p.  The working field is chosen once per run.
 """
 
 from __future__ import annotations
@@ -13,35 +12,16 @@ from __future__ import annotations
 from fractions import Fraction as _rat
 
 
-class RationalField:
-    characteristic = 0
-
-    def __call__(self, a):
+def scalar(a, p):
+    """a in the field of characteristic p."""
+    if not p:
         return _rat(a)
-
-    def __repr__(self):
-        return "QQ"
-
-
-class PrimeField:
-    """GF(p); elements are ints in 0..p-1."""
-
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.characteristic = p
-
-    def __call__(self, a):
-        p = self.characteristic
-        if type(a) is int:
-            return a % p
-        a = _rat(a)
-        if a.denominator % p == 0:
-            raise ValueError(f"{a} is not defined in GF({p})")
-        return a.numerator * pow(a.denominator, -1, p) % p
-
-    def __repr__(self):
-        return f"GF({self.characteristic})"
+    if type(a) is int:
+        return a % p
+    a = _rat(a)
+    if a.denominator % p == 0:
+        raise ValueError(f"{a} is not defined in GF({p})")
+    return a.numerator * pow(a.denominator, -1, p) % p
 
 
 # Miller-Rabin with the twelve prime bases 2..37 decides primality exactly
@@ -79,10 +59,8 @@ def _is_prime(p):
     return True
 
 
-_QQ = RationalField()
-
-
 def field_of(characteristic):
-    if characteristic == 0:
-        return _QQ
-    return PrimeField(characteristic)
+    """The characteristic, checked: 0 (QQ) or a prime below PRIME_BOUND."""
+    if characteristic != 0 and not _is_prime(characteristic):
+        raise ValueError(f"{characteristic} is not prime")
+    return characteristic

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import comb
 
 from . import linalg
-from .fields import field_of
+from .fields import field_of, scalar
 from .ideals import MonomialIdeal
 from .monomials import basis_index, degree as mono_degree, mono_mul, monomial_basis
 
@@ -73,13 +73,12 @@ class HomPolynomial:
     def nvars(self):
         return len(self.terms[0][0])
 
-    def multiply(self, other, fld):
+    def multiply(self, other, p):
         acc = {}
         for m, c in self.terms:
             for u, d in other.terms:
                 k = mono_mul(m, u)
                 acc[k] = acc.get(k, 0) + c * d
-        p = fld.characteristic
         if p:
             acc = {k: c % p for k, c in acc.items()}
         return HomPolynomial.make(acc)
@@ -90,12 +89,12 @@ class HomPolynomial:
             tuple((mono_mul(m, u), c) for m, c in self.terms),
         )
 
-    def vector(self, fld):
+    def vector(self, p):
         """Int coordinates in R_e: residues mod p, or over QQ the primitive
         integer multiple, which spans the same line."""
         idx = basis_index(self.nvars(), self.degree)
-        vec = {idx[m]: fld(c) for m, c in self.terms}
-        return vec if fld.characteristic else linalg.primitive(vec)
+        vec = {idx[m]: scalar(c, p) for m, c in self.terms}
+        return vec if p else linalg.primitive(vec)
 
 
 class GradedIdealView:
@@ -110,8 +109,7 @@ class GradedIdealView:
                 raise ValueError("generator ambient mismatch")
         self.nvars = nvars
         self.generators = generators
-        self.characteristic = characteristic
-        self.field = field_of(characteristic)
+        self.characteristic = field_of(characteristic)
         self._pieces = {}  # e -> DegreePiece, the one cache of the view
         self._monomial = (
             MonomialIdeal.from_gens(nvars, (g.terms[0][0] for g in generators))
@@ -142,18 +140,6 @@ class GradedIdealView:
     def min_gen_degree(self):
         return min(g.degree for g in self.generators)
 
-    def __str__(self):
-        from .monomials import format_monomial
-
-        def poly(g):
-            parts = []
-            for m, c in g.terms:
-                cs = "" if c == 1 else f"{c}*"
-                parts.append(f"{cs}{format_monomial(m)}")
-            return " + ".join(parts)
-
-        return "ideal(" + ", ".join(poly(g) for g in self.generators) + ")"
-
 
 @dataclass
 class DegreePiece:
@@ -173,8 +159,8 @@ class DegreePiece:
         """The complement basis of this subspace, built on first use."""
         return QuotientBasis(self)
 
-    def contains_vector(self, vec, fld):
-        return not self.quotient.reduce(vec, fld)
+    def contains_vector(self, vec, p):
+        return not self.quotient.reduce(vec, p)
 
 
 def ring_dim(n, e):
@@ -207,7 +193,7 @@ def degree_piece(I, e):
     """
     if e in I._pieces:
         return I._pieces[e]
-    fld = I.field
+    p = I.characteristic
     n = I.nvars
     ncols = ring_dim(n, e)
     mindeg = I.min_gen_degree()
@@ -218,13 +204,13 @@ def degree_piece(I, e):
         rref = [{j: 1} for j in range(ncols)]
         pivots = list(range(ncols))
     else:
-        rows = [g.vector(fld) for g in I.generators if g.degree == e]
+        rows = [g.vector(p) for g in I.generators if g.degree == e]
         if below is not None:
             maps = multiplication_maps(n, e)
             for row in below.rows:
                 for col in maps:
                     rows.append({col[j]: c for j, c in row.items()})
-        rref, pivots = linalg.row_reduce(rows, fld)
+        rref, pivots = linalg.row_reduce(rows, p)
     piece = DegreePiece(rref, pivots, ncols)
     I._pieces[e] = piece
     return piece
@@ -246,10 +232,10 @@ class QuotientBasis:
     def dim(self):
         return len(self.columns)
 
-    def reduce(self, vec, fld):
+    def reduce(self, vec, p):
         """R_e coordinates -> D times the quotient coordinates (dict over
         positions)."""
-        res = linalg.reduce_vector(vec, self.pivot_rows, self.lead, fld)
+        res = linalg.reduce_vector(vec, self.pivot_rows, self.lead, p)
         return {self.position[j]: c for j, c in res.items()}
 
 
@@ -274,12 +260,12 @@ def ideal_product(I, J):
     if I.is_monomial and J.is_monomial:
         P = I.monomial_ideal().product(J.monomial_ideal())
         return GradedIdealView.from_monomial_ideal(P, I.characteristic)
-    fld = I.field
-    gens = [g.multiply(h, fld) for g in I.generators for h in J.generators]
-    return GradedIdealView(I.nvars, gens, I.characteristic)
+    p = I.characteristic
+    gens = [g.multiply(h, p) for g in I.generators for h in J.generators]
+    return GradedIdealView(I.nvars, gens, p)
 
 
-def _preimage(target, maps, ncols, fld):
+def _preimage(target, maps, ncols, p):
     """{f in K^ncols : every map sends f into the subspace `target`}.
 
     maps[k][j] is the image of the j-th unit vector under the k-th map, a
@@ -290,18 +276,18 @@ def _preimage(target, maps, ncols, fld):
     sys_rows = {}
     for k, images in enumerate(maps):
         for j, img in enumerate(images):
-            for q, c in quo.reduce(img, fld).items():
+            for q, c in quo.reduce(img, p).items():
                 sys_rows.setdefault((k, q), {})[j] = c
-    ker = linalg.kernel(list(sys_rows.values()), ncols, fld)
-    rref, pivots = linalg.row_reduce(ker, fld)
+    ker = linalg.kernel(list(sys_rows.values()), ncols, p)
+    rref, pivots = linalg.row_reduce(ker, p)
     return DegreePiece(rref, pivots, ncols)
 
 
 def colon_piece(I, g, e):
     """Basis of { f in R_e : f*g in I_{e+deg g} }, computed as a kernel."""
-    fld = I.field
-    images = [g.scale_by_monomial(m).vector(fld) for m in monomial_basis(I.nvars, e)]
-    return _preimage(degree_piece(I, e + g.degree), [images], len(images), fld)
+    p = I.characteristic
+    images = [g.scale_by_monomial(m).vector(p) for m in monomial_basis(I.nvars, e)]
+    return _preimage(degree_piece(I, e + g.degree), [images], len(images), p)
 
 
 # ------------------------------------------------------ regularity certificate
@@ -347,20 +333,20 @@ def _times_form(h, into, columns):
     return [{col[j]: c for col, c in support} for j in columns]
 
 
-def _extend(piece, rows, fld):
+def _extend(piece, rows, p):
     """The canonical RREF of piece + span(rows), without reducing the
     piece again: the rows are reduced modulo the piece, their residues
     among themselves, and the new pivots are then cleared from the
     piece's rows, one row at a time."""
     quo = piece.quotient
-    residues = [linalg.reduce_vector(r, quo.pivot_rows, quo.lead, fld) for r in rows]
-    new_rows, new_pivots = linalg.row_reduce(residues, fld)
+    residues = [linalg.reduce_vector(r, quo.pivot_rows, quo.lead, p) for r in rows]
+    new_rows, new_pivots = linalg.row_reduce(residues, p)
     lead, new_piv = linalg.common_lead(new_rows, new_pivots)
     merged = dict(zip(new_pivots, new_rows))
     for c, row in zip(piece.pivots, piece.rows):
         if row.keys() & new_piv:
-            row = linalg.reduce_vector(row, new_piv, lead, fld)
-            if not fld.characteristic:
+            row = linalg.reduce_vector(row, new_piv, lead, p)
+            if not p:
                 row = linalg.primitive(row)
         merged[c] = row
     pivots = sorted(merged)
@@ -378,7 +364,7 @@ def _bayer_stillman(I, m, candidates):
     h is injective exactly when their residues have rank dim (R/J_i)_m,
     and they are all h adds to (J_i)_{m+1}.
     """
-    n, fld = I.nvars, I.field
+    n, p = I.nvars, I.characteristic
     into_m, into_next = multiplication_maps(n, m), multiplication_maps(n, m + 1)
     below = range(ring_dim(n, m - 1))
     low, high = degree_piece(I, m), degree_piece(I, m + 1)
@@ -387,16 +373,16 @@ def _bayer_stillman(I, m, candidates):
         quo = low.quotient
         for h in candidates(len(forms)):
             up = _times_form(h, into_next, quo.columns)
-            residues = [high.quotient.reduce(r, fld) for r in up]
-            if linalg.rank(residues, fld) == quo.dim:
+            residues = [high.quotient.reduce(r, p) for r in up]
+            if linalg.rank(residues, p) == quo.dim:
                 break
         else:
             return None
         forms.append(h)
         dims.append(quo.dim)
-        low = _extend(low, _times_form(h, into_m, below), fld)
+        low = _extend(low, _times_form(h, into_m, below), p)
         if low.dim < low.ncols:
-            high = _extend(high, up, fld)
+            high = _extend(high, up, p)
     return RegularityCertificate(m, tuple(forms), tuple(dims))
 
 
@@ -408,7 +394,7 @@ def regularity_certificate(I, m):
     random, so None proves nothing.
     """
     n = I.nvars
-    p = I.field.characteristic
+    p = I.characteristic
     rng = random.Random(CERTIFICATE_SEED)
     tries = min(CERTIFICATE_TRIES, p**n - 1) if p else CERTIFICATE_TRIES
 
@@ -467,7 +453,7 @@ def saturation_degree(I, cap):
         )
         if top is None:
             return SaturationProfile(cap, None, {})
-    n, fld = I.nvars, I.field
+    n, p = I.nvars, I.characteristic
     sat = degree_piece(I, top)
     sat_dims = {}
     for e in reversed(range(top)):
@@ -475,7 +461,7 @@ def saturation_degree(I, cap):
             break
         units = range(ring_dim(n, e))
         maps = [[{col[j]: 1} for j in units] for col in multiplication_maps(n, e + 1)]
-        sat = _preimage(sat, maps, len(units), fld)
+        sat = _preimage(sat, maps, len(units), p)
         sat_dims[e] = sat.dim
     profile = {
         e: sat_dims.get(e, ring_dim(n, e)) - degree_piece(I, e).dim if e < top else 0

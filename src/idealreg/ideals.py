@@ -107,17 +107,6 @@ class MonomialIdeal:
         """dim_K (R/I)_e = number of degree-e standard monomials."""
         return self.hilbert_values(e)[e] if e >= 0 else 0
 
-    def standard_monomials(self, e):
-        """Degree-e monomials outside the ideal."""
-        out = []
-
-        def leaf(deg, prefix, t):
-            if deg + t == e:
-                out.append((*prefix, t))
-
-        self._walk([e] * self.nvars, e, leaf)
-        return out
-
     def standard_divisors_of(self, cap_monomial):
         """Standard monomials dividing cap_monomial (any degree)."""
         out = []

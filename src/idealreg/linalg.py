@@ -1,11 +1,12 @@
 """Sparse exact row reduction on integer rows.
 
-Rows are dicts {column index: nonzero int}: integers over QQ, residues
-mod p.  Pivoting prefers short rows to limit fill-in.  `row_reduce`
-returns the canonical reduced row-echelon form: each pivot column occurs
-only in its own row.  Its pivot entry (the lead) is 1 mod p; over QQ each
-row is the primitive integer multiple of the rational RREF row, so its
-lead is positive and its entries are coprime.
+Every function takes the field as its characteristic p, 0 for QQ.  Rows
+are dicts {column index: nonzero int}: integers over QQ, residues mod p.
+Pivoting prefers short rows to limit fill-in.  `row_reduce` returns the
+canonical reduced row-echelon form: each pivot column occurs only in its
+own row.  Its pivot entry (the lead) is 1 mod p; over QQ each row is the
+primitive integer multiple of the rational RREF row, so its lead is
+positive and its entries are coprime.
 
 There is one kernel per field kind, both on plain Python ints:
 
@@ -25,10 +26,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 
-def row_reduce(rows, field):
+def row_reduce(rows, p):
     """Reduce sparse rows; returns (rref_rows, pivots), sorted by pivot
     column.  The input rows are left as they are."""
-    p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
         piv = _rref_mod(pending, p)
@@ -38,13 +38,12 @@ def row_reduce(rows, field):
     return [piv[c] for c in pivots], pivots
 
 
-def rank(rows, field):
+def rank(rows, p):
     """Rank by echelon elimination: no back-substitution, no normalization.
 
     The rows are reduced in place, so pass copies of rows that are read
     afterwards.  Over QQ each row's content is divided out on entry.
     """
-    p = field.characteristic
     pending = sorted((r for r in rows if r), key=len)
     if p:
         return _echelon_rank_mod(pending, p)
@@ -209,7 +208,7 @@ def common_lead(rref_rows, pivots):
     return d, piv
 
 
-def reduce_vector(vec, piv, lead, field):
+def reduce_vector(vec, piv, lead, p):
     """`lead` times the residue of vec modulo the row space of an RREF given
     as {pivot column: row}, each row with pivot entry `lead` (pivot
     coordinates eliminated).  No pivot row holds another pivot column, so
@@ -221,19 +220,17 @@ def reduce_vector(vec, piv, lead, field):
             row[j] *= lead
     for c, b in hits:
         _axpy(row, b, piv[c], c)
-    p = field.characteristic
     return _mod(row, p) if p else row
 
 
-def in_rowspace(vec, rref_rows, pivots, field):
+def in_rowspace(vec, rref_rows, pivots, p):
     lead, piv = common_lead(rref_rows, pivots)
-    return not reduce_vector(vec, piv, lead, field)
+    return not reduce_vector(vec, piv, lead, p)
 
 
-def kernel_basis(rref_rows, pivots, ncols, field):
+def kernel_basis(rref_rows, pivots, ncols, p):
     """Right null space basis from an RREF; one vector per free column,
     scaled by the lcm of the leads of the rows it touches."""
-    p = field.characteristic
     pivset = set(pivots)
     pivot_rows = [(q, row, row[q]) for q, row in zip(pivots, rref_rows)]
     out = []
@@ -250,17 +247,16 @@ def kernel_basis(rref_rows, pivots, ncols, field):
     return out
 
 
-def kernel(rows, ncols, field):
-    rref, pivots = row_reduce(rows, field)
-    return kernel_basis(rref, pivots, ncols, field)
+def kernel(rows, ncols, p):
+    rref, pivots = row_reduce(rows, p)
+    return kernel_basis(rref, pivots, ncols, p)
 
 
-def matmul(rows_a, rows_b, field):
+def matmul(rows_a, rows_b, p):
     """Row-convention composite: row i of result = (row i of A) applied to B.
 
     A's columns index B's rows; the product has nonzero int entries.
     """
-    p = field.characteristic
     out = []
     for row in rows_a:
         acc = {}
@@ -271,7 +267,7 @@ def matmul(rows_a, rows_b, field):
     return out
 
 
-def intersect_rowspaces(space_a, space_b, field):
+def intersect_rowspaces(space_a, space_b, p):
     """Intersection of two row spaces given as (rref_rows, pivots) pairs.
 
     Returns (rref_rows, pivots) of the intersection.
@@ -286,10 +282,9 @@ def intersect_rowspaces(space_a, space_b, field):
     for i, row in enumerate(rows_a):
         for j, v in row.items():
             sys_rows.setdefault(j, {})[i] = v
-    p = field.characteristic
     for i, row in enumerate(rows_b):
         for j, v in row.items():
             sys_rows.setdefault(j, {})[ra + i] = p - v if p else -v
-    ker = kernel(list(sys_rows.values()), ra + rb, field)
+    ker = kernel(list(sys_rows.values()), ra + rb, p)
     alphas = [{i: c for i, c in k.items() if i < ra} for k in ker]
-    return row_reduce(matmul(alphas, rows_a, field), field)
+    return row_reduce(matmul(alphas, rows_a, p), p)

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import prod
 
 from . import linalg
-from .fields import field_of
+from .fields import field_of, scalar
 from .graded import (
     DegreePiece,
     GradedIdealView,
@@ -56,13 +56,13 @@ class LinearIdeal:
 
     @classmethod
     def from_rows(cls, nvars, coeff_rows, characteristic=0):
-        fld = field_of(characteristic)
+        p = field_of(characteristic)
         sparse = []
         for r in coeff_rows:
             if len(r) != nvars:
                 raise ValueError("coefficient row length mismatch")
-            sparse.append({j: x for j, x in enumerate(map(fld, r)) if x})
-        rref, pivots = linalg.row_reduce(sparse, fld)
+            sparse.append({j: x for j, c in enumerate(r) if (x := scalar(c, p))})
+        rref, pivots = linalg.row_reduce(sparse, p)
         if not rref:
             raise ValueError("zero ideal of linear forms")
         dense = tuple(tuple(row.get(j, 0) for j in range(nvars)) for row in rref)
@@ -71,10 +71,6 @@ class LinearIdeal:
     @property
     def dim(self):
         return len(self.rows)
-
-    @property
-    def field(self):
-        return field_of(self.characteristic)
 
     def forms(self):
         return [HomPolynomial.linear_form(r) for r in self.rows]
@@ -100,14 +96,13 @@ def product_generators(family):
             f"too many product generators: {count} > {GENERATOR_GUARD}"
         )
     n = family[0].nvars
-    char = family[0].characteristic
-    fld = field_of(char)
+    p = family[0].characteristic
     gens = [HomPolynomial.from_monomial((0,) * n)]
     for V in family:
-        if V.nvars != n or V.characteristic != char:
+        if V.nvars != n or V.characteristic != p:
             raise ValueError("family ambient or field mismatch")
-        gens = [g.multiply(f, fld) for g in gens for f in V.forms()]
-    return GradedIdealView(n, gens, char)
+        gens = [g.multiply(f, p) for g in gens for f in V.forms()]
+    return GradedIdealView(n, gens, p)
 
 
 def power_piece(V, k, e):
@@ -162,7 +157,7 @@ def power_piece(V, k, e):
             continue
         count += 1
         rows.append(product(expo))
-    rref, pivots = linalg.row_reduce(rows, V.field)
+    rref, pivots = linalg.row_reduce(rows, p)
     assert len(pivots) == count, "adapted monomials must be independent"
     return DegreePiece(rref, pivots, ring_dim(n, e))
 
@@ -221,7 +216,7 @@ def verify_decomposition(family, cap):
     d = len(family)
     if cap < d:
         raise ValueError(f"cap {cap} below the product's generation degree {d}")
-    fld = field_of(family[0].characteristic)
+    p = family[0].characteristic
     product = product_generators(family)
     components = primary_components(family)
     dims = {}
@@ -235,16 +230,16 @@ def verify_decomposition(family, cap):
             cp = comp.piece(e)
             pieces.append(cp)
             complement.extend(
-                linalg.kernel_basis(cp.rows, cp.pivots, ncols, fld)
+                linalg.kernel_basis(cp.rows, cp.pivots, ncols, p)
             )
-        inter_dim = ncols - linalg.rank(complement, fld)
+        inter_dim = ncols - linalg.rank(complement, p)
         dims[e] = (pp.dim, inter_dim)
         if e == d:
             for g in product.generators:
                 for cp in pieces:
-                    if not cp.contains_vector(g.vector(fld), fld):
+                    if not cp.contains_vector(g.vector(p), p):
                         containment_ok = False
-    equal = containment_ok and all(p == q for p, q in dims.values())
+    equal = containment_ok and all(a == b for a, b in dims.values())
     return DecompositionReport(cap, dims, containment_ok, equal)
 
 

@@ -20,13 +20,6 @@ def degree(u):
     return sum(u)
 
 
-def nu(u, i):
-    """Exponent of x_i in u (i is 1-based)."""
-    if not 1 <= i <= len(u):
-        raise IndexError(f"variable index {i} out of range 1..{len(u)}")
-    return u[i - 1]
-
-
 def support(u):
     """Sorted tuple of 1-based indices of the variables dividing u."""
     return tuple(i + 1 for i, e in enumerate(u) if e > 0)
@@ -70,14 +63,6 @@ def variable(i, n):
 
 def one(n):
     return (0,) * n
-
-
-def distance(u, v):
-    """Half the l1-distance of exponent vectors; an integer for equal degrees."""
-    _same_ambient(u, v)
-    if degree(u) != degree(v):
-        raise ValueError("distance requires monomials of equal degree")
-    return sum(abs(a - b) for a, b in zip(u, v)) // 2
 
 
 def compare_tau(u, v):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, linalg
-from idealreg.fields import field_of
 from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import (
     GradedIdealView,
@@ -129,13 +128,12 @@ def sheared_monomial_views(draw):
     c = draw(st.integers(1, char - 1) if char else st.integers(-3, 3).filter(bool))
     mi = MonomialIdeal.from_gens(n, gens)
     assume(any(g[0] for g in mi.gens))
-    fld = field_of(char)
     shear = HomPolynomial.linear_form([1, c] + [0] * (n - 2))
     images = []
     for g in mi.gens:
         poly = HomPolynomial.from_monomial((0,) + g[1:])
         for _ in range(g[0]):
-            poly = poly.multiply(shear, fld)
+            poly = poly.multiply(shear, char)
         images.append(poly)
     return (GradedIdealView.from_monomial_ideal(mi, char),
             GradedIdealView(n, images, char))
@@ -196,14 +194,13 @@ def test_memoized_entries_match_homology_of_every_candidate(mi):
     std = mi.standard_divisors_of(lcm)
     std_set = set(std)
     for char in (0, 2):
-        fld = field_of(char)
         oracle = {(0, 0): 1}
         for a in betti._monomial_candidates(std, std_set, lcm, mi.nvars, cap):
             levels = _faces_by_variable(a, std_set)
-            for c, h in enumerate(betti._homology_of_complex(levels, fld)):
+            for c, h in enumerate(betti._homology_of_complex(levels, char)):
                 if h:
                     oracle[c + 1, sum(a)] = oracle.get((c + 1, sum(a)), 0) + h
-        assert betti._monomial_entries(mi, cap, fld) == oracle
+        assert betti._monomial_entries(mi, cap, char) == oracle
 
 
 @given(small_monomial_ideals())
@@ -289,8 +286,8 @@ def _flip_boundaries_at(monkeypatch, level):
     """Flip one sign in every boundary matrix out of faces of size `level`."""
     boundary_rows = betti._boundary_rows
 
-    def flipped(domain, codomain_index, fld):
-        rows = boundary_rows(domain, codomain_index, fld)
+    def flipped(domain, codomain_index, p):
+        rows = boundary_rows(domain, codomain_index, p)
         if len(domain[0]) == level:
             _flip_one_sign(rows)
         return rows
@@ -300,12 +297,11 @@ def _flip_boundaries_at(monkeypatch, level):
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_koszul_sign_check_fires_on_flipped_boundary(monkeypatch, level):
-    fld = field_of(0)
     simplex = [list(combinations(range(3), c)) for c in range(4)]
-    assert betti._homology_of_complex(simplex, fld) == [0, 0, 0, 0]
+    assert betti._homology_of_complex(simplex, 0) == [0, 0, 0, 0]
     _flip_boundaries_at(monkeypatch, level)
     with pytest.raises(AssertionError, match="koszul sign error"):
-        betti._homology_of_complex(simplex, fld)
+        betti._homology_of_complex(simplex, 0)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -385,8 +381,8 @@ def test_euler_check_fires_on_monomial_route():
 def test_euler_check_fires_on_degree_piece_route():
     a_plus_b = HomPolynomial.linear_form([1, 1, 0])
     c = HomPolynomial.linear_form([0, 0, 1])
-    I = GradedIdealView(3, [a_plus_b.multiply(a_plus_b, field_of(0)),
-                            a_plus_b.multiply(c, field_of(0))])
+    I = GradedIdealView(3, [a_plus_b.multiply(a_plus_b, 0),
+                            a_plus_b.multiply(c, 0)])
     assert not I.is_monomial
     _euler_mutation_fires(I)
 
@@ -492,7 +488,7 @@ def test_certificate_draws_end_on_a_field_with_few_forms():
 
 def _colon_power_dim(I, e, t):
     """dim { f in R_e : f * m^t is contained in I }."""
-    fld = I.field
+    p = I.characteristic
     n = I.nvars
     target = quotient_basis(I, e + t)
     index = basis_index(n, e + t)
@@ -500,10 +496,10 @@ def _colon_power_dim(I, e, t):
     sys_rows = {}
     for row_base, u in enumerate(monomial_basis(n, t)):
         for j, m in enumerate(cols):
-            img = target.reduce({index[mono_mul(m, u)]: 1}, fld)
+            img = target.reduce({index[mono_mul(m, u)]: 1}, p)
             for q, c in img.items():
                 sys_rows.setdefault((row_base, q), {})[j] = c
-    return len(cols) - linalg.rank(list(sys_rows.values()), fld)
+    return len(cols) - linalg.rank(list(sys_rows.values()), p)
 
 
 @given(sheared_monomial_views())

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from idealreg import betti
 from idealreg.cli import main
+from idealreg.fields import PRIME_BOUND
 from idealreg.monomials import format_monomial, monomial_basis
 from idealreg.parsing import (
     ParseError,
@@ -166,9 +167,15 @@ def _assert_input_error(r):
     assert len(lines) == 1 and lines[0].startswith("input error: ")
 
 
-@pytest.mark.parametrize("char", ["1", "-3", "4"])
+@pytest.mark.parametrize("char", ["1", "-3", "4", str(PRIME_BOUND + 2)])
 def test_betti_bad_characteristic_exits_2(char):
-    _assert_input_error(run("betti", "--ideal", HOOK, "--char", char))
+    r = run("betti", "--ideal", HOOK, "--char", char)
+    _assert_input_error(r)
+    if int(char) >= PRIME_BOUND:
+        reason = f"characteristic {char} is above the supported bound"
+    else:
+        reason = f"{char} is not prime"
+    assert r.stderr == f"input error: {reason}\n"
 
 
 def test_betti_cap_below_generator_degree_exits_2():
@@ -189,6 +196,13 @@ def test_inequality_bad_characteristic_and_cap_exit_2():
 
 
 TWO_LINES = "linforms([[1,0]],[[0,1]])"
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify", "sat", "general"])
+def test_linforms_bad_characteristic_exits_2(command):
+    r = run("linforms", command, "--family", TWO_LINES, "--char", "4")
+    _assert_input_error(r)
+    assert r.stderr == "input error: 4 is not prime\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "sat"])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, linalg
-from idealreg.fields import field_of
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
@@ -42,13 +41,13 @@ def test_hompolynomial_validation():
 def test_multiply_reduces_and_drops_vanishing_coefficients():
     s = HomPolynomial.linear_form([1, 1])
     # (a+b)^2 = a^2 + b^2 over GF(2): the coefficient 2 of a*b vanishes
-    assert s.multiply(s, field_of(2)).terms == (((0, 2), 1), ((2, 0), 1))
-    assert s.multiply(s, field_of(0)).terms == (
+    assert s.multiply(s, 2).terms == (((0, 2), 1), ((2, 0), 1))
+    assert s.multiply(s, 0).terms == (
         ((0, 2), 1), ((1, 1), 2), ((2, 0), 1),
     )
     t = HomPolynomial.linear_form([2, 1])
     # (2a+b)^2 = a^2 + a*b + b^2 over GF(3): 4 and 4 taken mod 3
-    assert t.multiply(t, field_of(3)).terms == (
+    assert t.multiply(t, 3).terms == (
         ((0, 2), 1), ((1, 1), 1), ((2, 0), 1),
     )
 
@@ -61,7 +60,7 @@ def test_degree_piece_dims_match_hilbert():
         # the piece holds the quotient basis; the view keeps no other cache
         assert quotient_basis(I, e) is degree_piece(I, e).quotient
     assert set(vars(I)) == {
-        "nvars", "generators", "characteristic", "field", "_pieces", "_monomial"
+        "nvars", "generators", "characteristic", "_pieces", "_monomial"
     }
 
 
@@ -174,16 +173,16 @@ def test_degree_piece_equals_rref_of_full_spanning_set(I):
     # every m*g with deg m = e - deg g, reduced in one go, against the
     # incremental route that shifts the rows of I_{e-1}; the examples fill
     # R_2, so degrees 3 and 4 take the I_{e-1} = R_{e-1} shortcut
-    fld = I.field
+    p = I.characteristic
     n = I.nvars
     for e in range(I.max_gen_degree() + 3):
         spanning = [
-            g.scale_by_monomial(m).vector(fld)
+            g.scale_by_monomial(m).vector(p)
             for g in I.generators
             if g.degree <= e
             for m in monomial_basis(n, e - g.degree)
         ]
-        rows, pivots = linalg.row_reduce(spanning, fld)
+        rows, pivots = linalg.row_reduce(spanning, p)
         piece = degree_piece(I, e)
         assert piece.pivots == pivots
         assert piece.rows == rows
@@ -218,8 +217,7 @@ def test_pieces_and_strands_hold_ints(I):
     # (or mod p) RREF of its spanning set, row by row up to the lead, and
     # its quotient basis reduces to D times the residue of that RREF
     assume(not I.is_monomial)
-    fld = I.field
-    p = fld.characteristic
+    p = I.characteristic
     n = I.nvars
     cap = I.max_gen_degree() + 1
     engine = betti.StrandEngine(I)
@@ -256,7 +254,7 @@ def test_pieces_and_strands_hold_ints(I):
                 r = r * D % p if p else r * D
                 if r:
                     residue[qb.position[j]] = r
-            got = qb.reduce(v, fld)
+            got = qb.reduce(v, p)
             assert got == residue
             assert all(type(c) is int for c in got.values())
     assert all(type(v) is int for row in strand_rows for v in row.values())

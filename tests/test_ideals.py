@@ -74,15 +74,6 @@ def test_from_gens_rejects():
         MonomialIdeal.from_gens(3, [(1, 0)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_ideals(), st.integers(0, 6))
-def test_standard_monomials_oracle(I, e):
-    std = set(I.standard_monomials(e))
-    expected = {m for m in monomial_basis(I.nvars, e) if not brute_contains(I, m)}
-    assert std == expected
-    assert I.hilbert_function(e) == len(expected)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.one_of(small_ideals(nmin=1), st.integers(1, 4).map(unit_ideal)),

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from idealreg import linalg
-from idealreg.fields import field_of
+from idealreg.fields import scalar
 
 
 def _matrices(entries, max_rows, max_cols):
@@ -49,13 +49,13 @@ def _from_sympy(M):
     return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
 
 
-def _clean_sparse(dense, fld):
-    """Sparse rows with entries converted by the field: Fractions over QQ."""
+def _clean_sparse(dense, p):
+    """Sparse rows with entries converted by `scalar`: Fractions over QQ."""
     out = []
     for row in dense:
         r = {}
         for j, v in enumerate(row):
-            x = fld(v)
+            x = scalar(v, p)
             if x != 0:
                 r[j] = x
         out.append(r)
@@ -81,28 +81,25 @@ def _assert_canonical(rref, pivots):
 @settings(max_examples=150)
 @given(sparse_matrices())
 def test_rank_matches_sympy(dense):
-    fld = field_of(0)
-    assert linalg.rank(_int_rows(dense), fld) == sympy.Matrix(dense).rank()
+    assert linalg.rank(_int_rows(dense), 0) == sympy.Matrix(dense).rank()
 
 
 @settings(max_examples=100)
 @given(sparse_matrices())
 def test_rank_mod_p_matches_sympy(dense):
     p = 7
-    fld = field_of(p)
-    rows = _clean_sparse(dense, fld)
+    rows = _clean_sparse(dense, p)
     from sympy.polys.matrices import DomainMatrix
 
     dm = DomainMatrix.from_Matrix(sympy.Matrix(dense)).convert_to(sympy.GF(p))
-    assert linalg.rank(rows, fld) == dm.rank()
+    assert linalg.rank(rows, p) == dm.rank()
 
 
 @settings(max_examples=100)
 @given(sparse_matrices())
 def test_rref_shape(dense):
-    fld = field_of(0)
     rows = _int_rows(dense)
-    rref, pivots = linalg.row_reduce(rows, fld)
+    rref, pivots = linalg.row_reduce(rows, 0)
     _assert_canonical(rref, pivots)
     assert rows == _int_rows(dense)  # the input rows are not modified
 
@@ -110,11 +107,10 @@ def test_rref_shape(dense):
 @settings(max_examples=100)
 @given(sparse_matrices())
 def test_kernel_annihilates(dense):
-    fld = field_of(0)
     rows = _int_rows(dense)
     ncols = len(dense[0])
-    ker = linalg.kernel(rows, ncols, fld)
-    assert len(ker) == ncols - linalg.rank(_int_rows(dense), fld)
+    ker = linalg.kernel(rows, ncols, 0)
+    assert len(ker) == ncols - linalg.rank(_int_rows(dense), 0)
     for v in ker:
         assert all(type(c) is int and c for c in v.values())
         for row in rows:
@@ -128,27 +124,25 @@ def test_intersect_rowspaces_dim(da, db):
     w = max(len(da[0]), len(db[0]))
     da = [r + [0] * (w - len(r)) for r in da]
     db = [r + [0] * (w - len(r)) for r in db]
-    fld = field_of(0)
-    A = linalg.row_reduce(_int_rows(da), fld)
-    B = linalg.row_reduce(_int_rows(db), fld)
-    inter, piv = linalg.intersect_rowspaces(A, B, fld)
+    A = linalg.row_reduce(_int_rows(da), 0)
+    B = linalg.row_reduce(_int_rows(db), 0)
+    inter, piv = linalg.intersect_rowspaces(A, B, 0)
     _assert_canonical(inter, piv)
     ra, rb = len(A[1]), len(B[1])
-    rsum = linalg.rank(_int_rows(da + db), fld)
+    rsum = linalg.rank(_int_rows(da + db), 0)
     assert len(piv) == ra + rb - rsum  # dim(U cap W) = dim U + dim W - dim(U+W)
     for row in inter:
-        assert linalg.in_rowspace(row, A[0], A[1], fld)
-        assert linalg.in_rowspace(row, B[0], B[1], fld)
+        assert linalg.in_rowspace(row, A[0], A[1], 0)
+        assert linalg.in_rowspace(row, B[0], B[1], 0)
 
 
 def test_matmul_convention():
-    fld = field_of(0)
     A = [{0: 1, 1: 2}]  # 1x2
     B = [{0: 3}, {0: 5}]  # 2x1
-    assert linalg.matmul(A, B, fld) == [{0: 13}]
-    assert linalg.matmul(A, [{0: 2}, {0: -1}], fld) == [{}]  # zeros not stored
+    assert linalg.matmul(A, B, 0) == [{0: 13}]
+    assert linalg.matmul(A, [{0: 2}, {0: -1}], 0) == [{}]  # zeros not stored
     # 3*5 + 4*2 = 23 = 2 mod 7
-    assert linalg.matmul([{0: 3, 1: 4}], [{0: 5}, {0: 2}], field_of(7)) == [{0: 2}]
+    assert linalg.matmul([{0: 3, 1: 4}], [{0: 5}, {0: 2}], 7) == [{0: 2}]
 
 
 @settings(max_examples=150)
@@ -156,26 +150,24 @@ def test_matmul_convention():
 def test_rref_matches_sympy(dense):
     # Fraction input is the edge: the RREF holds ints, and each row divided
     # by its lead is sympy's row
-    fld = field_of(0)
-    rows = _clean_sparse(dense, fld)
+    rows = _clean_sparse(dense, 0)
     ncols = len(dense[0])
     R, sym_pivots = sympy.Matrix(dense).rref()
     expected = _from_sympy(R)[: len(sym_pivots)]
-    rref, pivots = linalg.row_reduce(rows, fld)
+    rref, pivots = linalg.row_reduce(rows, 0)
     assert pivots == list(sym_pivots)
     _assert_canonical(rref, pivots)
     by_lead = [{j: Fraction(v, row[p]) for j, v in row.items()}
                for p, row in zip(pivots, rref)]
     assert _dense(by_lead, ncols) == expected
-    assert rows == _clean_sparse(dense, fld)  # the input rows are not modified
+    assert rows == _clean_sparse(dense, 0)  # the input rows are not modified
 
 
 @settings(max_examples=150)
 @given(rational_matrices())
 def test_rank_rational_matches_sympy(dense):
-    fld = field_of(0)
-    rows = [linalg.primitive(r) for r in _clean_sparse(dense, fld)]
-    assert linalg.rank(rows, fld) == sympy.Matrix(dense).rank()
+    rows = [linalg.primitive(r) for r in _clean_sparse(dense, 0)]
+    assert linalg.rank(rows, 0) == sympy.Matrix(dense).rank()
 
 
 @settings(max_examples=100)
@@ -185,7 +177,6 @@ def test_matmul_matches_sympy(da, data):
     cols = data.draw(st.integers(1, 6))
     row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
     db = data.draw(st.lists(row, min_size=inner, max_size=inner))
-    fld = field_of(0)
-    C = linalg.matmul(_int_rows(da), _int_rows(db), fld)
+    C = linalg.matmul(_int_rows(da), _int_rows(db), 0)
     assert _dense(C, cols) == (sympy.Matrix(da) * sympy.Matrix(db)).tolist()
     assert all(v for row in C for v in row.values())  # zeros are not stored

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, linalg
-from idealreg.fields import field_of
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
@@ -81,7 +80,6 @@ def test_power_piece_examples():
 def test_power_piece_matches_spanning_route():
     # independent cross-check: V^k degree piece via the generator route
     rng = rng_from_seed(4)
-    fld = field_of(0)
     for _ in range(10):
         fam = random_linear_family(rng, nmax=4, dmax=1)
         V = fam[0]

@@ -5,7 +5,6 @@ from idealreg.monomials import (
     compare_revlex,
     compare_tau,
     degree,
-    distance,
     divides,
     format_monomial,
     gcd_monomial,
@@ -13,7 +12,6 @@ from idealreg.monomials import (
     mono_div,
     mono_mul,
     monomial_basis,
-    nu,
     parse_monomial,
     support,
     variable,
@@ -88,12 +86,6 @@ def test_revlex_examples():
     assert compare_revlex((1, 1), (0, 2)) == 1
 
 
-def test_distance():
-    assert distance((2, 1, 0), (0, 1, 2)) == 2
-    with pytest.raises(ValueError):
-        distance((1, 0), (1, 1))
-
-
 @given(st.integers(1, 5), st.integers(0, 6))
 def test_basis_size(n, e):
     from math import comb
@@ -110,5 +102,5 @@ def test_basis_is_tau_sorted():
 def test_support_and_nu():
     u = parse_monomial("a^2*c", 3)[0]
     assert support(u) == (1, 3)
-    assert nu(u, 1) == 2 and nu(u, 2) == 0
+    assert u[0] == 2 and u[1] == 0  # nu(u, i), the exponent of x_i, is u[i - 1]
     assert variable(2, 3) == (0, 1, 0)

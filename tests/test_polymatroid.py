@@ -13,7 +13,6 @@ from idealreg.monomials import (
     mono_div,
     mono_mul,
     monomial_basis,
-    nu,
     parse_monomial,
     variable,
 )
@@ -70,10 +69,10 @@ def exchange_oracle(I):
     for u in ordered:
         for v in ordered:
             for i in range(1, n + 1):
-                if u == v or nu(u, i) <= nu(v, i):
+                if u == v or u[i - 1] <= v[i - 1]:
                     continue
                 if not any(
-                    nu(v, j) > nu(u, j)
+                    v[j - 1] > u[j - 1]
                     and mono_mul(mono_div(u, variable(i, n)), variable(j, n))
                     in gens
                     for j in range(1, n + 1)

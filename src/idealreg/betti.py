@@ -74,8 +74,13 @@ def taylor_degree_cap(I):
     return mono_degree(I.lcm_of_gens())
 
 
-def default_cap(I):
-    return I.max_gen_degree() + I.nvars
+def table_cap(I, cap):
+    """The cap of `betti_table(I, cap)`: cap when given, else
+    max_gen_degree + n, raised to the Taylor cap for a monomial I."""
+    if cap is not None:
+        return cap
+    cap = I.max_gen_degree() + I.nvars
+    return max(cap, taylor_degree_cap(I)) if I.is_monomial else cap
 
 
 @dataclass
@@ -406,10 +411,7 @@ def betti_table(I, cap=None):
     A non-monomial ideal takes the certificate route when it is generated
     in one degree and a certificate is found, the strand route otherwise.
     """
-    if cap is None:
-        cap = default_cap(I)
-        if I.is_monomial:
-            cap = max(cap, taylor_degree_cap(I))
+    cap = table_cap(I, cap)
     if cap < I.max_gen_degree():
         raise ValueError("cap below the largest generator degree")
     if I.is_monomial:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .ideals import MonomialIdeal
 from .monomials import (
@@ -61,16 +61,6 @@ class ChainProductSpec:
     @property
     def total_degree(self):
         return sum(self.sizes)
-
-
-def is_chain(u):
-    """Squarefree with support indices increasing by gaps of at least 2."""
-    if degree(u) < 1:
-        raise ValueError("the unit monomial is not a chain")
-    if any(e > 1 for e in u):
-        return False
-    supp = support(u)
-    return all(b - a > 1 for a, b in zip(supp, supp[1:]))
 
 
 def chain_generators(n, k):
@@ -134,38 +124,6 @@ def canonical_decomposition(u):
     return dec
 
 
-def all_chain_decompositions(u):
-    """Every factorization of u into gap chains (brute-force; test oracle)."""
-    if degree(u) == 0:
-        return [()]
-    n = len(u)
-    supp = [i for i in range(1, n + 1) if u[i - 1] > 0]
-    chains = []
-    for r in range(1, len(supp) + 1):
-        for picks in combinations(supp, r):
-            if all(b - a > 1 for a, b in zip(picks, picks[1:])):
-                m = one(n)
-                for i in picks:
-                    m = mono_mul(m, variable(i, n))
-                chains.append(m)
-    out = []
-    seen = set()
-
-    def walk(rest, acc, start_chains):
-        if degree(rest) == 0:
-            key = tuple(sorted(acc))
-            if key not in seen:
-                seen.add(key)
-                out.append(tuple(acc))
-            return
-        for c in start_chains:
-            if all(a <= b for a, b in zip(c, rest)):
-                walk(mono_div(rest, c), acc + [c], start_chains)
-
-    walk(tuple(u), [], chains)
-    return out
-
-
 def gamma(t, s):
     """gamma_t of an integer sequence, or of a monomial via its shape."""
     if t < 1:
@@ -175,10 +133,6 @@ def gamma(t, s):
     if s and any(x < 0 for x in s):
         raise ValueError("negative entry in shape")
     return sum(max(x - t + 1, 0) for x in s)
-
-
-def gamma_of_monomial(t, u):
-    return gamma(t, canonical_decomposition(u).shape)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .chains import (
     omega,
 )
 from .fixtures import run_fixtures
-from .graded import GradedIdealView, ring_dim, saturation_degree
+from .graded import GradedIdealView, ideal_product, ring_dim, saturation_degree
 from .linforms import (
     is_linearly_general,
     primary_components,
@@ -72,10 +72,12 @@ SWEEP_GUARD = 10_000
 # `betti` and `inequality` check each table against the Hilbert function
 # up to the cap, which one walk counts over the monomials of x1..x_{n-1}
 # of degree <= cap: dim R_cap = C(cap+n-1, n-1) of them.  WALK_GUARD
-# bounds that count for a given --cap (the default cap is set by the
-# ideal).  `betti --ideal "ideal(d)"`, one walk step per monomial, took
-# 0.4 s at cap 100 (176 851), 2.3 s at cap 200 (1 373 701), 3.9 s at
-# cap 228 (2 027 795) and 19.9 s at cap 400 (10 827 401).
+# bounds that count for the cap each table uses, given by --cap or set by
+# the ideal (`betti.table_cap`): one table for `betti`, those of I, J and
+# IJ for `inequality`.  `betti --ideal "ideal(d)"`, one walk step per
+# monomial, took 0.4 s at cap 100 (176 851), 2.3 s at cap 200
+# (1 373 701), 3.9 s at cap 228 (2 027 795) and 19.9 s at cap 400
+# (10 827 401).
 WALK_GUARD = 2_000_000
 
 
@@ -98,11 +100,12 @@ def _sweep_cap(cap, default, nvars, components=1):
     return cap
 
 
-def _check_walk(cap, nvars):
-    count = 0 if cap is None else ring_dim(nvars, cap)
+def _check_walk(I, cap):
+    cap = betti.table_cap(I, cap)
+    count = ring_dim(I.nvars, cap)
     if count > WALK_GUARD:
         raise ValueError(
-            f"cap {cap} in {nvars} variables walks {count} monomials, "
+            f"cap {cap} in {I.nvars} variables walks {count} monomials, "
             f"above WALK_GUARD = {WALK_GUARD}"
         )
 
@@ -157,7 +160,7 @@ def main():
 def betti_cmd(ideal, cap, characteristic, fmt):
     """Betti table and regularity of a monomial ideal."""
     I = GradedIdealView.from_monomial_ideal(parse_ideal_text(ideal), characteristic)
-    _check_walk(cap, I.nvars)
+    _check_walk(I, cap)
     table = betti.betti_table(I, cap)
     reg = betti.regularity(I, cap)
     lines = [table.render(), f"reg = {reg.value}"]
@@ -185,7 +188,8 @@ def inequality_cmd(ideal_i, ideal_j, cap, characteristic, fmt):
     mi, mj = _parse_pair(ideal_i, ideal_j)
     I = GradedIdealView.from_monomial_ideal(mi, characteristic)
     J = GradedIdealView.from_monomial_ideal(mj, characteristic)
-    _check_walk(cap, I.nvars)
+    for K in (I, J, ideal_product(I, J)):
+        _check_walk(K, cap)
     rep = betti.inequality_report(I, J, cap)
     lines = [
         f"reg(I) = {rep.reg_i.value}",

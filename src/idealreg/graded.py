@@ -334,23 +334,15 @@ def _times_form(h, into, columns):
 
 
 def _extend(piece, rows, p):
-    """The canonical RREF of piece + span(rows), without reducing the
-    piece again: the rows are reduced modulo the piece, their residues
-    among themselves, and the new pivots are then cleared from the
-    piece's rows, one row at a time."""
+    """The canonical RREF of piece + span(rows), a new piece; the piece's
+    rows are left as they are.  The rows are reduced modulo the piece
+    first, so their residues vanish on its pivot columns: the echelon
+    pass of `linalg.row_reduce` stores the piece's rows untouched, and
+    its back-substitution clears the residues' new pivots from them."""
     quo = piece.quotient
     residues = [linalg.reduce_vector(r, quo.pivot_rows, quo.lead, p) for r in rows]
-    new_rows, new_pivots = linalg.row_reduce(residues, p)
-    lead, new_piv = linalg.common_lead(new_rows, new_pivots)
-    merged = dict(zip(new_pivots, new_rows))
-    for c, row in zip(piece.pivots, piece.rows):
-        if row.keys() & new_piv:
-            row = linalg.reduce_vector(row, new_piv, lead, p)
-            if not p:
-                row = linalg.primitive(row)
-        merged[c] = row
-    pivots = sorted(merged)
-    return DegreePiece([merged[c] for c in pivots], pivots, piece.ncols)
+    rref, pivots = linalg.row_reduce(residues + piece.rows, p)
+    return DegreePiece(rref, pivots, piece.ncols)
 
 
 def _bayer_stillman(I, m, candidates):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import add, itemgetter, le
 
-from .monomials import degree, divides, lcm_monomial, one, support
+from .monomials import degree, lcm_monomial, one, support
 
 
 def minimalize(monomials):
@@ -48,9 +48,6 @@ class MonomialIdeal:
                 raise ValueError("generator ambient mismatch")
         gens = tuple(sorted(minimalize(monomials), key=_sort_key))
         return cls(nvars, gens)
-
-    def contains_monomial(self, u):
-        return any(divides(g, u) for g in self.gens)
 
     @property
     def is_unit(self):

@@ -74,21 +74,6 @@ def compare_tau(u, v):
     return 0
 
 
-def compare_revlex(u, v):
-    """Graded reverse-lex comparison of same-degree monomials.
-
-    u > v when, at the last index where the exponents differ, u has the
-    smaller exponent.
-    """
-    _same_ambient(u, v)
-    if degree(u) != degree(v):
-        raise ValueError("revlex comparison requires equal degrees")
-    for a, b in zip(reversed(u), reversed(v)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(n, e):
     """All degree-e monomials in n variables, tau (lex) descending."""

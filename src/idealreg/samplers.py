@@ -104,14 +104,6 @@ def random_polymatroidal(rng, nmax=6):
     return I
 
 
-def random_matroidal(rng, nmax=6):
-    """Squarefree polymatroidal sample (no principal multiples)."""
-    n = rng.randint(2, nmax)
-    if rng.randrange(2):
-        return random_uniform_matroid_ideal(rng, n)
-    return random_transversal_ideal(rng, n)
-
-
 def random_monomial_ideal(rng, nmax=4, degmax=4, max_gens=6):
     n = rng.randint(2, nmax)
     k = rng.randint(1, max_gens)

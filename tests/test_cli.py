@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -306,6 +307,19 @@ def test_walk_guard_exits_2(argv):
     r = run(*argv, "--cap", "16000")
     _assert_input_error(r)
     assert "walks 682922696001 monomials, above WALK_GUARD" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--ideal", "ideal(x16)"),
+    ("inequality", "--ideal-i", "ideal(x16)", "--ideal-j", "ideal(x1)"),
+])
+def test_walk_guard_checks_default_cap(argv):
+    # no --cap: the default cap 1 + 16 walks C(32, 15) monomials of x1..x15
+    t0 = time.perf_counter()
+    r = run(*argv)
+    assert time.perf_counter() - t0 < 1.0
+    _assert_input_error(r)
+    assert "cap 17 in 16 variables walks 565722720 monomials" in r.stderr
 
 
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])

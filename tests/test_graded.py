@@ -9,6 +9,7 @@ from idealreg import betti, linalg
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
+    _extend,
     colon_piece,
     degree_piece,
     hilbert_value,
@@ -20,6 +21,7 @@ from idealreg.graded import (
 from idealreg.ideals import MonomialIdeal, saturation
 from idealreg.monomials import basis_index, monomial_basis, parse_monomial
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
+from oracles import contains_monomial
 
 
 def view(nvars, *names, char=0):
@@ -102,7 +104,7 @@ def test_colon_piece_monomial_oracle():
 
             expected = sum(
                 1 for m in monomial_basis(mi.nvars, e)
-                if mi.contains_monomial(mono_mul(m, g))
+                if contains_monomial(mi, mono_mul(m, g))
             )
             assert piece.dim == expected
 
@@ -186,6 +188,26 @@ def test_degree_piece_equals_rref_of_full_spanning_set(I):
         piece = degree_piece(I, e)
         assert piece.pivots == pivots
         assert piece.rows == rows
+
+
+@given(homogeneous_ideals(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_extend_is_the_rref_of_the_piece_and_the_rows(I, data):
+    # the merge of new rows into a cached piece, through their residues,
+    # gives the canonical RREF of the union and leaves the cache as it is
+    p = I.characteristic
+    e = data.draw(st.integers(0, I.max_gen_degree() + 1))
+    piece = degree_piece(I, e)
+    cached = [dict(row) for row in piece.rows]
+    coeffs = st.integers(1, p - 1) if p else st.integers(-9, 9).filter(bool)
+    rows = data.draw(st.lists(
+        st.dictionaries(st.integers(0, piece.ncols - 1), coeffs, max_size=4),
+        max_size=4))
+    merged = _extend(piece, rows, p)
+    rref, pivots = linalg.row_reduce(piece.rows + rows, p)
+    assert merged.pivots == pivots and merged.rows == rref
+    assert merged.ncols == piece.ncols
+    assert I._pieces[e] is piece and piece.rows == cached
 
 
 def _gauss_jordan(rows, ncols, p):

@@ -97,6 +97,23 @@ def test_rank_mod_p_matches_sympy(dense):
 
 @settings(max_examples=100)
 @given(sparse_matrices())
+def test_rref_mod_p_matches_sympy(dense):
+    p = 7
+    rows = _clean_sparse(dense, p)
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix.from_Matrix(sympy.Matrix(dense)).convert_to(sympy.GF(p))
+    R, sym_pivots = dm.rref()
+    expected = [[int(x) % p for x in row] for row in R.to_list()[: len(sym_pivots)]]
+    rref, pivots = linalg.row_reduce(rows, p)
+    assert pivots == list(sym_pivots)
+    assert _dense(rref, len(dense[0])) == expected
+    assert all(0 < v < p for row in rref for v in row.values())
+    assert rows == _clean_sparse(dense, p)  # the input rows are not modified
+
+
+@settings(max_examples=100)
+@given(sparse_matrices())
 def test_rref_shape(dense):
     rows = _int_rows(dense)
     rref, pivots = linalg.row_reduce(rows, 0)

@@ -9,7 +9,6 @@ from idealreg.fixtures import hook_ideal
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import (
-    compare_revlex,
     mono_div,
     mono_mul,
     monomial_basis,
@@ -26,11 +25,8 @@ from idealreg.polymatroid import (
     transversal_ideal,
 )
 from idealreg.quotients import verify_certificate
-from idealreg.samplers import (
-    random_matroidal,
-    random_polymatroidal,
-    rng_from_seed,
-)
+from idealreg.samplers import random_polymatroidal, rng_from_seed
+from oracles import compare_revlex, random_matroidal
 
 
 def gens(n, *names):

@@ -54,17 +54,19 @@ from .quotients import QuotientCertificate, check_order, search_order
 # families the sweeps at about 5000 columns took 2-10 s (2 cores, Python
 # 3.11), and time grows faster than the column count.
 #
-# `linforms verify` also builds a power piece of each of the 2^d - 1
-# primary components in every degree, so SWEEP_GUARD bounds dim R_cap
-# times 2^d - 1.  The time per unit grows with the cap, so the bound is
-# set by the slowest families below it.  Timings on the same host:
-#   8 factors in 2 variables, cap 32:        8 415 -> 10.9 s
-#   2 factors in 4 variables, cap 24:        8 775 ->  7.4 s
-#   10 factors in 2 variables, default cap: 14 322 ->  4.6 s (refused)
-#   2 factors in 4 variables, cap 29:       14 880 -> 20.6 s (refused)
-#   5 factors in 5 variables, default cap:  15 345 ->  1.3 s (refused)
-#   6 factors in 3 variables, cap 24:       20 475 -> 22.6 s (refused)
-#   6 factors in 6 variables, default cap: 126 126 -> 24.2 s (refused)
+# `linforms verify` also builds the power pieces of the primary
+# components, one `power_piece` call over degrees d..cap per distinct
+# non-maximal ideal I_A.  There are at most 2^d - 1 of them, so
+# SWEEP_GUARD bounds dim R_cap times 2^d - 1.  The bound was set when every
+# component was built alone in every degree, and the slowest families
+# below it took 7-11 s.  Timings now, on the same host:
+#   (x1 + k x2), k = 0..7, cap 32:                   8 415 ->  0.1 s
+#   (x1), (x2) in 4 variables, cap 24:               8 775 ->  1.4 s
+#   (x1 + k x2), k = 0..9, default cap:             14 322 ->  0.1 s (refused)
+#   (x1), (x2) in 4 variables, cap 29:              14 880 ->  3.0 s (refused)
+#   (x1), ..., (x5) in 5 variables, default cap:    15 345 ->  0.3 s (refused)
+#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         20 475 -> 10.9 s (refused)
+#   (x1), ..., (x5), (x1 + ... + x6), default cap: 126 126 -> 11.1 s (refused)
 CAP_GUARD = 32
 PIECE_GUARD = 5000
 SWEEP_GUARD = 10_000

@@ -105,8 +105,9 @@ def product_generators(family):
     return GradedIdealView(n, gens, p)
 
 
-def power_piece(V, k, e):
-    """Degree-e piece of V^k, enumerated in coordinates adapted to V.
+def power_piece(V, k, degrees):
+    """Degree-e pieces of V^k for each e in `degrees`, enumerated in
+    coordinates adapted to V; one `DegreePiece` per degree, in order.
 
     The basis of V is completed to a basis of R_1 by the unit vectors on
     the non-pivot coordinates; a monomial in the adapted coordinates lies
@@ -116,18 +117,19 @@ def power_piece(V, k, e):
     product is reduced mod p once.  An adapted monomial is its predecessor
     (one unit taken off its last nonzero exponent) times one linear form,
     the predecessor's columns shifted through the maps of
-    `multiplication_maps`; products are kept for the rest of the call.
+    `multiplication_maps`.  The products and the maps are memoized for the
+    whole call and shared by all its degrees, so each degree builds only
+    the products and maps that the degrees before it did not; each degree
+    still gets its own row reduction.
     """
     if k < 1:
         raise ValueError("exponent must be at least 1")
     n = V.nvars
-    if e < k:
-        return DegreePiece([], [], ring_dim(n, e))
     p = V.characteristic
     forms = [{j: c for j, c in enumerate(r) if c} for r in V.rows]
     pivset = set(V.pivots)
     forms += [{j: 1} for j in range(n) if j not in pivset]
-    maps = [None] + [multiplication_maps(n, t) for t in range(1, e + 1)]
+    maps = [None]
     products = {(0,) * n: {0: 1}}
 
     def product(expo):
@@ -150,16 +152,18 @@ def power_piece(V, k, e):
         return poly
 
     r = V.dim
-    rows = []
-    count = 0
-    for expo in monomial_basis(n, e):
-        if sum(expo[:r]) < k:
+    pieces = []
+    for e in degrees:
+        if e < k:
+            pieces.append(DegreePiece([], [], ring_dim(n, e)))
             continue
-        count += 1
-        rows.append(product(expo))
-    rref, pivots = linalg.row_reduce(rows, p)
-    assert len(pivots) == count, "adapted monomials must be independent"
-    return DegreePiece(rref, pivots, ring_dim(n, e))
+        maps.extend(multiplication_maps(n, t) for t in range(len(maps), e + 1))
+        rows = [product(expo) for expo in monomial_basis(n, e)
+                if sum(expo[:r]) >= k]
+        rref, pivots = linalg.row_reduce(rows, p)
+        assert len(pivots) == len(rows), "adapted monomials must be independent"
+        pieces.append(DegreePiece(rref, pivots, ring_dim(n, e)))
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,6 @@ class PrimaryComponent:
     @property
     def is_maximal(self):
         return self.ideal.dim == self.ideal.nvars
-
-    def piece(self, e):
-        return power_piece(self.ideal, self.exponent, e)
 
 
 def primary_components(family):
@@ -212,33 +213,51 @@ def verify_decomposition(family, cap):
     product from spanning sets of generator multiples, the intersection of
     the components' power pieces through their orthogonal complements
     (dim of the intersection = ncols - rank of the stacked annihilators).
+
+    The intersection side builds only what can change its answer:
+
+    - components are grouped by ideal (its canonical RREF) and only the
+      largest exponent is kept, since V^a is contained in V^b for a >= b;
+    - maximal components are skipped: (m^k)_e = R_e for e >= k, and
+      k = |A| <= d, so they add no annihilator row and contain every
+      degree-d generator;
+    - below degree d the intersection is 0, since the component of
+      A = {1..d} is (I_A)^d, so no piece is built there;
+    - each distinct ideal gets one `power_piece` call over degrees
+      d..cap, which shares its products and column maps across them;
+      its pieces are dropped once their annihilators and the degree-d
+      containment check are taken.
     """
     d = len(family)
     if cap < d:
         raise ValueError(f"cap {cap} below the product's generation degree {d}")
     p = family[0].characteristic
     product = product_generators(family)
-    components = primary_components(family)
-    dims = {}
+    exponents = {}
+    for comp in primary_components(family):
+        if not comp.is_maximal:
+            V = comp.ideal
+            exponents[V] = max(exponents.get(V, 0), comp.exponent)
+    degrees = range(d, cap + 1)
+    complement = {e: [] for e in degrees}
+    gens = [g.vector(p) for g in product.generators]
     containment_ok = True
+    for V, k in exponents.items():
+        pieces = power_piece(V, k, degrees)
+        for e, cp in zip(degrees, pieces):
+            complement[e].extend(
+                linalg.kernel_basis(cp.rows, cp.pivots, cp.ncols, p)
+            )
+        containment_ok = containment_ok and all(
+            pieces[0].contains_vector(g, p) for g in gens
+        )
+    dims = {}
     for e in range(cap + 1):
         pp = degree_piece(product, e)
-        ncols = ring_dim(product.nvars, e)
-        complement = []
-        pieces = []
-        for comp in components:
-            cp = comp.piece(e)
-            pieces.append(cp)
-            complement.extend(
-                linalg.kernel_basis(cp.rows, cp.pivots, ncols, p)
-            )
-        inter_dim = ncols - linalg.rank(complement, p)
-        dims[e] = (pp.dim, inter_dim)
-        if e == d:
-            for g in product.generators:
-                for cp in pieces:
-                    if not cp.contains_vector(g.vector(p), p):
-                        containment_ok = False
+        if e < d:
+            dims[e] = (pp.dim, 0)
+        else:
+            dims[e] = (pp.dim, pp.ncols - linalg.rank(complement.pop(e), p))
     equal = containment_ok and all(a == b for a, b in dims.values())
     return DecompositionReport(cap, dims, containment_ok, equal)
 

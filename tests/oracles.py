@@ -6,7 +6,15 @@ tests compare that route against the plain definition here.
 
 from itertools import combinations
 
+from idealreg import linalg
 from idealreg.chains import canonical_decomposition, gamma
+from idealreg.graded import degree_piece, ring_dim
+from idealreg.linforms import (
+    DecompositionReport,
+    power_piece,
+    primary_components,
+    product_generators,
+)
 from idealreg.monomials import degree, divides, mono_div, mono_mul, one, support, variable
 from idealreg.samplers import random_transversal_ideal, random_uniform_matroid_ideal
 
@@ -84,3 +92,37 @@ def random_matroidal(rng, nmax=6):
     if rng.randrange(2):
         return random_uniform_matroid_ideal(rng, n)
     return random_transversal_ideal(rng, n)
+
+
+def verify_decomposition_all_components(family, cap):
+    """`linforms.verify_decomposition` without its shortcuts: the power
+    piece of every one of the 2^d - 1 components, maximal ones and
+    repeated ideals included, in every degree 0..cap, each built alone."""
+    d = len(family)
+    if cap < d:
+        raise ValueError(f"cap {cap} below the product's generation degree {d}")
+    p = family[0].characteristic
+    product = product_generators(family)
+    components = primary_components(family)
+    dims = {}
+    containment_ok = True
+    for e in range(cap + 1):
+        pp = degree_piece(product, e)
+        ncols = ring_dim(product.nvars, e)
+        complement = []
+        pieces = []
+        for comp in components:
+            (cp,) = power_piece(comp.ideal, comp.exponent, [e])
+            pieces.append(cp)
+            complement.extend(
+                linalg.kernel_basis(cp.rows, cp.pivots, ncols, p)
+            )
+        inter_dim = ncols - linalg.rank(complement, p)
+        dims[e] = (pp.dim, inter_dim)
+        if e == d:
+            for g in product.generators:
+                for cp in pieces:
+                    if not cp.contains_vector(g.vector(p), p):
+                        containment_ok = False
+    equal = containment_ok and all(a == b for a, b in dims.values())
+    return DecompositionReport(cap, dims, containment_ok, equal)

@@ -341,3 +341,26 @@ def test_failed_check_is_not_reported_as_input_error(monkeypatch):
     r = run("betti", "--ideal", HOOK)
     assert r.exit_code != 2 and isinstance(r.exception, AssertionError)
     assert "input error" not in r.stderr
+
+
+# `linforms verify --format structured` stdout and exit code on three
+# families, as the all-components intersection gives them; a shortcut on
+# the intersection side must keep them byte for byte.
+PINCHED3 = "linforms([[1,0,0,0],[0,0,0,1]],[[0,1,0,0],[0,0,0,1]],[[0,0,1,0],[0,0,0,1]])"
+LINES8 = "linforms(" + ", ".join(f"[[1,{k}]]" for k in range(8)) + ")"
+CHAR2 = "linforms([[1,1,0],[0,1,1]],[[1,0,1]],[[1,1,1]],[[0,1,0]])"
+VERIFY_GOLDEN = [
+    (("--family", PINCHED3), 0,
+     '{"cap": 6, "containment_ok": true, "dims": {"0": [0, 0], "1": [0, 0], "2": [0, 0], "3": [8, 8], "4": [20, 20], "5": [38, 38], "6": [63, 63]}, "equal": true}\n'),
+    (("--family", LINES8, "--cap", "32"), 0,
+     '{"cap": 32, "containment_ok": true, "dims": {"0": [0, 0], "1": [0, 0], "10": [3, 3], "11": [4, 4], "12": [5, 5], "13": [6, 6], "14": [7, 7], "15": [8, 8], "16": [9, 9], "17": [10, 10], "18": [11, 11], "19": [12, 12], "2": [0, 0], "20": [13, 13], "21": [14, 14], "22": [15, 15], "23": [16, 16], "24": [17, 17], "25": [18, 18], "26": [19, 19], "27": [20, 20], "28": [21, 21], "29": [22, 22], "3": [0, 0], "30": [23, 23], "31": [24, 24], "32": [25, 25], "4": [0, 0], "5": [0, 0], "6": [0, 0], "7": [0, 0], "8": [1, 1], "9": [2, 2]}, "equal": true}\n'),
+    (("--family", CHAR2, "--char", "2"), 0,
+     '{"cap": 7, "containment_ok": true, "dims": {"0": [0, 0], "1": [0, 0], "2": [0, 0], "3": [0, 0], "4": [2, 2], "5": [5, 5], "6": [9, 9], "7": [14, 14]}, "equal": true}\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", VERIFY_GOLDEN)
+def test_linforms_verify_structured_golden(args, code, stdout):
+    r = run("linforms", "verify", "--format", "structured", *args)
+    assert r.exit_code == code
+    assert r.stdout == stdout

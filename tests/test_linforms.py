@@ -3,8 +3,9 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealreg import betti, linalg
+from idealreg import betti, linalg, linforms
 from idealreg.graded import (
+    DegreePiece,
     GradedIdealView,
     HomPolynomial,
     degree_piece,
@@ -13,6 +14,7 @@ from idealreg.graded import (
 )
 from idealreg.linforms import (
     LinearIdeal,
+    PrimaryComponent,
     associated_prime_check,
     is_linearly_general,
     pinched_family,
@@ -23,6 +25,8 @@ from idealreg.linforms import (
     verify_decomposition,
 )
 from idealreg.samplers import random_linear_family, rng_from_seed
+
+from oracles import verify_decomposition_all_components
 
 
 def test_linear_ideal_canonical():
@@ -68,13 +72,12 @@ def test_product_degree_piece():
 
 def test_power_piece_examples():
     V = LinearIdeal.from_rows(2, [[1, 0]])
-    p = power_piece(V, 2, 2)
+    (p,) = power_piece(V, 2, [2])
     assert p.dim == 1
     full = LinearIdeal.from_rows(2, [[1, 0], [0, 1]])
-    assert power_piece(full, 3, 3).dim == 4  # all of R_3 in 2 vars
+    assert power_piece(full, 3, [3])[0].dim == 4  # all of R_3 in 2 vars
     W = LinearIdeal.from_rows(3, [[1, 0, 0], [0, 1, -1]])
-    assert power_piece(W, 2, 2).dim == 3
-    assert power_piece(W, 2, 1).dim == 0
+    assert [cp.dim for cp in power_piece(W, 2, [2, 1])] == [3, 0]
 
 
 def test_power_piece_matches_spanning_route():
@@ -89,8 +92,9 @@ def test_power_piece_matches_spanning_route():
         prod = view
         for _ in range(k - 1):
             prod = ideal_product(prod, view)
-        for e in range(k, k + 3):
-            assert power_piece(V, k, e).dim == degree_piece(prod, e).dim
+        degrees = range(k, k + 3)
+        for e, cp in zip(degrees, power_piece(V, k, degrees), strict=True):
+            assert cp.dim == degree_piece(prod, e).dim
 
 
 @st.composite
@@ -124,8 +128,8 @@ def test_power_piece_equals_generator_route_piece(V, k):
     prod = view
     for _ in range(k - 1):
         prod = ideal_product(prod, view)
-    for e in range(k + 3):
-        ours = power_piece(V, k, e)
+    degrees = range(k + 3)
+    for e, ours in zip(degrees, power_piece(V, k, degrees), strict=True):
         theirs = degree_piece(prod, e)
         assert ours.pivots == theirs.pivots
         assert ours.rows == theirs.rows
@@ -198,3 +202,100 @@ def test_unsaturated_only_with_full_sum():
     ]
     sp = saturation_degree(product_generators(fam), 2)
     assert sp.sat_degree == 0 and all(v == 0 for v in sp.profile.values())
+
+
+@st.composite
+def linear_families(draw):
+    """A random family of 1..3 linear ideals in 2..4 variables over QQ or GF(p)."""
+    char = draw(st.sampled_from([0, 2, 3, 32003]))
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    return random_linear_family(rng, nmax=4, dmax=3, characteristic=char)
+
+
+@given(linear_families())
+@example(pinched_family(2))
+@example(pinched_family(3))
+@example(pinched_family(3, 2))
+@example(pinched_family(2, 3))
+@settings(deadline=None)
+def test_verify_decomposition_matches_all_components_oracle(family):
+    # the deduplicated, degree-d-onward intersection against every
+    # component's power piece in every degree, each built alone
+    cap = len(family) + 3
+    ours = verify_decomposition(family, cap)
+    theirs = verify_decomposition_all_components(family, cap)
+    assert ours.dims == theirs.dims
+    assert ours.containment_ok == theirs.containment_ok
+    assert ours.equal == theirs.equal
+
+
+# mutations of the intersection side that `verify_decomposition` must
+# notice; in REPEATED the ideal (x, z) is the component of {1}, {2} and
+# {1, 2}, and only its largest exponent 2 is kept
+REPEATED = [
+    LinearIdeal.from_rows(3, [[1, 0, 0], [0, 0, 1]]),
+    LinearIdeal.from_rows(3, [[1, 0, 0], [0, 0, 1]]),
+    LinearIdeal.from_rows(3, [[0, 1, 0], [0, 0, 1]]),
+]
+MUTATED_FAMILIES = [REPEATED, pinched_family(3)]
+
+
+def kept_exponents(family):
+    """{ideal: largest exponent} over the non-maximal components."""
+    kept = {}
+    for c in primary_components(family):
+        if not c.is_maximal:
+            kept[c.ideal] = max(kept.get(c.ideal, 0), c.exponent)
+    return kept
+
+
+def check_under(monkeypatch, family, owner, name, mutant):
+    """The report on `family` with `owner.name` replaced by `mutant`."""
+    monkeypatch.setattr(owner, name, mutant)
+    rep = verify_decomposition(family, len(family) + 3)
+    monkeypatch.undo()
+    return rep
+
+
+@pytest.mark.parametrize("family", MUTATED_FAMILIES)
+def test_verify_decomposition_fails_when_a_piece_loses_a_row(monkeypatch, family):
+    real = linforms.power_piece
+    for target in kept_exponents(family):
+        def dropping(V, k, degrees):
+            pieces = real(V, k, degrees)
+            if V == target:
+                cp = pieces[0]
+                pieces[0] = DegreePiece(cp.rows[:-1], cp.pivots[:-1], cp.ncols)
+            return pieces
+
+        rep = check_under(monkeypatch, family, linforms, "power_piece", dropping)
+        assert not rep.equal and not rep.containment_ok, target
+
+
+@pytest.mark.parametrize("family", MUTATED_FAMILIES)
+def test_verify_decomposition_fails_with_an_exponent_one_too_small(
+    monkeypatch, family
+):
+    real = linforms.power_piece
+    targets = [V for V, k in kept_exponents(family).items() if k > 1]
+    assert targets
+    for target in targets:
+        def lowered(V, k, degrees):
+            return real(V, k - 1 if V == target else k, degrees)
+
+        rep = check_under(monkeypatch, family, linforms, "power_piece", lowered)
+        assert not rep.equal, target
+
+
+@pytest.mark.parametrize("family", MUTATED_FAMILIES)
+def test_verify_decomposition_fails_when_a_component_counts_as_maximal(
+    monkeypatch, family
+):
+    for target in kept_exponents(family):
+        maximal = property(
+            lambda c, t=target: c.ideal == t or c.ideal.dim == c.ideal.nvars
+        )
+        rep = check_under(
+            monkeypatch, family, PrimaryComponent, "is_maximal", maximal
+        )
+        assert not rep.equal, target

@@ -11,11 +11,17 @@ both closure facts are re-asserted on every product this module builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from functools import reduce
+from operator import or_
 
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, mono_mul, variable
-from .quotients import QuotientCertificate, check_order
+from .quotients import (
+    GeneratorIndex,
+    QuotientCertificate,
+    check_order,
+    revlex_desc,
+)
 
 
 @dataclass(frozen=True)
@@ -37,45 +43,34 @@ class ExchangeFailure:
         )
 
 
-def _revlex_desc(gens):
-    """Same-degree monomials revlex-descending: reversed exponents ascending."""
-    return sorted(gens, key=lambda u: u[::-1])
-
-
 def is_polymatroidal(I):
     """True, or the first ExchangeFailure in deterministic order.
 
-    Pairs are scanned with u and v revlex-descending and i ascending; for a
-    successful exchange the replacement x_j u / x_i is checked to sit
-    strictly closer to v than u does.
+    Pairs are scanned with u and v revlex-descending and i ascending.  On a
+    bitset index of G(I) in that order, the v failing at i for a fixed u are
+    those with nu_i(v) < nu_i(u) and nu_j(v) <= nu_j(u) for every j with
+    x_j u / x_i in G(I); the lowest bit over all i is the first failing v.
     """
     if not I.is_equigenerated:
         g = I.gens
         return ExchangeFailure(g[0], g[-1], 0, "not equigenerated")
-    gen_set = set(I.gens)
-    ordered = _revlex_desc(I.gens)
+    ordered = revlex_desc(I.gens)
+    index = GeneratorIndex(ordered)
+    above = index.above
     n = I.nvars
-    for u in ordered:
-        for v in ordered:
-            if u == v:
-                continue
-            d_uv = sum(map(abs, map(sub, u, v)))  # twice the distance
-            up = [j for j in range(n) if v[j] > u[j]]
-            for i in range(n):
-                if u[i] <= v[i]:
-                    continue
-                for j in up:
-                    w = list(u)
-                    w[i] -= 1
-                    w[j] += 1
-                    w = tuple(w)
-                    if w in gen_set:
-                        assert sum(map(abs, map(sub, w, v))) < d_uv, (
-                            "exchange must decrease distance"
-                        )
-                        break
-                else:
-                    return ExchangeFailure(u, v, i + 1)
+    every = (1 << len(ordered)) - 1
+    for u, moves in zip(ordered, index.moves):
+        # reached[i]: the v with nu_j(v) > nu_j(u) for some x_j u / x_i in G(I)
+        reached = [0] * n
+        for j, i, _ in moves:
+            reached[i] |= above[j][u[j]]
+        fails = [every & ~above[i][u[i] - 1] & ~reached[i] if u[i] else 0
+                 for i in range(n)]
+        failing = reduce(or_, fails, 0)
+        if failing:
+            first = failing & -failing
+            i = next(i for i, f in enumerate(fails) if f & first)
+            return ExchangeFailure(u, ordered[first.bit_length() - 1], i + 1)
     return True
 
 
@@ -96,7 +91,7 @@ def revlex_certificate(I):
     res = is_polymatroidal(I)
     if res is not True:
         raise ValueError(f"not polymatroidal: {res.render()}")
-    cert = check_order(I.nvars, _revlex_desc(I.gens))
+    cert = check_order(I.nvars, revlex_desc(I.gens))
     assert isinstance(cert, QuotientCertificate), (
         "revlex order must give linear quotients on a polymatroidal ideal"
     )

@@ -7,12 +7,17 @@ regularity of an ideal with linear quotients is the largest generator
 degree, so a certificate doubles as a regularity computation.
 
 Only monomial ideals are handled: their minimal generating set is unique,
-so an exhaustive search over orderings of G(I) settles existence.
+so an exhaustive search over orderings of G(I) settles existence.  When
+the generators share one degree, colons are read off a bitset index of
+them (`GeneratorIndex`); otherwise each colon is computed from the
+exponents of the prefix (`_linear_colon`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 from .ideals import MonomialIdeal, minimalize
@@ -92,6 +97,101 @@ def _linear_colon(prefix, u):
     return None
 
 
+def revlex_desc(gens):
+    """Monomials by degree, then revlex-descending: reversed exponents ascending."""
+    return sorted(gens, key=lambda u: (degree(u), u[::-1]))
+
+
+class GeneratorIndex:
+    """Bitset index of distinct same-degree monomials g_0, ..., g_{r-1}.
+
+    Bit k of an int stands for g_k.  `above[i][c]` is the set of g with
+    exponent of x_i greater than c, for c up to the largest such exponent.
+    `moves[k]` lists the triples (i, j, b) with g_k * x_i / x_j = g_b.
+    """
+
+    def __init__(self, gens):
+        n = len(gens[0])
+        self.gens = gens
+        self.above = []
+        for i in range(n):  # one pass per variable
+            col = [u[i] for u in gens]
+            at = [0] * (max(col) + 1)
+            for k, e in enumerate(col):
+                at[e] |= 1 << k
+            above = [0] * len(at)
+            acc = 0
+            for c in range(len(at) - 1, -1, -1):
+                above[c] = acc
+                acc |= at[c]
+            self.above.append(above)
+        # g_k * x_i / x_j = g_b exactly when g_k / x_j = g_b / x_i, so the
+        # moves are the pairs within one bucket of quotients g / x_j.
+        # Exponents are at most the degree d, so base d + 1 codes a
+        # monomial as one int and dividing by x_j subtracts (d + 1)^j.
+        base = degree(gens[0]) + 1
+        powers = [base**j for j in range(n)]
+        buckets = {}
+        for k, u in enumerate(gens):
+            code = sum(e * p for e, p in zip(u, powers))
+            for j, e in enumerate(u):
+                if e:
+                    buckets.setdefault(code - powers[j], []).append((j, k))
+        self.moves = [[] for _ in gens]
+        for members in buckets.values():
+            if len(members) > 1:
+                for j, k in members:
+                    moves = self.moves[k]
+                    for i, b in members:
+                        if i != j:
+                            moves.append((i, j, b))
+
+    @cached_property
+    def raises(self):
+        """Per k, the moves grouped by i: (i, bits of the g_b reached by
+        raising x_i, above[i][g_k[i]])."""
+        out = []
+        for u, moves in zip(self.gens, self.moves):
+            ups = [0] * len(u)
+            for i, _, b in moves:
+                ups[i] |= 1 << b
+            out.append([(i, m, self.above[i][u[i]])
+                        for i, m in enumerate(ups) if m])
+        return out
+
+    def colon(self, k, prefix):
+        """Variables generating (g_b : b in prefix) : g_k, or None.
+
+        w = max(g_b - g_k, 0) is x_i exactly when g_b = g_k * x_i / x_j, and
+        the colon is generated by those x_i when every g_b in the prefix
+        exceeds g_k in one of them.
+        """
+        covered = 0
+        vars_ = []
+        for i, ups, above in self.raises[k]:
+            if ups & prefix:
+                covered |= above
+                vars_.append(i + 1)
+        return None if prefix & ~covered else tuple(vars_)
+
+
+def _one_degree(gens):
+    return len({degree(u) for u in gens}) == 1
+
+
+def _colon_route(gens):
+    """colon(k, prefix) over bit sets of gens: the bitset index when the
+    gens share one degree, `_linear_colon` on the prefix's members otherwise."""
+    if _one_degree(gens):
+        return GeneratorIndex(gens).colon
+
+    def colon(k, prefix):
+        return _linear_colon(
+            [u for b, u in enumerate(gens) if prefix >> b & 1], gens[k])
+
+    return colon
+
+
 def check_order(nvars, ordered_gens):
     """Certify an explicit generator order, or report the failing step."""
     gens = [tuple(u) for u in ordered_gens]
@@ -100,16 +200,24 @@ def check_order(nvars, ordered_gens):
     for u in gens:
         if len(u) != nvars:
             raise ValueError(f"ambient mismatch: {len(u)} vs {nvars} variables")
-    for i, u in enumerate(gens):
-        for j, v in enumerate(gens):
-            if i != j and all(map(le, v, u)):
-                raise ValueError(
-                    f"generating sequence is not minimal: {format_monomial(v)} "
-                    f"divides {format_monomial(u)}"
-                )
+    if _one_degree(gens):
+        # distinct monomials of one degree never divide each other
+        counts = Counter(gens)
+        pair = next(((u, u) for u in gens if counts[u] > 1), None)
+    else:
+        pair = next(((v, u) for i, u in enumerate(gens)
+                     for j, v in enumerate(gens)
+                     if i != j and all(map(le, v, u))), None)
+    if pair is not None:
+        v, u = pair
+        raise ValueError(
+            f"generating sequence is not minimal: {format_monomial(v)} "
+            f"divides {format_monomial(u)}"
+        )
+    linear_colon = _colon_route(gens)
     steps = [()]
     for t in range(1, len(gens)):
-        vars_ = _linear_colon(gens[:t], gens[t])
+        vars_ = linear_colon(t, (1 << t) - 1)
         if vars_ is None:
             colon = monomial_colon(gens[:t], gens[t])
             return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
@@ -126,10 +234,12 @@ def verify_certificate(cert):
 def search_order(I):
     """Find an order with linear quotients, or prove none exists.
 
-    Depth-first search over orderings of G(I); a prefix is extendable by u
-    only when (prefix) : u is variable-generated, and whether u extends a
-    prefix depends only on the prefix as a set, so dead prefix-sets are
-    memoized.  The search is exhaustive: None means no order exists.
+    Depth-first search over orderings of G(I), by degree and then
+    revlex-descending; a prefix is extendable by u only when (prefix) : u is
+    variable-generated, and whether u extends a prefix depends only on the
+    prefix as a set, so the generators left after a dead prefix are
+    memoized as one bit set.  The search is exhaustive: None means no order
+    exists.
     """
     if isinstance(I, MonomialIdeal):
         gens = list(I.gens)
@@ -138,29 +248,35 @@ def search_order(I):
         raise TypeError("search_order expects a MonomialIdeal")
     if len(gens) > SEARCH_GUARD:
         raise ValueError(f"search guard exceeded: {len(gens)} > {SEARCH_GUARD}")
-    # by degree, then revlex-descending: reversed exponents ascending
-    gens.sort(key=lambda u: (degree(u), u[::-1]))
+    gens = revlex_desc(gens)
+    linear_colon = _colon_route(gens)
+    full = (1 << len(gens)) - 1
     dead = set()
+    path = []
 
-    def extend(prefix, remaining):
+    def extend(remaining):
         if not remaining:
-            return prefix
-        key = frozenset(remaining)
-        if key in dead:
-            return None
-        for k, u in enumerate(remaining):
-            if prefix and _linear_colon(prefix, u) is None:
+            return True
+        if remaining in dead:
+            return False
+        prefix = full ^ remaining
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = low.bit_length() - 1
+            if prefix and linear_colon(k, prefix) is None:
                 continue
-            res = extend(prefix + [u], remaining[:k] + remaining[k + 1 :])
-            if res is not None:
-                return res
-        dead.add(key)
-        return None
+            path.append(k)
+            if extend(remaining ^ low):
+                return True
+            path.pop()
+        dead.add(remaining)
+        return False
 
-    order = extend([], gens)
-    if order is None:
+    if not extend(full):
         return None
-    cert = check_order(nvars, order)
+    cert = check_order(nvars, [gens[k] for k in path])
     assert isinstance(cert, QuotientCertificate)
     return cert
 

@@ -4,19 +4,37 @@ The library computes each of these quantities along a faster route; the
 tests compare that route against the plain definition here.
 """
 
+import random
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from idealreg import linalg
 from idealreg.chains import canonical_decomposition, gamma
 from idealreg.graded import degree_piece, ring_dim
+from idealreg.ideals import MonomialIdeal
 from idealreg.linforms import (
     DecompositionReport,
     power_piece,
     primary_components,
     product_generators,
 )
-from idealreg.monomials import degree, divides, mono_div, mono_mul, one, support, variable
-from idealreg.samplers import random_transversal_ideal, random_uniform_matroid_ideal
+from idealreg.monomials import (
+    degree,
+    divides,
+    mono_div,
+    mono_mul,
+    monomial_basis,
+    one,
+    support,
+    variable,
+)
+from idealreg.quotients import GeneratorIndex, _linear_colon
+from idealreg.samplers import (
+    random_polymatroidal,
+    random_transversal_ideal,
+    random_uniform_matroid_ideal,
+)
 
 
 def is_chain(u):
@@ -126,3 +144,76 @@ def verify_decomposition_all_components(family, cap):
                         containment_ok = False
     equal = containment_ok and all(a == b for a, b in dims.values())
     return DecompositionReport(cap, dims, containment_ok, equal)
+
+
+def random_equigenerated(n, d, k, seed):
+    """min(k, dim R_d) distinct degree-d monomials in n variables."""
+    basis = monomial_basis(n, d)
+    rng = random.Random(seed)
+    return MonomialIdeal.from_gens(n, rng.sample(basis, min(k, len(basis))))
+
+
+def equigenerated_ideals(nmax=6, dmax=3, kmax=8):
+    """Hypothesis strategy for `random_equigenerated` with n in 2..nmax,
+    d in 1..dmax and k in 1..kmax."""
+    return st.tuples(
+        st.integers(2, nmax), st.integers(1, dmax), st.integers(1, kmax),
+        st.integers(0, 10**6),
+    ).map(lambda args: random_equigenerated(*args))
+
+
+def random_polymatroidal_product(seed, nmax=6, max_gens=60):
+    """I * J for polymatroidal I, J of the samplers, redrawn until G(IJ)
+    has at most max_gens generators."""
+    rng = random.Random(seed)
+    while True:
+        I = random_polymatroidal(rng, nmax=nmax)
+        J = random_polymatroidal(rng, nmax=nmax)
+        n = max(I.nvars, J.nvars)
+        P = I.padded(n).product(J.padded(n))
+        if len(P.gens) <= max_gens:
+            return P
+
+
+def search_order_oracle(I):
+    """An order of G(I) with linear quotients, or None: depth-first over
+    orders of G(I) by degree and then revlex-descending, prefixes checked
+    with `_linear_colon` on the members and dead remainders memoized as
+    frozensets."""
+    gens = sorted(I.gens, key=lambda u: (degree(u), u[::-1]))
+    dead = set()
+
+    def extend(prefix, remaining):
+        if not remaining:
+            return prefix
+        key = frozenset(remaining)
+        if key in dead:
+            return None
+        for k, u in enumerate(remaining):
+            if prefix and _linear_colon(prefix, u) is None:
+                continue
+            res = extend(prefix + [u], remaining[:k] + remaining[k + 1 :])
+            if res is not None:
+                return res
+        dead.add(key)
+        return None
+
+    return extend([], gens)
+
+
+class DroppedNeighbour(GeneratorIndex):
+    """Mutant index: the first neighbour of g_0 is missing."""
+
+    def __init__(self, gens):
+        super().__init__(gens)
+        if self.moves[0]:
+            self.moves[0].pop(0)
+
+
+class AboveAtLeast(GeneratorIndex):
+    """Mutant index: above[i][c] holds exponents >= c instead of > c."""
+
+    def __init__(self, gens):
+        super().__init__(gens)
+        every = (1 << len(gens)) - 1
+        self.above = [[every] + col[:-1] for col in self.above]

@@ -364,3 +364,96 @@ def test_linforms_verify_structured_golden(args, code, stdout):
     r = run("linforms", "verify", "--format", "structured", *args)
     assert r.exit_code == code
     assert r.stdout == stdout
+
+
+# `--format structured` stdout, stderr and exit code of the certificate
+# commands, as the pairwise colon and exchange scans gave them: a failing
+# exchange (the hook), failing orders, a mixed-degree order and a
+# same-degree sequence with a repeated generator.  The bitset route for
+# equigenerated inputs must keep them byte for byte.
+CERT_GOLDEN = [
+    (('quotients', 'check', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1], [2]], "nvars": 4, "order": ["a^2*b", "a*b*c", "b*c*d", "c*d^2"]}, "reg": 3}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(a^2*b, a^2*c, a*c^2, b*c^2, a*c*d)'),
+     0, '{"certificate": {"colon_vars": [[], [2], [1], [1], [1, 3]], "nvars": 4, "order": ["a^2*b", "a^2*c", "a*c^2", "b*c^2", "a*c*d"]}, "reg": 3}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(c*d^2, a^2*b, a*b*c, b*c*d)'),
+     1, '{"failure": {"offender": "c*d^2", "step": 2}}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(a*b, c*d)'),
+     1, '{"failure": {"offender": "a*b", "step": 2}}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(a^2, a*b, b^3)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1]], "nvars": 2, "order": ["a^2", "a*b", "b^3"]}, "reg": 3}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(b^3, a^2, a*c)'),
+     1, '{"failure": {"offender": "b^3", "step": 2}}\n',
+     ''),
+    (('quotients', 'check', '--ideal', 'ideal(a*b, b*c, a*b)'),
+     2, '',
+     'input error: generating sequence is not minimal: a*b divides a*b\n'),
+    (('quotients', 'check', '--ideal', 'ideal(a*b, b*c, c*d, a*d)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [2], [2, 3]], "nvars": 4, "order": ["a*b", "b*c", "c*d", "a*d"]}, "reg": 2}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1], [2]], "nvars": 4, "order": ["a^2*b", "a*b*c", "b*c*d", "c*d^2"]}, "order_exists": true, "reg": 3}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a^2, a*b, b^3)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1]], "nvars": 2, "order": ["a^2", "a*b", "b^3"]}, "order_exists": true, "reg": 3}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a^2*b, b^2*c, c^2*a)'),
+     1, '{"order_exists": false}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a*b, c*d)'),
+     1, '{"order_exists": false}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a*b, c*d, a*c^2)'),
+     1, '{"order_exists": false}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(b*c, a*d, a*b, c*d)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [2], [1, 2]], "nvars": 4, "order": ["a*b", "b*c", "a*d", "c*d"]}, "order_exists": true, "reg": 2}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a^3, a^2*b, a*b^2, b^3)'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1], [1]], "nvars": 2, "order": ["a^3", "a^2*b", "a*b^2", "b^3"]}, "order_exists": true, "reg": 3}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
+     1, '{"polymatroidal": false, "witness": {"index": 2, "reason": "no exchange index", "u": "a^2*b", "v": "c*d^2"}}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a, b)'),
+     0, '{"polymatroidal": true}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a^2, a*b, a*c, b^2, b*c, c^2)'),
+     0, '{"polymatroidal": true}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a*b, c*d)'),
+     1, '{"polymatroidal": false, "witness": {"index": 1, "reason": "no exchange index", "u": "a*b", "v": "c*d"}}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a, b^2)'),
+     1, '{"polymatroidal": false, "witness": {"index": 0, "reason": "not equigenerated", "u": "a", "v": "b^2"}}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a^2, a*b, a*c, b^2, c^2)'),
+     1, '{"polymatroidal": false, "witness": {"index": 1, "reason": "no exchange index", "u": "a*b", "v": "c^2"}}\n',
+     ''),
+    (('polymatroid', 'check', '--ideal', 'ideal(a*b*c, a*b*d, a*c*d, b*c*e)'),
+     1, '{"polymatroidal": false, "witness": {"index": 1, "reason": "no exchange index", "u": "a*b*d", "v": "b*c*e"}}\n',
+     ''),
+    (('polymatroid', 'product', '--ideal-i', 'ideal(a, b)', '--ideal-j', 'ideal(b, c)'),
+     0, '{"product": ["a*b", "a*c", "b^2", "b*c"], "reg": 2}\n',
+     ''),
+    (('polymatroid', 'product', '--ideal-i', 'ideal(a*b, a*c, b*c)', '--ideal-j', 'ideal(a^2, a*b, b^2)'),
+     0, '{"product": ["a^3*b", "a^3*c", "a^2*b^2", "a^2*b*c", "a*b^3", "a*b^2*c", "b^3*c"], "reg": 4}\n',
+     ''),
+    (('polymatroid', 'product', '--ideal-i', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)', '--ideal-j', 'ideal(a, b)'),
+     2, '',
+     'input error: factor not polymatroidal: exchange fails for u = a^2*b, v = c*d^2, i = x2: no exchange index\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", CERT_GOLDEN,
+                         ids=[" ".join(g[0]) for g in CERT_GOLDEN])
+def test_certificate_commands_structured_golden(argv, code, stdout, stderr):
+    r = run(*argv, "--format", "structured")
+    assert r.exit_code == code
+    assert r.stdout == stdout
+    assert r.stderr == stderr

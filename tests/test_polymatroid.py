@@ -1,10 +1,9 @@
-import random
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealreg import betti
+from idealreg import betti, polymatroid
 from idealreg.fixtures import hook_ideal
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
@@ -26,7 +25,14 @@ from idealreg.polymatroid import (
 )
 from idealreg.quotients import verify_certificate
 from idealreg.samplers import random_polymatroidal, rng_from_seed
-from oracles import compare_revlex, random_matroidal
+from oracles import (
+    AboveAtLeast,
+    DroppedNeighbour,
+    compare_revlex,
+    equigenerated_ideals,
+    random_matroidal,
+    random_polymatroidal_product,
+)
 
 
 def gens(n, *names):
@@ -77,35 +83,41 @@ def exchange_oracle(I):
     return True
 
 
-def equigenerated_ideals():
-    def build(args):
-        n, d, k, seed = args
-        basis = monomial_basis(n, d)
-        rng = random.Random(seed)
-        return MonomialIdeal.from_gens(n, rng.sample(basis, min(k, len(basis))))
-
-    return st.tuples(
-        st.integers(2, 5), st.integers(1, 3), st.integers(1, 12),
-        st.integers(0, 10**6),
-    ).map(build)
+def without_last(I):
+    """G(I) minus its last generator, which can break the exchange axiom."""
+    return I if len(I.gens) == 1 else MonomialIdeal.from_gens(I.nvars, I.gens[:-1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
-    equigenerated_ideals(),
+    equigenerated_ideals(kmax=12),
     st.integers(0, 10**6).map(
-        lambda seed: random_polymatroidal(rng_from_seed(seed), nmax=5)
+        lambda seed: random_polymatroidal(rng_from_seed(seed), nmax=6)
+    ),
+    st.integers(0, 10**6).map(random_polymatroidal_product),
+    st.integers(0, 10**6).map(
+        lambda seed: without_last(random_polymatroidal_product(seed))
     ),
 ))
 @example(hook_ideal())
 def test_exchange_check_matches_oracle(I):
-    res = is_polymatroidal(I)
-    expected = exchange_oracle(I)
-    if expected is True:
-        assert res is True
-    else:
-        assert isinstance(res, ExchangeFailure)
-        assert (res.u, res.v, res.index) == expected
+    assert witness(is_polymatroidal(I)) == exchange_oracle(I)
+
+
+def witness(res):
+    """True, or the (u, v, i) of an ExchangeFailure."""
+    if res is True:
+        return True
+    assert isinstance(res, ExchangeFailure)
+    return (res.u, res.v, res.index)
+
+
+@pytest.mark.parametrize("mutant", [DroppedNeighbour, AboveAtLeast])
+def test_exchange_oracle_catches_a_mutant_index(mutant, monkeypatch):
+    ideals = [random_polymatroidal_product(seed) for seed in range(20)]
+    ideals += [without_last(I) for I in ideals]
+    monkeypatch.setattr(polymatroid, "GeneratorIndex", mutant)
+    assert any(witness(is_polymatroidal(I)) != exchange_oracle(I) for I in ideals)
 
 
 def test_not_equigenerated():

@@ -1,7 +1,8 @@
 import json
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealreg import betti
 from idealreg.graded import GradedIdealView
@@ -14,6 +15,7 @@ from idealreg.monomials import (
     parse_monomial,
 )
 from idealreg.quotients import (
+    GeneratorIndex,
     QuotientCertificate,
     QuotientFailure,
     _linear_colon,
@@ -24,7 +26,14 @@ from idealreg.quotients import (
     verify_certificate,
 )
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
-from oracles import contains_monomial
+from oracles import (
+    AboveAtLeast,
+    DroppedNeighbour,
+    contains_monomial,
+    equigenerated_ideals,
+    random_equigenerated,
+    search_order_oracle,
+)
 
 
 def gens(n, *names):
@@ -196,3 +205,81 @@ def test_search_guard():
     big = MonomialIdeal.from_gens(3, monomial_basis(3, 6))
     with pytest.raises(ValueError):
         search_order(big)
+
+
+def colon_disagreements(index, gens):
+    """The (k, prefix) where the bitset colon differs from `_linear_colon`:
+    every u = g_k against every subset of the other generators, as the
+    search visits them."""
+    for k, u in enumerate(gens):
+        for prefix in range(1 << len(gens)):
+            if not prefix >> k & 1:
+                members = [v for b, v in enumerate(gens) if prefix >> b & 1]
+                if index.colon(k, prefix) != _linear_colon(members, u):
+                    yield k, prefix
+
+
+@settings(max_examples=150, deadline=None)
+@given(equigenerated_ideals(), st.integers(0, 10**6))
+def test_bitset_colon_matches_linear_colon_on_every_subset(I, seed):
+    gens = list(I.gens)
+    random.Random(seed).shuffle(gens)  # the index takes any order
+    assert list(colon_disagreements(GeneratorIndex(gens), gens)) == []
+
+
+@pytest.mark.parametrize("mutant", [DroppedNeighbour, AboveAtLeast])
+def test_colon_oracle_catches_a_mutant_index(mutant):
+    ideals = [list(random_equigenerated(4, 2, 6, seed).gens) for seed in range(20)]
+    assert any(next(colon_disagreements(mutant(gens), gens), None)
+               for gens in ideals)
+
+
+def pairwise_check_order(nvars, gens):
+    """check_order's answer from `_linear_colon` on each prefix list."""
+    steps = [()]
+    for t in range(1, len(gens)):
+        vars_ = _linear_colon(gens[:t], gens[t])
+        if vars_ is None:
+            colon = monomial_colon(gens[:t], gens[t])
+            return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
+        steps.append(vars_)
+    return QuotientCertificate(nvars, tuple(gens), tuple(steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(kmax=16),
+    st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
+        rng_from_seed(seed), nmax=5, degmax=4, max_gens=8)),
+), st.integers(0, 10**6))
+def test_check_order_matches_pairwise_colons(I, seed):
+    order = list(I.gens)
+    random.Random(seed).shuffle(order)
+    assert check_order(I.nvars, order) == pairwise_check_order(I.nvars, order)
+
+
+def test_check_order_names_the_first_repeated_generator():
+    # the first generator in the order that occurs twice, not the first repeat
+    with pytest.raises(ValueError, match="not minimal: a\\*b divides a\\*b"):
+        check_order(3, gens(3, "a*b", "b*c", "b*c", "a*b"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(kmax=9),
+    st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
+        rng_from_seed(seed), nmax=4, degmax=3, max_gens=7)),
+))
+@example(MonomialIdeal.from_gens(4, gens(4, "a*b", "c*d")))  # no order
+@example(MonomialIdeal.from_gens(4, gens(4, "b", "c")).product(  # no order
+    MonomialIdeal.from_gens(4, gens(4, "a^2*b", "a*b*c", "b*c*d", "c*d^2"))))
+@example(MonomialIdeal.from_gens(  # an order other than the sorted one
+    5, gens(5, "a*b*e", "a*c*e", "b^2*d", "b*d*e", "c*d*e")))
+@example(MonomialIdeal.from_gens(2, monomial_basis(2, 3)))
+def test_search_order_matches_frozenset_search(I):
+    expected = search_order_oracle(I)
+    cert = search_order(I)
+    if expected is None:
+        assert cert is None
+    else:
+        assert cert is not None and list(cert.order) == expected

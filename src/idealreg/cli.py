@@ -29,6 +29,7 @@ from .fixtures import run_fixtures
 from .graded import GradedIdealView, ideal_product, ring_dim, saturation_degree
 from .linforms import (
     is_linearly_general,
+    nonmaximal_components,
     primary_components,
     product_generators,
     verify_decomposition,
@@ -54,19 +55,28 @@ from .quotients import QuotientCertificate, check_order, search_order
 # families the sweeps at about 5000 columns took 2-10 s (2 cores, Python
 # 3.11), and time grows faster than the column count.
 #
-# `linforms verify` also builds the power pieces of the primary
-# components, one `power_piece` call over degrees d..cap per distinct
-# non-maximal ideal I_A.  There are at most 2^d - 1 of them, so
-# SWEEP_GUARD bounds dim R_cap times 2^d - 1.  The bound was set when every
-# component was built alone in every degree, and the slowest families
-# below it took 7-11 s.  Timings now, on the same host:
-#   (x1 + k x2), k = 0..7, cap 32:                   8 415 ->  0.1 s
-#   (x1), (x2) in 4 variables, cap 24:               8 775 ->  1.4 s
-#   (x1 + k x2), k = 0..9, default cap:             14 322 ->  0.1 s (refused)
-#   (x1), (x2) in 4 variables, cap 29:              14 880 ->  3.0 s (refused)
-#   (x1), ..., (x5) in 5 variables, default cap:    15 345 ->  0.3 s (refused)
-#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         20 475 -> 10.9 s (refused)
-#   (x1), ..., (x5), (x1 + ... + x6), default cap: 126 126 -> 11.1 s (refused)
+# `linforms verify` also writes down the annihilators of the primary
+# components' power pieces, one `power_annihilator` call over degrees
+# d..cap per distinct non-maximal ideal I_A (maximal components and
+# repeated ideals add nothing), and takes the rank of their stack in each
+# degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals.
+# Timings of `linforms verify` (2 cores, Python 3.11):
+#   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.1 s
+#   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.7 s
+#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.9 s
+#   (x1), (x2) in 4 variables, cap 24:             2925 x 3  =  8 775 ->  0.3 s
+#   (x1 + 2x2 + 3x3 + 5x4), (7x1 - 11x2 + 13x3 + 17x4),
+#     cap 20:                                      1771 x 3  =  5 313 ->  3.7 s
+#     cap 25:                                      3276 x 3  =  9 828 -> 13.3 s
+#   nine 2-dimensional subspaces of R_1 in 4 variables, spanned by
+#     (k, 2k+1, -3, 5-k), (7-k, 1, k^2-3, 2), k = 1..9,
+#     default cap:                                  455 x 9  =  4 095 -> 22.6 s
+#   (x1), (x2) in 4 variables, cap 29:             4960 x 3  = 14 880 (refused)
+#   (x1), ..., (x5) in 5 variables, default cap:    495 x 30 = 14 850 (refused)
+# The slowest are bound by QQ row reductions whose coefficients grow with
+# the degree: the stacked rank on the two-line family, and on the nine
+# subspaces the product's own pieces (17 s of the 22.6 s), which this
+# guard does not count; GENERATOR_GUARD and PIECE_GUARD bound those.
 CAP_GUARD = 32
 PIECE_GUARD = 5000
 SWEEP_GUARD = 10_000
@@ -83,7 +93,7 @@ SWEEP_GUARD = 10_000
 WALK_GUARD = 2_000_000
 
 
-def _sweep_cap(cap, default, nvars, components=1):
+def _sweep_cap(cap, default, nvars):
     if cap is None:
         cap = default
     if cap > CAP_GUARD:
@@ -93,11 +103,6 @@ def _sweep_cap(cap, default, nvars, components=1):
         raise ValueError(
             f"degree-{cap} piece in {nvars} variables has {cols} columns, "
             f"above PIECE_GUARD = {PIECE_GUARD}"
-        )
-    if cols * components > SWEEP_GUARD:
-        raise ValueError(
-            f"{cols} columns times {components} primary components is "
-            f"{cols * components}, above SWEEP_GUARD = {SWEEP_GUARD}"
         )
     return cap
 
@@ -319,7 +324,14 @@ def linforms_decompose(family, characteristic, fmt):
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars, 2 ** len(fam) - 1)
+    cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars)
+    cols = ring_dim(fam[0].nvars, cap)
+    ideals = len(nonmaximal_components(fam))
+    if cols * ideals > SWEEP_GUARD:
+        raise ValueError(
+            f"{cols} columns times {ideals} non-maximal component ideals "
+            f"is {cols * ideals}, above SWEEP_GUARD = {SWEEP_GUARD}"
+        )
     rep = verify_decomposition(fam, cap)
     payload = {
         "cap": rep.cap,

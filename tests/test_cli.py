@@ -272,12 +272,25 @@ def test_linforms_piece_guard_checks_default_cap():
 
 
 def test_linforms_verify_sweep_guard_exits_2():
-    # 12 factors in 2 variables: 16 columns at the default cap 15 times
-    # 4095 primary components is past SWEEP_GUARD = 10000
-    family = "linforms(" + ", ".join(f"[[1,{k}]]" for k in range(12)) + ")"
+    # (x1), ..., (x5) in 5 variables: 495 columns at the default cap 8
+    # times the 30 non-maximal component ideals (every I_A but A = {1..5})
+    # is past SWEEP_GUARD = 10000
+    family = "linforms(" + ", ".join(
+        "[[" + ",".join("1" if j == i else "0" for j in range(5)) + "]]"
+        for i in range(5)
+    ) + ")"
     r = run("linforms", "verify", "--family", family)
     _assert_input_error(r)
-    assert "is 65520, above SWEEP_GUARD = 10000" in r.stderr
+    assert "is 14850, above SWEEP_GUARD = 10000" in r.stderr
+
+
+def test_linforms_verify_sweep_guard_counts_distinct_nonmaximal_ideals():
+    # ten lines in 2 variables: every I_A with |A| >= 2 is maximal, so 14
+    # columns at the default cap 13 times 10 ideals is far inside the guard
+    family = "linforms(" + ", ".join(f"[[1,{k}]]" for k in range(10)) + ")"
+    r = run("linforms", "verify", "--family", family, "--format", "structured")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.stdout)["equal"] is True
 
 
 @pytest.mark.parametrize("command", ["verify", "sat"])

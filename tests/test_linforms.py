@@ -5,11 +5,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, linalg, linforms
 from idealreg.graded import (
-    DegreePiece,
     GradedIdealView,
     HomPolynomial,
     degree_piece,
     ideal_product,
+    ring_dim,
     saturation_degree,
 )
 from idealreg.linforms import (
@@ -17,7 +17,9 @@ from idealreg.linforms import (
     PrimaryComponent,
     associated_prime_check,
     is_linearly_general,
+    nonmaximal_components,
     pinched_family,
+    power_annihilator,
     power_piece,
     primary_components,
     product_generators,
@@ -135,6 +137,24 @@ def test_power_piece_equals_generator_route_piece(V, k):
         assert ours.rows == theirs.rows
 
 
+@given(linear_subspaces(), st.integers(1, 3))
+@example(LinearIdeal.from_rows(2, [[1, 1]], 2), 2)  # W = span(x + y), e >= 2
+@example(LinearIdeal.from_rows(3, [[1, 1, 0], [0, 0, 1]], 3), 3)
+@example(LinearIdeal.from_rows(3, [[2, 3, 5]]), 2)
+@settings(deadline=None)
+def test_power_annihilator_is_the_kernel_of_the_power_piece(V, k):
+    # the divided-power rows against the old route: the kernel of the
+    # row-reduced power piece, in every degree 0..k+4
+    p = V.characteristic
+    degrees = range(k + 5)
+    ours = power_annihilator(V, k, degrees)
+    pieces = power_piece(V, k, degrees)
+    for e, rows, cp in zip(degrees, ours, pieces, strict=True):
+        assert len(rows) == ring_dim(V.nvars, e) - cp.dim
+        theirs = linalg.kernel_basis(cp.rows, cp.pivots, cp.ncols, p)
+        assert linalg.row_reduce(rows, p) == linalg.row_reduce(theirs, p)
+
+
 def test_primary_components_count_and_guard():
     fam = pinched_family(3)
     comps = primary_components(fam)
@@ -231,22 +251,26 @@ def test_verify_decomposition_matches_all_components_oracle(family):
 
 # mutations of the intersection side that `verify_decomposition` must
 # notice; in REPEATED the ideal (x, z) is the component of {1}, {2} and
-# {1, 2}, and only its largest exponent 2 is kept
+# {1, 2}, and only its largest exponent 2 is kept.  SKEWED_MOD_3 is
+# REPEATED with x + y for x, over GF(3): its annihilator rows are not
+# monomials, so their a!/b! weights matter, and its degrees 3..6 pass p.
 REPEATED = [
     LinearIdeal.from_rows(3, [[1, 0, 0], [0, 0, 1]]),
     LinearIdeal.from_rows(3, [[1, 0, 0], [0, 0, 1]]),
     LinearIdeal.from_rows(3, [[0, 1, 0], [0, 0, 1]]),
 ]
-MUTATED_FAMILIES = [REPEATED, pinched_family(3)]
+SKEWED_MOD_3 = [
+    LinearIdeal.from_rows(3, [[1, 1, 0], [0, 0, 1]], 3),
+    LinearIdeal.from_rows(3, [[1, 1, 0], [0, 0, 1]], 3),
+    LinearIdeal.from_rows(3, [[0, 1, 0], [0, 0, 1]], 3),
+]
+MUTATED_FAMILIES = [REPEATED, pinched_family(3), SKEWED_MOD_3]
 
 
-def kept_exponents(family):
-    """{ideal: largest exponent} over the non-maximal components."""
-    kept = {}
-    for c in primary_components(family):
-        if not c.is_maximal:
-            kept[c.ideal] = max(kept.get(c.ideal, 0), c.exponent)
-    return kept
+def test_nonmaximal_components_keep_the_largest_exponent():
+    # {1, 3}, {2, 3} and {1, 2, 3} sum to the maximal ideal
+    xz, yz = REPEATED[0], REPEATED[2]
+    assert nonmaximal_components(REPEATED) == {xz: 2, yz: 1}
 
 
 def check_under(monkeypatch, family, owner, name, mutant):
@@ -257,41 +281,91 @@ def check_under(monkeypatch, family, owner, name, mutant):
     return rep
 
 
-@pytest.mark.parametrize("family", MUTATED_FAMILIES)
-def test_verify_decomposition_fails_when_a_piece_loses_a_row(monkeypatch, family):
-    real = linforms.power_piece
-    for target in kept_exponents(family):
-        def dropping(V, k, degrees):
-            pieces = real(V, k, degrees)
-            if V == target:
-                cp = pieces[0]
-                pieces[0] = DegreePiece(cp.rows[:-1], cp.pivots[:-1], cp.ncols)
-            return pieces
+def essential_row(family, target):
+    """(degree, index) of a row of `target`'s annihilator that is outside
+    the span of every other annihilator row of its degree, or None.
 
-        rep = check_under(monkeypatch, family, linforms, "power_piece", dropping)
-        assert not rep.equal and not rep.containment_ok, target
+    Components share annihilator rows (in the pinched family each row of
+    (x1, x2, y)^2 but one lies in the annihilators of (x1, y) and
+    (x2, y)), so dropping a shared row changes no dimension."""
+    d = len(family)
+    p = family[0].characteristic
+    degrees = range(d, d + 4)
+    rows = {V: power_annihilator(V, k, degrees)
+            for V, k in nonmaximal_components(family).items()}
+    for i, e in enumerate(degrees):
+        others = [row for V in rows if V != target for row in rows[V][i]]
+        own = rows[target][i]
+        full = linalg.rank([dict(r) for r in others + own], p)
+        for j in range(len(own)):
+            rest = others + own[:j] + own[j + 1:]
+            if linalg.rank([dict(r) for r in rest], p) < full:
+                return e, j
+    return None
+
+
+@pytest.mark.parametrize("family", MUTATED_FAMILIES)
+def test_verify_decomposition_fails_when_an_annihilator_loses_a_row(
+    monkeypatch, family
+):
+    # a dropped row only enlarges the intersection, so the degree-d
+    # containment check can still hold; the dimensions must differ
+    real = linforms.power_annihilator
+    d = len(family)
+    for target in nonmaximal_components(family):
+        found = essential_row(family, target)
+        assert found is not None, target
+        e, j = found
+
+        def dropping(V, k, degrees):
+            out = real(V, k, degrees)
+            if V == target:
+                rows = out[e - d]
+                out[e - d] = rows[:j] + rows[j + 1:]
+            return out
+
+        rep = check_under(
+            monkeypatch, family, linforms, "power_annihilator", dropping
+        )
+        assert not rep.equal, target
 
 
 @pytest.mark.parametrize("family", MUTATED_FAMILIES)
 def test_verify_decomposition_fails_with_an_exponent_one_too_small(
     monkeypatch, family
 ):
-    real = linforms.power_piece
-    targets = [V for V, k in kept_exponents(family).items() if k > 1]
+    real = linforms.power_annihilator
+    targets = [V for V, k in nonmaximal_components(family).items() if k > 1]
     assert targets
     for target in targets:
         def lowered(V, k, degrees):
             return real(V, k - 1 if V == target else k, degrees)
 
-        rep = check_under(monkeypatch, family, linforms, "power_piece", lowered)
+        rep = check_under(
+            monkeypatch, family, linforms, "power_annihilator", lowered
+        )
         assert not rep.equal, target
+
+
+@pytest.mark.parametrize("family", [
+    SKEWED_MOD_3,
+    [LinearIdeal.from_rows(3, [[1, 1, 1]], 2)] * 3,
+    [LinearIdeal.from_rows(3, [[1, 1, 1]])] * 3,
+])
+def test_verify_decomposition_fails_on_plain_products(monkeypatch, family):
+    # with every factorial 1 the rows are the ordinary products l^b, not
+    # the divided powers l^[b] = a! * l^b / b! that pair with R_e
+    rep = check_under(
+        monkeypatch, family, linforms, "factorial", lambda m: 1
+    )
+    assert not rep.equal
 
 
 @pytest.mark.parametrize("family", MUTATED_FAMILIES)
 def test_verify_decomposition_fails_when_a_component_counts_as_maximal(
     monkeypatch, family
 ):
-    for target in kept_exponents(family):
+    for target in nonmaximal_components(family):
         maximal = property(
             lambda c, t=target: c.ideal == t or c.ideal.dim == c.ideal.nvars
         )

@@ -11,9 +11,11 @@
   after "A criterion for detecting m-regularity", Invent. Math. 87, 1987)
   shows reg(I) <= m from the pieces of degrees m and m + 1 alone.  The
   certificate lives in `graded`, beside the pieces it reads, because the
-  saturation profile uses it too.  Then the
-  resolution is linear, and the certificate's dims give the Hilbert
-  function of R/I beyond degree m, so the table is read off
+  saturation profile and the decomposition check use it too; the degree-m
+  piece holds it, so the table reuses a search already made on the same
+  view.  Then the resolution is linear, and the certificate's dims give
+  the Hilbert function of R/I beyond degree m
+  (`graded.certified_hilbert_values`), so the table is read off
   (1 - t)^n HS(R/I) with no strand built.
 
 * strand route, for every other homogeneous ideal: the internal-degree-j
@@ -55,6 +57,7 @@ from math import comb
 from . import linalg
 from .graded import (
     GradedIdealView,
+    certified_hilbert_values,
     degree_piece,  # noqa: F401 (bench/selftest.py traces betti.degree_piece by name)
     hilbert_value,
     ideal_product,
@@ -359,22 +362,12 @@ def _certificate_entries(I, cert, cap):
 
     reg(I) = m, so beta_{i,i+m-1} = (-1)^i c_{i+m-1} for i >= 1, where c_j
     is the coefficient of t^j in (1 - t)^n HS(R/I).  The Hilbert function
-    of R/I is read off I's pieces up to degree m.  Beyond, each J_i is
-    m-regular, so h_i stays injective on R/J_i and
-    a_i(e) = a_i(e - 1) + a_{i+1}(e), with a_{k+1} = 0.
+    of R/I up to degree m + n comes from `graded.certified_hilbert_values`:
+    I's pieces up to degree m, the certificate's recursion above, and its
+    check against the piece I_{m+1}.
     """
     n, m = I.nvars, cert.m
-    hf = [hilbert_value(I, e) for e in range(m + 1)]
-    a = [*cert.dims, 0]
-    for _ in range(n):  # degrees m + 1 .. m + n
-        for i in reversed(range(len(cert.dims))):
-            a[i] += a[i + 1]
-        hf.append(a[0])
-    built = hilbert_value(I, m + 1)
-    if hf[m + 1] != built:
-        raise AssertionError(
-            f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}"
-        )
+    hf = certified_hilbert_values(I, cert, m + n)
     entries = {(0, 0): 1}
     for j in range(1, m + n + 1):
         c = _koszul_euler(hf, n, j)

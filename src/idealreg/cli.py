@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (an
-inequality that fails, a non-polymatroidal ideal, a missing order, ...),
-2 for bad input.  Commands raise ValueError for bad input (ParseError is
-one) and for a tripped guard; `main` is the one place that turns it into
+inequality that fails, a non-polymatroidal ideal, a missing order, ...)
+and for `linforms reg` finding no certificate up to the cap (which proves
+nothing: the search is one-sided), 2 for bad input.  Commands raise
+ValueError for bad input (ParseError is one) and for a tripped guard; `main` is the one place that turns it into
 exit 2 with a single ``input error: <message>`` line on stderr.  Any
 other exception, such as a failed internal check, still propagates.
 Structured output is JSON with sorted keys, so a run with the same seed
@@ -26,7 +27,13 @@ from .chains import (
     omega,
 )
 from .fixtures import run_fixtures
-from .graded import GradedIdealView, ideal_product, ring_dim, saturation_degree
+from .graded import (
+    GradedIdealView,
+    ideal_product,
+    least_certificate,
+    ring_dim,
+    saturation_degree,
+)
 from .linforms import (
     is_linearly_general,
     nonmaximal_components,
@@ -45,8 +52,8 @@ from .polymatroid import (
 from .quotients import QuotientCertificate, check_order, search_order
 
 
-# `linforms verify` and `linforms sat` sweep degrees up to the cap (sat
-# looks for a certificate in each degree until one is found), and their
+# `linforms verify`, `sat` and `reg` sweep degrees up to the cap (sat and
+# reg look for a certificate in each degree until one is found), and their
 # pieces grow like cap^(n-1).  CAP_GUARD is the largest cap, given or
 # default; the default grows with the number of factors, and
 # `linforms sat` on 200 copies of (x1) in 2 variables (cap 200, the guard
@@ -60,23 +67,28 @@ from .quotients import QuotientCertificate, check_order, search_order
 # d..cap per distinct non-maximal ideal I_A (maximal components and
 # repeated ideals add nothing), and takes the rank of their stack in each
 # degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals.
-# Timings of `linforms verify` (2 cores, Python 3.11):
-#   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.1 s
-#   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.7 s
-#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.9 s
-#   (x1), (x2) in 4 variables, cap 24:             2925 x 3  =  8 775 ->  0.3 s
+# The product side builds its pieces up to degree d + 1 and reads the
+# dims above from a certificate at m = d; only without one are its pieces
+# built up to the cap.  Timings of `linforms verify`, in-process, median
+# of three runs (2 cores, Python 3.11):
+#   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.04 s
+#   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.6 s
+#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.8 s
+#   (x1), (x2) in 4 variables, cap 24:             2925 x 3  =  8 775 ->  0.14 s
 #   (x1 + 2x2 + 3x3 + 5x4), (7x1 - 11x2 + 13x3 + 17x4),
-#     cap 20:                                      1771 x 3  =  5 313 ->  3.7 s
-#     cap 25:                                      3276 x 3  =  9 828 -> 13.3 s
+#     cap 20:                                      1771 x 3  =  5 313 ->  2.6 s
+#     cap 25:                                      3276 x 3  =  9 828 -> 10.9 s
 #   nine 2-dimensional subspaces of R_1 in 4 variables, spanned by
 #     (k, 2k+1, -3, 5-k), (7-k, 1, k^2-3, 2), k = 1..9,
-#     default cap:                                  455 x 9  =  4 095 -> 22.6 s
+#     default cap:                                  455 x 9  =  4 095 -> 12.8 s
 #   (x1), (x2) in 4 variables, cap 29:             4960 x 3  = 14 880 (refused)
 #   (x1), ..., (x5) in 5 variables, default cap:    495 x 30 = 14 850 (refused)
 # The slowest are bound by QQ row reductions whose coefficients grow with
 # the degree: the stacked rank on the two-line family, and on the nine
-# subspaces the product's own pieces (17 s of the 22.6 s), which this
-# guard does not count; GENERATOR_GUARD and PIECE_GUARD bound those.
+# subspaces the product side, which this guard does not count: its
+# pieces in degrees 9 and 10 (about 5 s, 512 generators) and the
+# certificate search on them (about 4.5 s).  GENERATOR_GUARD and
+# PIECE_GUARD bound those.
 CAP_GUARD = 32
 PIECE_GUARD = 5000
 SWEEP_GUARD = 10_000
@@ -326,13 +338,14 @@ def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
     cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars)
     cols = ring_dim(fam[0].nvars, cap)
-    ideals = len(nonmaximal_components(fam))
+    components = nonmaximal_components(fam)
+    ideals = len(components)
     if cols * ideals > SWEEP_GUARD:
         raise ValueError(
             f"{cols} columns times {ideals} non-maximal component ideals "
             f"is {cols * ideals}, above SWEEP_GUARD = {SWEEP_GUARD}"
         )
-    rep = verify_decomposition(fam, cap)
+    rep = verify_decomposition(fam, cap, components)
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -368,6 +381,37 @@ def linforms_sat(family, cap, characteristic, fmt):
                 f"profile: {sp.profile}"],
           {"sat": None if sp.exceeds_cap else sp.sat_degree, "cap": sp.cap,
            "profile": {str(e): v for e, v in sp.profile.items()}})
+
+
+@linforms.command("reg")
+@click.option("--family", required=True)
+@click.option("--cap", type=int, default=None)
+@char_option
+@format_option
+def linforms_reg(family, cap, characteristic, fmt):
+    """Bayer-Stillman certificate of reg(I_1...I_d) <= m, least m up to the cap."""
+    fam = parse_linforms_text(family, characteristic)
+    cap = _sweep_cap(cap, len(fam), fam[0].nvars)
+    prod = product_generators(fam)
+    cert = least_certificate(prod, cap)
+    d = prod.max_gen_degree()
+    payload = {"cap": cap, "characteristic": characteristic, "reg_lower": d}
+    if cert is None:
+        _emit(fmt,
+              [f"no certificate for m = {d}..{cap}: reg not certified within cap"],
+              {**payload, "certificate": None, "reg_upper": None})
+        sys.exit(1)
+    if not cert.verify(prod):
+        raise AssertionError(f"certificate at m = {cert.m} fails its re-check")
+    m = cert.m
+    lines = [f"certificate at m = {m} (cap {cap}): {d} <= reg <= {m}"]
+    forms = [list(h) for h in cert.forms]
+    lines += [f"h_{i} = {h}, dim (R/J_{i})_{m} = {a}"
+              for i, (h, a) in enumerate(zip(forms, cert.dims), 1)]
+    lines.append("re-checked from the generators: true")
+    _emit(fmt, lines, {**payload, "reg_upper": m, "verified": True,
+                       "certificate": {"m": m, "forms": forms,
+                                       "dims": list(cert.dims)}})
 
 
 @main.group()

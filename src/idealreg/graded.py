@@ -8,9 +8,13 @@ and row-reduced over the working field.  No Groebner bases anywhere.
 Regularity certificates (Bayer-Stillman, "A criterion for detecting
 m-regularity", Invent. Math. 87, 1987) live here, beside the pieces of
 degrees m and m + 1 they read: linear forms h_1..h_k that prove
-reg(I) <= m.  They serve the Betti tables of `betti` and the saturation
-profile below.  The search is one-sided: finding no certificate proves
-nothing.
+reg(I) <= m.  The degree-m piece holds the result of the search from it,
+None included, the way it holds its quotient basis, so each (view, m) is
+searched once.  A certificate also fixes the Hilbert function of R/I in
+every degree above m (`certified_hilbert_values`).  They serve the Betti
+tables of `betti`, the saturation profile below and the product side of
+`linforms.verify_decomposition`.  The search is one-sided: finding no
+certificate proves nothing.
 
 Saturation is one exact downward recursion for every ideal.  It starts at
 a top degree T with (I^sat)_T = I_T, which the degree of lcm(G(I)) gives
@@ -22,7 +26,7 @@ ideal with no certificate up to the cap gets no number: "not certified".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -141,14 +145,22 @@ class GradedIdealView:
         return min(g.degree for g in self.generators)
 
 
+_UNSEARCHED = object()
+
+
 @dataclass
 class DegreePiece:
     """A subspace of K^ncols (here R_e) as the canonical int RREF rows of
-    `linalg.row_reduce` (primitive, positive lead over QQ) and pivots."""
+    `linalg.row_reduce` (primitive, positive lead over QQ) and pivots.
+
+    A piece I_m of a view also holds the regularity certificate searched
+    from it (`regularity_certificate`), or None when the search found
+    none."""
 
     rows: list
     pivots: list
     ncols: int
+    certificate: object = field(default=_UNSEARCHED, compare=False, repr=False)
 
     @property
     def dim(self):
@@ -383,8 +395,17 @@ def regularity_certificate(I, m):
 
     Each step tries at most CERTIFICATE_TRIES distinct nonzero forms, or
     every nonzero form of a field with fewer.  The forms are drawn at
-    random, so None proves nothing.
+    random, so None proves nothing.  The draws are seeded, so the result
+    depends on I and m alone: the degree-m piece of I holds it, None
+    included, and a second call on the same view searches nothing.
     """
+    piece = degree_piece(I, m)
+    if piece.certificate is _UNSEARCHED:
+        piece.certificate = _search_certificate(I, m)
+    return piece.certificate
+
+
+def _search_certificate(I, m):
     n = I.nvars
     p = I.characteristic
     rng = random.Random(CERTIFICATE_SEED)
@@ -400,6 +421,50 @@ def regularity_certificate(I, m):
                 yield h
 
     return _bayer_stillman(I, m, draws)
+
+
+def _check_cap(I, cap):
+    if cap < I.max_gen_degree():
+        raise ValueError(
+            f"cap {cap} below the largest generator degree {I.max_gen_degree()}"
+        )
+
+
+def least_certificate(I, cap):
+    """The certificate at the least m in max_gen_degree()..cap that has
+    one, or None."""
+    _check_cap(I, cap)
+    for m in range(I.max_gen_degree(), cap + 1):
+        cert = regularity_certificate(I, m)
+        if cert is not None:
+            return cert
+    return None
+
+
+def certified_hilbert_values(I, cert, top):
+    """dim (R/I)_e for e = 0..top (top > m = cert.m), read off I's pieces
+    up to degree m and derived from the certificate above.
+
+    Each J_i of the certificate is m-regular, so h_i stays injective on
+    R/J_i in every degree >= m, and a_i(e) = dim (R/J_i)_e satisfies
+    a_i(e) = a_i(e - 1) + a_{i+1}(e), with a_{k+1} = 0 and a_1 the
+    Hilbert function of R/I.  The value derived in degree m + 1 must equal
+    `hilbert_value(I, m + 1)`, read off the piece I_{m+1} the search built
+    (or counted on the monomials of a monomial I).
+    """
+    m = cert.m
+    hf = [hilbert_value(I, e) for e in range(m + 1)]
+    a = [*cert.dims, 0]
+    for _ in range(m, top):
+        for i in reversed(range(len(cert.dims))):
+            a[i] += a[i + 1]
+        hf.append(a[0])
+    built = hilbert_value(I, m + 1)
+    if hf[m + 1] != built:
+        raise AssertionError(
+            f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}"
+        )
+    return hf
 
 
 @dataclass
@@ -431,20 +496,14 @@ def saturation_degree(I, cap):
     is one-sided: when no m up to cap has a certificate, no number is
     given (`sat_degree` None and an empty profile: not certified).
     """
-    if cap < I.max_gen_degree():
-        raise ValueError(
-            f"cap {cap} below the largest generator degree {I.max_gen_degree()}"
-        )
+    _check_cap(I, cap)
     if I.is_monomial:
         top = mono_degree(I.monomial_ideal().lcm_of_gens()) + 1
     else:
-        top = next(
-            (m for m in range(I.max_gen_degree(), cap + 1)
-             if regularity_certificate(I, m) is not None),
-            None,
-        )
-        if top is None:
+        cert = least_certificate(I, cap)
+        if cert is None:
             return SaturationProfile(cap, None, {})
+        top = cert.m
     n, p = I.nvars, I.characteristic
     sat = degree_piece(I, top)
     sat_dims = {}

@@ -19,6 +19,13 @@ Gorenstein Algebras, and Determinantal Loci, LNM 1721, 1999, App. A;
 Emsalem-Iarrobino, J. Algebra 174, 1995).  `power_annihilator` writes
 these rows down as integers, and `verify_decomposition` checks the
 product's containment by dot products with them.
+
+The product side builds few pieces too.  The product is generated in
+degree d and has reg = d, so a Bayer-Stillman certificate at m = d
+(`graded.regularity_certificate`) is searched on its pieces of degrees d
+and d + 1, and its dims give the product's Hilbert function in every
+degree above (`graded.certified_hilbert_values`).  Only a product with no
+certificate found at m = d has its pieces built up to the cap.
 """
 
 from __future__ import annotations
@@ -33,9 +40,12 @@ from .graded import (
     DegreePiece,
     GradedIdealView,
     HomPolynomial,
+    certified_hilbert_values,
     colon_piece,
     degree_piece,
+    hilbert_value,
     multiplication_maps,
+    regularity_certificate,
     ring_dim,
 )
 from .monomials import monomial_basis
@@ -307,7 +317,7 @@ def _annihilates(rows, vectors, p):
     return True
 
 
-def verify_decomposition(family, cap):
+def verify_decomposition(family, cap, components=None):
     """Compare the product with the intersection of components, degree by degree.
 
     Both sides are computed along independent linear-algebra paths: the
@@ -321,8 +331,17 @@ def verify_decomposition(family, cap):
     the intersection in degree d when every degree-d generator has dot
     product 0 (mod p) with every degree-d annihilator row.
 
+    The product side builds its pieces up to degree d + 1 and searches a
+    regularity certificate at m = d there (Bayer-Stillman, Invent. Math.
+    87, 1987).  With one, dim product_e above d + 1 comes from the
+    certificate's recursion (`graded.certified_hilbert_values`, which
+    checks the derived value in degree d + 1 against the built piece).
+    Only when none is found, or cap <= d + 1, are the pieces built up to
+    the cap.
+
     The intersection side builds only what can change its answer
-    (`nonmaximal_components`):
+    (`nonmaximal_components`, which the caller may pass in when it has
+    computed them already):
 
     - components are grouped by ideal and only the largest exponent is
       kept;
@@ -338,21 +357,26 @@ def verify_decomposition(family, cap):
     if cap < d:
         raise ValueError(f"cap {cap} below the product's generation degree {d}")
     p = family[0].characteristic
+    if components is None:
+        components = nonmaximal_components(family)
     product = product_generators(family)
     degrees = range(d, cap + 1)
     annihilator = {e: [] for e in degrees}
-    for V, k in nonmaximal_components(family).items():
+    for V, k in components.items():
         for e, rows in zip(degrees, power_annihilator(V, k, degrees)):
             annihilator[e].extend(rows)
     gens = [g.vector(p) for g in product.generators]
     containment_ok = _annihilates(annihilator[d], gens, p)
+    cert = regularity_certificate(product, d) if cap > d + 1 else None
+    if cert is None:
+        hf = [hilbert_value(product, e) for e in range(cap + 1)]
+    else:
+        hf = certified_hilbert_values(product, cert, cap)
     dims = {}
     for e in range(cap + 1):
-        pp = degree_piece(product, e)
-        if e < d:
-            dims[e] = (pp.dim, 0)
-        else:
-            dims[e] = (pp.dim, pp.ncols - linalg.rank(annihilator.pop(e), p))
+        ncols = ring_dim(product.nvars, e)
+        inter = ncols - linalg.rank(annihilator.pop(e), p) if e >= d else 0
+        dims[e] = (ncols - hf[e], inter)
     equal = containment_ok and all(a == b for a, b in dims.values())
     return DecompositionReport(cap, dims, containment_ok, equal)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealreg import betti, linalg
+from idealreg import betti, graded, linalg
 from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import (
     GradedIdealView,
@@ -560,6 +560,46 @@ def test_saturation_reads_no_piece_above_m_plus_1():
         sp = saturation_degree(prod, d + prod.nvars)
         assert sp.sat_degree is not None and sp.sat_degree <= d
         assert max(prod._pieces) <= d + 1
+
+
+def _count_searches(monkeypatch):
+    """The (view, m) of every `graded._bayer_stillman` run from now on."""
+    calls = []
+    real = graded._bayer_stillman
+
+    def counting(I, m, candidates):
+        calls.append((I, m))
+        return real(I, m, candidates)
+
+    monkeypatch.setattr(graded, "_bayer_stillman", counting)
+    return calls
+
+
+def test_certificate_is_searched_once_per_view_and_degree(monkeypatch):
+    # the degree-m piece holds the search's result, so `betti_table`
+    # reuses the one `saturation_degree` made on the same view
+    calls = _count_searches(monkeypatch)
+    d, prod = _criterion_3_product(9)
+    assert saturation_degree(prod, d).sat_degree is not None
+    assert betti.regularity(prod, cap=d + prod.nvars).value == d
+    assert calls == [(prod, d)]
+    assert degree_piece(prod, d).certificate == regularity_certificate(prod, d)
+    assert len(calls) == 1
+    # a fresh view of the same ideal has pieces of its own, and searches again
+    fresh = GradedIdealView(prod.nvars, prod.generators, 0)
+    assert regularity_certificate(fresh, d) == regularity_certificate(prod, d)
+    assert calls == [(prod, d), (fresh, d)]
+
+
+def test_no_certificate_is_held_too(monkeypatch):
+    # ab(a + b) over GF(2): no certificate at m = 3, and the None found by
+    # `saturation_degree` sends `betti_table` to the strands with no search
+    calls = _count_searches(monkeypatch)
+    I = GradedIdealView(2, [HomPolynomial.make({(2, 1): 1, (1, 2): 1})], 2)
+    assert saturation_degree(I, 3).sat_degree is None
+    assert betti.betti_table(I, 5).entries == {(0, 0): 1, (1, 3): 1}
+    assert regularity_certificate(I, 3) is None
+    assert calls == [(I, 3)]
 
 
 # `verify` must reject a certificate that is wrong in any of its parts.

@@ -4,9 +4,10 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from idealreg import betti
+from idealreg import betti, linforms
 from idealreg.cli import main
 from idealreg.fields import PRIME_BOUND
+from idealreg.graded import RegularityCertificate
 from idealreg.monomials import format_monomial, monomial_basis
 from idealreg.parsing import (
     ParseError,
@@ -199,14 +200,14 @@ def test_inequality_bad_characteristic_and_cap_exit_2():
 TWO_LINES = "linforms([[1,0]],[[0,1]])"
 
 
-@pytest.mark.parametrize("command", ["decompose", "verify", "sat", "general"])
+@pytest.mark.parametrize("command", ["decompose", "verify", "sat", "general", "reg"])
 def test_linforms_bad_characteristic_exits_2(command):
     r = run("linforms", command, "--family", TWO_LINES, "--char", "4")
     _assert_input_error(r)
     assert r.stderr == "input error: 4 is not prime\n"
 
 
-@pytest.mark.parametrize("command", ["verify", "sat"])
+@pytest.mark.parametrize("command", ["verify", "sat", "reg"])
 def test_linforms_cap_below_product_degree_exits_2(command):
     r = run("linforms", command, "--family", TWO_LINES, "--cap", "0")
     _assert_input_error(r)
@@ -242,7 +243,7 @@ def test_linforms_decompose_primary_guard_exits_2():
     assert "too many factors: 13 > 12" in r.stderr
 
 
-@pytest.mark.parametrize("command", ["verify", "sat"])
+@pytest.mark.parametrize("command", ["verify", "sat", "reg"])
 def test_linforms_cap_guard_exits_2(command):
     # a cap past CAP_GUARD = 32 is refused before any degree is swept
     r = run("linforms", command, "--family", "linforms([[1,0]])",
@@ -251,7 +252,7 @@ def test_linforms_cap_guard_exits_2(command):
     assert "cap 100000000000 exceeds CAP_GUARD = 32" in r.stderr
 
 
-@pytest.mark.parametrize("command", ["verify", "sat"])
+@pytest.mark.parametrize("command", ["verify", "sat", "reg"])
 def test_linforms_piece_guard_exits_2(command):
     # cap 32 passes CAP_GUARD, but R_32 in 5 variables has 58905 columns
     r = run("linforms", command, "--family",
@@ -293,7 +294,7 @@ def test_linforms_verify_sweep_guard_counts_distinct_nonmaximal_ideals():
     assert json.loads(r.stdout)["equal"] is True
 
 
-@pytest.mark.parametrize("command", ["verify", "sat"])
+@pytest.mark.parametrize("command", ["verify", "sat", "reg"])
 def test_linforms_generator_guard_exits_2(command):
     # 7 copies of (x1, x2, x3) have 3^7 = 2187 product generators
     m = "[[1,0,0],[0,1,0],[0,0,1]]"
@@ -301,6 +302,22 @@ def test_linforms_generator_guard_exits_2(command):
             "linforms(" + ", ".join([m] * 7) + ")", "--cap", "7")
     _assert_input_error(r)
     assert "too many product generators: 2187 > 1000" in r.stderr
+
+
+def test_linforms_verify_computes_the_components_once(monkeypatch):
+    # the SWEEP_GUARD count and the intersection side share one sweep of
+    # the 2^d - 1 component sums
+    calls = []
+    real = linforms.primary_components
+
+    def counting(family):
+        calls.append(len(family))
+        return real(family)
+
+    monkeypatch.setattr(linforms, "primary_components", counting)
+    r = run("linforms", "verify", "--family", LINES8)
+    assert r.exit_code == 0, r.output
+    assert calls == [8]
 
 
 def test_linforms_sat_default_cap_guard_exits_2():
@@ -470,3 +487,53 @@ def test_certificate_commands_structured_golden(argv, code, stdout, stderr):
     assert r.exit_code == code
     assert r.stdout == stdout
     assert r.stderr == stderr
+
+
+# `linforms reg`: the least m up to the cap with a Bayer-Stillman
+# certificate of the product, its forms and dims, re-checked on a fresh
+# view; exit 1 when the search finds none up to the cap.
+REG_GOLDEN = [
+    (("--family", PINCHED3), 0,
+     '{"cap": 3, "certificate": {"dims": [12, 3], "forms": [[6, -5, -1, 9], [9, 5, -8, -7]], "m": 3}, "characteristic": 0, "reg_lower": 3, "reg_upper": 3, "verified": true}\n'),
+    (("--family", TWO_LINES), 0,
+     '{"cap": 2, "certificate": {"dims": [2], "forms": [[6, -5]], "m": 2}, "characteristic": 0, "reg_lower": 2, "reg_upper": 2, "verified": true}\n'),
+    (("--family", "linforms([[1,2,3]],[[3,1,2]])", "--char", "3", "--cap", "4"), 0,
+     '{"cap": 4, "certificate": {"dims": [5, 2], "forms": [[0, 0, 2], [2, 2, 0]], "m": 2}, "characteristic": 3, "reg_lower": 2, "reg_upper": 2, "verified": true}\n'),
+    (("--family", "linforms([[1,2,3]],[[3,1,2]])", "--char", "32003"), 0,
+     '{"cap": 2, "certificate": {"dims": [5, 2], "forms": [[6, 31998, 32002], [9, 9, 5]], "m": 2}, "characteristic": 32003, "reg_lower": 2, "reg_upper": 2, "verified": true}\n'),
+    (("--family", CHAR2, "--char", "2"), 1,
+     '{"cap": 4, "certificate": null, "characteristic": 2, "reg_lower": 4, "reg_upper": null}\n'),
+    (("--family", "linforms([[1,0]],[[0,1]],[[1,1]])", "--char", "2", "--cap", "5"), 1,
+     '{"cap": 5, "certificate": null, "characteristic": 2, "reg_lower": 3, "reg_upper": null}\n'),
+]
+
+
+@pytest.mark.parametrize("args,code,stdout", REG_GOLDEN)
+def test_linforms_reg_structured_golden(args, code, stdout):
+    r = run("linforms", "reg", "--format", "structured", *args)
+    assert r.exit_code == code
+    assert r.stdout == stdout and r.stderr == ""
+
+
+def test_linforms_reg_text_golden():
+    r = run("linforms", "reg", "--family", PINCHED3)
+    assert r.exit_code == 0
+    assert r.stdout == (
+        "certificate at m = 3 (cap 3): 3 <= reg <= 3\n"
+        "h_1 = [6, -5, -1, 9], dim (R/J_1)_3 = 12\n"
+        "h_2 = [9, 5, -8, -7], dim (R/J_2)_3 = 3\n"
+        "re-checked from the generators: true\n"
+    )
+    r = run("linforms", "reg", "--char", "2", "--cap", "5", "--family",
+            "linforms([[1,0]],[[0,1]],[[1,1]])")
+    assert r.exit_code == 1
+    assert r.stdout == "no certificate for m = 3..5: reg not certified within cap\n"
+
+
+def test_linforms_reg_failed_recheck_is_not_reported_as_input_error(monkeypatch):
+    # a certificate that fails `RegularityCertificate.verify` is a failed
+    # internal check, not bad input
+    monkeypatch.setattr(RegularityCertificate, "verify", lambda self, I: False)
+    r = run("linforms", "reg", "--family", PINCHED3)
+    assert r.exit_code != 2 and isinstance(r.exception, AssertionError)
+    assert "fails its re-check" in str(r.exception)

@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from idealreg import betti, linalg, linforms
+from idealreg import betti, graded, linalg, linforms
 from idealreg.graded import (
     GradedIdealView,
     HomPolynomial,
+    RegularityCertificate,
     degree_piece,
     ideal_product,
     ring_dim,
@@ -373,3 +374,78 @@ def test_verify_decomposition_fails_when_a_component_counts_as_maximal(
             monkeypatch, family, PrimaryComponent, "is_maximal", maximal
         )
         assert not rep.equal, target
+
+
+# The product side above degree d + 1 comes from a certificate at m = d.
+
+
+def spy_pieces(monkeypatch):
+    """The (view, degree) of every `degree_piece` call from now on."""
+    calls = []
+    real = graded.degree_piece
+
+    def spying(I, e):
+        calls.append((I, e))
+        return real(I, e)
+
+    monkeypatch.setattr(graded, "degree_piece", spying)
+    monkeypatch.setattr(linforms, "degree_piece", spying)
+    return calls
+
+
+@pytest.mark.parametrize("family", [
+    pinched_family(3),
+    REPEATED,
+    *(random_linear_family(rng_from_seed(seed), nmax=5, dmax=4)
+      for seed in (0, 3, 9)),
+])
+def test_certified_verify_builds_no_product_piece_above_d_plus_1(
+    monkeypatch, family
+):
+    d = len(family)
+    calls = spy_pieces(monkeypatch)
+    ours = verify_decomposition(family, d + 3)
+    monkeypatch.undo()
+    assert calls and max(e for _, e in calls) == d + 1
+    (product,) = {I for I, _ in calls}
+    assert degree_piece(product, d).certificate is not None
+    theirs = verify_decomposition_all_components(family, d + 3)
+    assert ours.dims == theirs.dims and ours.equal
+
+
+@pytest.mark.parametrize("family", [pinched_family(3), REPEATED])
+def test_verify_decomposition_fails_on_a_certificate_with_a_wrong_dim(
+    monkeypatch, family
+):
+    # the derived dim (R/I)_{d+1} is the sum of the a_i, so one wrong a_i
+    # differs from the built piece in degree d + 1
+    real = linforms.regularity_certificate
+    d = len(family)
+    cert = real(product_generators(family), d)
+    for i in range(len(cert.dims)):
+        dims = list(cert.dims)
+        dims[i] -= 1
+
+        def wrong(I, m, dims=tuple(dims)):
+            return RegularityCertificate(m, real(I, m).forms, dims)
+
+        monkeypatch.setattr(linforms, "regularity_certificate", wrong)
+        with pytest.raises(AssertionError, match="certificate Hilbert value"):
+            verify_decomposition(family, d + 3)
+        monkeypatch.undo()
+
+
+def test_uncertified_verify_builds_every_product_piece(monkeypatch):
+    # (x1), (x2), (x1 + x2) over GF(2): every linear form over GF(2)
+    # divides the product, so no certificate exists at m = 3 and the
+    # product's pieces are built up to the cap
+    family = [LinearIdeal.from_rows(2, [r], 2) for r in ([1, 0], [0, 1], [1, 1])]
+    calls = spy_pieces(monkeypatch)
+    ours = verify_decomposition(family, 6)
+    monkeypatch.undo()
+    (product,) = {I for I, _ in calls}
+    assert degree_piece(product, 3).certificate is None
+    assert max(e for _, e in calls) == 6
+    theirs = verify_decomposition_all_components(family, 6)
+    assert ours.dims == theirs.dims
+    assert ours.containment_ok == theirs.containment_ok and ours.equal

@@ -1,4 +1,16 @@
-"""Graded Betti numbers of R/I, and regularity, along three routes.
+"""Graded Betti numbers of R/I, and regularity, along four routes.
+
+* linear-quotient route, for a monomial ideal with a degree-non-decreasing
+  order u_1, ..., u_r of G(I) in which each colon (u_1, ..., u_{k-1}) : u_k
+  is generated by r_k variables: the iterated mapping cones of Herzog and
+  Takayama ("Resolutions by mapping cones", Homology Homotopy Appl. 4,
+  2002) resolve I minimally, so beta_{i,i+j}(I) is the sum of C(r_k, i)
+  over the k with deg u_k = j, over any field.  The order comes from a
+  greedy pass (`quotients.greedy_order`) and is re-checked from scratch by
+  `quotients.check_order` before the table is read off it.  The order is
+  asserted degree-non-decreasing, the orders for which the cones are
+  proved minimal (Herzog and Hibi, Monomial Ideals, Lemma 8.2.1).  When
+  the greedy pass gives up the table takes the monomial route.
 
 * monomial route: the Koszul strands split into blocks indexed by monomial
   multidegrees.  The block of multidegree a is the complex spanned by the
@@ -28,13 +40,16 @@
   nothing (the search is one-sided: reg(I) > m, or a small field such as
   GF(2) with too few good forms).
 
-Cross-checks.  The monomial and strand tables are compared with the
-Hilbert function of R/I in each degree j <= cap through the Euler
-characteristic of the strand,
+Cross-checks.  The linear-quotient, monomial and strand tables are
+compared with the Hilbert function of R/I in each degree j <= cap through
+the Euler characteristic of the strand,
 sum_i (-1)^i beta_ij = sum_k (-1)^k C(n, k) dim (R/I)_{j-k}.  For a monomial
 ideal all those Hilbert values come from one counting walk over the
 standard monomials (`MonomialIdeal.hilbert_values`); otherwise each is
-read off the degree piece I_e.  The certificate table is built from the
+read off the degree piece I_e.  On the linear-quotient route the Euler
+check catches a wrong r_k, but not the cancelling pairs of a non-minimal
+cone, hence the degree assertion; the monomial route stays its oracle in
+the tests.  The certificate table is built from the
 Hilbert function, so the Euler check would hold by construction; there
 it is replaced by four checks: each certificate step is an exact rank
 computation, the derived dim (R/I)_{m+1} must equal the one of the piece
@@ -66,7 +81,11 @@ from .graded import (
     regularity_certificate,
 )
 from .monomials import degree as mono_degree
+from .quotients import greedy_order
 
+# bounds the candidate multidegrees of the Koszul fallback
+# (`_monomial_candidates`) only: a table read off a linear-quotient order
+# enumerates none, so the guard never refuses such an ideal
 MULTIDEGREE_GUARD = 10_000_000
 
 
@@ -229,6 +248,21 @@ def _monomial_entries(mi, cap, p):
         for c, h in enumerate(hs):
             if h:
                 entries[c + 1, j] = entries.get((c + 1, j), 0) + h
+    return entries
+
+
+def _quotient_entries(cert, cap):
+    """Nonzero beta_ij(R/I), j <= cap, from a degree-non-decreasing order
+    with linear quotients: beta_{i+1,i+deg u_k}(R/I) += C(r_k, i), with
+    r_k = len(cert.colon_vars[k])."""
+    degs = [mono_degree(u) for u in cert.order]
+    if any(a > b for a, b in zip(degs, degs[1:])):
+        raise AssertionError(f"linear-quotient order not degree-monotone: {degs}")
+    entries = {(0, 0): 1}
+    for d, vs in zip(degs, cert.colon_vars):
+        for i in range(min(len(vs), cap - d) + 1):
+            key = (i + 1, i + d)
+            entries[key] = entries.get(key, 0) + comb(len(vs), i)
     return entries
 
 
@@ -401,8 +435,10 @@ def _euler_check(I, entries, cap):
 def betti_table(I, cap=None):
     """All beta_ij(R/I) for j <= cap; certified for monomial I at Taylor cap.
 
-    A non-monomial ideal takes the certificate route when it is generated
-    in one degree and a certificate is found, the strand route otherwise.
+    A monomial ideal takes the linear-quotient route when the greedy pass
+    finds a certified order, the monomial route otherwise.  A non-monomial
+    ideal takes the certificate route when it is generated in one degree
+    and a certificate is found, the strand route otherwise.
     """
     cap = table_cap(I, cap)
     if cap < I.max_gen_degree():
@@ -411,7 +447,11 @@ def betti_table(I, cap=None):
         mi = I.monomial_ideal()
         if mi.is_unit:
             raise ValueError("unit ideal")
-        entries = _monomial_entries(mi, cap, I.characteristic)
+        cert = greedy_order(mi)
+        if cert is None:
+            entries = _monomial_entries(mi, cap, I.characteristic)
+        else:
+            entries = _quotient_entries(cert, cap)
         certified = cap >= taylor_degree_cap(mi)
         _euler_check(I, entries, cap)
         return BettiTable(I.nvars, entries, cap, certified)

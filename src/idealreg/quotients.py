@@ -281,6 +281,44 @@ def search_order(I):
     return cert
 
 
+def greedy_order(I):
+    """A degree-non-decreasing order of G(I) with linear quotients, found
+    greedily and certified by `check_order`, or None.
+
+    The generators are taken in `revlex_desc` order, which sorts by degree
+    first.  Each step appends the first remaining generator of the lowest
+    remaining degree whose colon with the prefix is generated by
+    variables.  The pass gives up, with None, when no generator of that
+    degree qualifies; it does not backtrack, so None does not mean that
+    no order exists (`search_order` settles that).
+    """
+    gens = revlex_desc(I.gens)
+    degs = [degree(u) for u in gens]
+    linear_colon = _colon_route(gens)
+    remaining = list(range(len(gens)))
+    prefix = 0
+    path = []
+    while remaining:
+        low = degs[remaining[0]]
+        for pos, k in enumerate(remaining):
+            # u/gcd(u, v) is never a variable when deg u > deg v (v would
+            # divide u), so once every generator of degree low is blocked
+            # no order extends the prefix
+            if degs[k] > low:
+                return None
+            if linear_colon(k, prefix) is not None:
+                break
+        else:
+            return None
+        del remaining[pos]
+        prefix |= 1 << k
+        path.append(k)
+    cert = check_order(I.nvars, [gens[k] for k in path])
+    if not isinstance(cert, QuotientCertificate):
+        raise AssertionError(f"greedy order rejected by check_order: {cert}")
+    return cert
+
+
 def regularity_from_certificate(cert):
     """Regularity of an ideal with linear quotients: its top generator degree."""
     return cert.max_degree()

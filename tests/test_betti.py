@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from idealreg import betti, graded, linalg
+from idealreg.chains import chain_ideal
 from idealreg.fixtures import projective_plane_ideal
 from idealreg.graded import (
     GradedIdealView,
@@ -19,11 +21,24 @@ from idealreg.graded import (
 )
 from idealreg.ideals import MonomialIdeal, saturation
 from idealreg.linforms import LinearIdeal, product_generators
-from idealreg.monomials import basis_index, mono_mul, monomial_basis, parse_monomial
-from idealreg.quotients import regularity_from_certificate, search_order
+from idealreg.monomials import (
+    basis_index,
+    degree,
+    mono_mul,
+    monomial_basis,
+    parse_monomial,
+)
+from idealreg.polymatroid import polymatroidal_product
+from idealreg.quotients import (
+    check_order,
+    greedy_order,
+    regularity_from_certificate,
+    search_order,
+)
 from idealreg.samplers import (
     random_linear_family,
     random_monomial_ideal,
+    random_polymatroidal,
     rng_from_seed,
 )
 
@@ -228,6 +243,148 @@ def test_betti_numbers_over_gf_p_dominate_qq(mi):
         assert all(gf.get(k, 0) >= v for k, v in qq.items()), (p, qq, gf)
 
 
+# The linear-quotient route, with the monomial (Koszul) route as oracle.
+
+PLANE_TABLES = {  # acceptance criterion 8
+    0: {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6},
+    2: {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6, (3, 6): 1, (4, 6): 1},
+}
+
+
+def _assert_degree_monotone(cert):
+    degs = [degree(u) for u in cert.order]
+    assert degs == sorted(degs), degs
+
+
+@given(small_monomial_ideals(), st.sampled_from([0, 2, 32003]),
+       st.integers(0, 10**6))
+@example(MonomialIdeal.from_gens(2, [(2, 0), (1, 1), (0, 3)]), 0, 2)
+@settings(deadline=None)
+def test_quotient_route_matches_koszul_route(mi, char, k):
+    # caps from the top generator degree up to the Taylor cap
+    top, taylor = mi.max_gen_degree(), betti.taylor_degree_cap(mi)
+    cap = top + k % (taylor - top + 1)
+    cert = greedy_order(mi)
+    if cert is not None:
+        _assert_degree_monotone(cert)
+    table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char), cap)
+    assert table.entries == betti._monomial_entries(mi, cap, char)
+
+
+def test_quotient_route_is_taken_on_a_fair_share_of_random_ideals():
+    rng = rng_from_seed(19)
+    taken = mixed = 0
+    total = 300
+    for _ in range(total):
+        mi = random_monomial_ideal(rng, nmax=5, degmax=3, max_gens=6)
+        cert = greedy_order(mi)
+        if cert is not None:
+            _assert_degree_monotone(cert)
+            taken += 1
+            mixed += len({degree(g) for g in mi.gens}) > 1
+        cap = betti.taylor_degree_cap(mi)
+        for char in (0, 2):
+            table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char))
+            assert table.entries == betti._monomial_entries(mi, cap, char)
+    # both routes run, and mixed degrees reach the new one
+    assert total // 3 <= taken <= total - total // 10, (taken, total)
+    assert mixed >= total // 10, (mixed, total)
+
+
+def _relabelled(mi, rng):
+    perm = list(range(mi.nvars))
+    rng.shuffle(perm)
+    return MonomialIdeal.from_gens(
+        mi.nvars, [tuple(g[perm[j]] for j in range(mi.nvars)) for g in mi.gens])
+
+
+def _chain_product(n, sizes):
+    P = chain_ideal(n, sizes[0])
+    for t in sizes[1:]:
+        P = P.product(chain_ideal(n, t))
+    return P
+
+
+@pytest.mark.parametrize("n,sizes", [
+    (3, (2, 1)), (3, (1, 1, 1)), (4, (2, 2)), (4, (2, 1, 1)), (5, (3, 1)),
+    (5, (2, 2, 1)), (5, (1, 1, 1, 1)),
+])
+def test_quotient_route_matches_koszul_route_on_relabelled_chain_products(n, sizes):
+    rng = rng_from_seed(n * 100 + sum(sizes))
+    for _ in range(3):
+        mi = _relabelled(_chain_product(n, sizes), rng)
+        assert greedy_order(mi) is not None
+        cap = betti.taylor_degree_cap(mi)
+        for char in (0, 2):
+            table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char))
+            assert table.certified
+            assert table.entries == betti._monomial_entries(mi, cap, char)
+
+
+def test_quotient_route_matches_koszul_route_on_polymatroidal_products():
+    rng = rng_from_seed(23)
+    for _ in range(40):
+        I = random_polymatroidal(rng, nmax=4)
+        J = random_polymatroidal(rng, nmax=4)
+        n = max(I.nvars, J.nvars)
+        mi = _relabelled(polymatroidal_product(I.padded(n), J.padded(n)), rng)
+        assert greedy_order(mi) is not None
+        cap = betti.taylor_degree_cap(mi)
+        table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi))
+        assert table.entries == betti._monomial_entries(mi, cap, 0)
+
+
+def _with_certificate(monkeypatch, cert):
+    monkeypatch.setattr(betti, "greedy_order", lambda mi: cert)
+
+
+@pytest.mark.parametrize("n,names", [
+    (4, ("a^2*b", "a*b*c", "b*c*d", "c*d^2")),
+    (3, ("a^2", "a*b", "b^3")),
+    (4, ("a", "b*c", "b^2*d", "c^3*d^2")),
+])
+def test_euler_check_fires_on_one_wrong_colon_size(monkeypatch, n, names):
+    I = view(n, *names)
+    cert = greedy_order(I.monomial_ideal())
+    assert cert is not None
+    for k, vs in enumerate(cert.colon_vars):
+        extra = next(v for v in range(1, n + 1) if v not in vs)
+        wrong = list(cert.colon_vars)
+        wrong[k] = tuple(sorted(vs + (extra,)))
+        _with_certificate(monkeypatch,
+                          dataclasses.replace(cert, colon_vars=tuple(wrong)))
+        with pytest.raises(AssertionError, match="Euler characteristic mismatch"):
+            betti.betti_table(I)
+
+
+def test_degree_non_monotone_order_never_reaches_the_table(monkeypatch):
+    # a*b, b^3, a^2 has linear quotients in that order, which check_order
+    # certifies, but its degrees go 2, 3, 2
+    cert = check_order(2, [(1, 1), (0, 3), (2, 0)])
+    assert cert.colon_vars == ((), (1,), (2,))
+    I = view(2, "a*b", "b^3", "a^2")
+    _assert_degree_monotone(greedy_order(I.monomial_ideal()))
+    with pytest.raises(AssertionError, match="not degree-monotone"):
+        betti._quotient_entries(cert, 5)
+    _with_certificate(monkeypatch, cert)
+    with pytest.raises(AssertionError, match="not degree-monotone"):
+        betti.betti_table(I)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_greedy_pass_that_gives_up_falls_back_to_the_koszul_route(monkeypatch, char):
+    # the projective plane has no linear-quotient order
+    mi = projective_plane_ideal()
+    assert greedy_order(mi) is None
+    I = GradedIdealView.from_monomial_ideal(mi, char)
+    assert betti.betti_table(I).entries == PLANE_TABLES[char]
+    # a chain product whose greedy pass is made to give up: same table
+    P = GradedIdealView.from_monomial_ideal(_chain_product(4, (2, 1)), char)
+    quotient_table = betti.betti_table(P)
+    _with_certificate(monkeypatch, None)
+    assert betti.betti_table(P) == quotient_table
+
+
 def test_field_independence_generic_position():
     # a squarefree ideal whose resolution is characteristic-free
     I0 = view(3, "a*b", "b*c")
@@ -241,10 +398,8 @@ def test_projective_plane_characteristic_dependence():
     assert len(mi.gens) == 10
     char0 = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, 0))
     char2 = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, 2))
-    assert char0.entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
-    assert char2.entries == {
-        (0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6, (3, 6): 1, (4, 6): 1,
-    }
+    assert char0.entries == PLANE_TABLES[0]
+    assert char2.entries == PLANE_TABLES[2]
     r0 = betti.regularity(GradedIdealView.from_monomial_ideal(mi, 0))
     r2 = betti.regularity(GradedIdealView.from_monomial_ideal(mi, 2))
     assert r0.value == 3 < r2.value == 4
@@ -308,11 +463,13 @@ def test_koszul_sign_check_fires_on_flipped_boundary(monkeypatch, level):
 @pytest.mark.parametrize("level", [1, 2])
 def test_koszul_sign_check_fires_through_the_homology_memo(monkeypatch, level, char):
     # the table takes homology once per distinct complex; the check must
-    # still run on each.  Only K^(1,1,1) of (a, b, c) has faces of size 2.
-    # The unflipped table comes first, so a memo kept across tables would
-    # answer the flipped one unchecked.
-    I = view(3, "a", "b", "c", char=char)
-    assert betti.betti_table(I).entries[2, 2] == 3
+    # still run on each.  (a*b, c*d) has no linear-quotient order, so its
+    # table takes the monomial route, and only the complex of a*b*c*d has
+    # faces of size 2.  The unflipped table comes first, so a memo kept
+    # across tables would answer the flipped one unchecked.
+    I = view(4, "a*b", "c*d", char=char)
+    assert greedy_order(I.monomial_ideal()) is None
+    assert betti.betti_table(I).entries[2, 4] == 1
     _flip_boundaries_at(monkeypatch, level)
     with pytest.raises(AssertionError, match="koszul sign error"):
         betti.betti_table(I)

@@ -489,6 +489,93 @@ def test_certificate_commands_structured_golden(argv, code, stdout, stderr):
     assert r.stderr == stderr
 
 
+# `betti` and `inequality` on relabelled chain products, mixed-degree
+# ideals with and without linear quotients, the projective plane in
+# characteristics 0 and 2, and caps below the Taylor cap, recorded before
+# tables were read off linear-quotient orders.  Both routes must keep them
+# byte for byte.
+BETTI_GOLDEN = [
+    (('betti', '--ideal', 'ideal(c*d^2, b*d^2, a*c*d, a*b*d, c^2*d, b*c*d, b^2*d, a^2*b, a*b*c, a*b^2)'),
+     0, '{"cap": 8, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,3": 10, "2,4": 18, "3,5": 12, "4,6": 3}, "ideal_entries": {"0,3": 10, "1,4": 18, "2,5": 12, "3,6": 3}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^2*b^2, a^2*b*c, a^2*b*e, a^2*c^2, a^2*c*e, a^2*e^2, a*b*c*d, a*b*d*e, a*c^2*d, a*c*d*e, a*d*e^2, a*b^2*e, a*b*c*e, a*b*e^2, c^2*d^2, c*d^2*e, d^2*e^2, b*c*d*e, b*d*e^2, b^2*e^2)'),
+     0, '{"cap": 10, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,4": 20, "2,5": 40, "3,6": 28, "4,7": 8, "5,8": 1}, "ideal_entries": {"0,4": 20, "1,5": 40, "2,6": 28, "3,7": 8, "4,8": 1}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^4, a^3*b, a^3*c, a^2*b^2, a^2*b*c, a^2*c^2, a*b^3, a*b^2*c, a*b*c^2, a*c^3, b^4, b^3*c, b^2*c^2, b*c^3, c^4)', '--char', '2'),
+     0, '{"cap": 12, "certified": true, "characteristic": 2, "entries": {"0,0": 1, "1,4": 15, "2,5": 24, "3,6": 10}, "ideal_entries": {"0,4": 15, "1,5": 24, "2,6": 10}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(c^2*d*f, b*c^2*d, a*b*c^2, c*d*e*f, b*c*d*e, a*b*c*e, c*d^2*f, b*c*d^2, a*c*d*f, a*b*c*d, c*d*f^2, b*c*d*f, b^2*c*d, a^2*b*c, a*b*c*f, a*b^2*c, a*b*e^2, a*b*d*e, a^2*b*e, a*b*e*f, a*b^2*e)'),
+     0, '{"cap": 12, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,4": 21, "2,5": 60, "3,6": 80, "4,7": 60, "5,8": 24, "6,9": 4}, "ideal_entries": {"0,4": 21, "1,5": 60, "2,6": 80, "3,7": 60, "4,8": 24, "5,9": 4}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^2, a*b, b^3)'),
+     0, '{"cap": 5, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,2": 2, "1,3": 1, "2,3": 1, "2,4": 1}, "ideal_entries": {"0,2": 2, "0,3": 1, "1,3": 1, "1,4": 1}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a, b^2, b*c, c^3)', '--char', '32003'),
+     0, '{"cap": 6, "certified": true, "characteristic": 32003, "entries": {"0,0": 1, "1,1": 1, "1,2": 2, "1,3": 1, "2,3": 3, "2,4": 2, "3,4": 1, "3,5": 1}, "ideal_entries": {"0,1": 1, "0,2": 2, "0,3": 1, "1,3": 3, "1,4": 2, "2,4": 1, "2,5": 1}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b, b*c, a^2*c, c^3*d)'),
+     0, '{"cap": 8, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,2": 2, "1,3": 1, "1,4": 1, "2,3": 1, "2,4": 1, "2,5": 1, "2,6": 1, "3,7": 1}, "ideal_entries": {"0,2": 2, "0,3": 1, "0,4": 1, "1,3": 1, "1,4": 1, "1,5": 1, "1,6": 1, "2,7": 1}, "regularity": 5}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b, b*c, a^2*c, b^3*d)'),
+     0, '{"cap": 8, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,2": 2, "1,3": 1, "1,4": 1, "2,3": 1, "2,4": 1, "2,5": 2, "3,6": 1}, "ideal_entries": {"0,2": 2, "0,3": 1, "0,4": 1, "1,3": 1, "1,4": 1, "1,5": 2, "2,6": 1}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a, b*c, b^2*d, c^3*d^2)', '--char', '2'),
+     0, '{"cap": 9, "certified": true, "characteristic": 2, "entries": {"0,0": 1, "1,1": 1, "1,2": 1, "1,3": 1, "1,5": 1, "2,3": 1, "2,4": 2, "2,6": 2, "3,5": 1, "3,7": 1}, "ideal_entries": {"0,1": 1, "0,2": 1, "0,3": 1, "0,5": 1, "1,3": 1, "1,4": 2, "1,6": 2, "2,5": 1, "2,7": 1}, "regularity": 5}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a, b*c, b^2*d, c^3*d^2)', '--cap', '6'),
+     0, '{"cap": 6, "certified": false, "characteristic": 0, "entries": {"0,0": 1, "1,1": 1, "1,2": 1, "1,3": 1, "1,5": 1, "2,3": 1, "2,4": 2, "2,6": 2, "3,5": 1}, "ideal_entries": {"0,1": 1, "0,2": 1, "0,3": 1, "0,5": 1, "1,3": 1, "1,4": 2, "1,6": 2, "2,5": 1}, "regularity": 5}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
+     0, '{"cap": 7, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,3": 4, "2,4": 3}, "ideal_entries": {"0,3": 4, "1,4": 3}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b*d, a*b*e, a*c*e, a*c*f, a*d*f, b*c*d, b*c*f, b*e*f, c*d*e, d*e*f)'),
+     0, '{"cap": 9, "certified": true, "characteristic": 0, "entries": {"0,0": 1, "1,3": 10, "2,4": 15, "3,5": 6}, "ideal_entries": {"0,3": 10, "1,4": 15, "2,5": 6}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b*d, a*b*e, a*c*e, a*c*f, a*d*f, b*c*d, b*c*f, b*e*f, c*d*e, d*e*f)', '--char', '2'),
+     0, '{"cap": 9, "certified": true, "characteristic": 2, "entries": {"0,0": 1, "1,3": 10, "2,4": 15, "3,5": 6, "3,6": 1, "4,6": 1}, "ideal_entries": {"0,3": 10, "1,4": 15, "2,5": 6, "2,6": 1, "3,6": 1}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b*d, a*b*e, a*c*e, a*c*f, a*d*f, b*c*d, b*c*f, b*e*f, c*d*e, d*e*f)', '--char', '2', '--cap', '5'),
+     0, '{"cap": 5, "certified": false, "characteristic": 2, "entries": {"0,0": 1, "1,3": 10, "2,4": 15, "3,5": 6}, "ideal_entries": {"0,3": 10, "1,4": 15, "2,5": 6}, "regularity": 3}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^2*b^2, a^2*b*c, a^2*b*e, a^2*c^2, a^2*c*e, a^2*e^2, a*b*c*d, a*b*d*e, a*c^2*d, a*c*d*e, a*d*e^2, a*b^2*e, a*b*c*e, a*b*e^2, c^2*d^2, c*d^2*e, d^2*e^2, b*c*d*e, b*d*e^2, b^2*e^2)', '--cap', '5'),
+     0, '{"cap": 5, "certified": false, "characteristic": 0, "entries": {"0,0": 1, "1,4": 20, "2,5": 40}, "ideal_entries": {"0,4": 20, "1,5": 40}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a*b, b*c, a^2*c, c^3*d)', '--cap', '4'),
+     0, '{"cap": 4, "certified": false, "characteristic": 0, "entries": {"0,0": 1, "1,2": 2, "1,3": 1, "1,4": 1, "2,3": 1, "2,4": 1}, "ideal_entries": {"0,2": 2, "0,3": 1, "0,4": 1, "1,3": 1, "1,4": 1}, "regularity": 4}\n',
+     ''),
+    (('betti', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)', '--cap', '2'),
+     2, '',
+     'input error: cap below the largest generator degree\n'),
+    (('inequality', '--ideal-i', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)', '--ideal-j', 'ideal(b, c)'),
+     1, '{"characteristic": 0, "holds": false, "reg_i": 3, "reg_j": 1, "reg_product": 5}\n',
+     ''),
+    (('inequality', '--ideal-i', 'ideal(a*b, a*d, c*d)', '--ideal-j', 'ideal(d, c, b, a)'),
+     0, '{"characteristic": 0, "holds": true, "reg_i": 2, "reg_j": 1, "reg_product": 3}\n',
+     ''),
+    (('inequality', '--ideal-i', 'ideal(a^2, a*b, b^3)', '--ideal-j', 'ideal(a, b^2, b*c, c^3)'),
+     0, '{"characteristic": 0, "holds": true, "reg_i": 3, "reg_j": 3, "reg_product": 6}\n',
+     ''),
+    (('inequality', '--ideal-i', 'ideal(a*b, b*c, a^2*c, b^3*d)', '--ideal-j', 'ideal(a, b*c, b^2*d, c^3*d^2)'),
+     0, '{"characteristic": 0, "holds": true, "reg_i": 4, "reg_j": 5, "reg_product": 8}\n',
+     ''),
+    (('inequality', '--ideal-i', 'ideal(a*b*d, a*b*e, a*c*e, a*c*f, a*d*f, b*c*d, b*c*f, b*e*f, c*d*e, d*e*f)', '--ideal-j', 'ideal(a, b)', '--char', '2'),
+     0, '{"characteristic": 2, "holds": true, "reg_i": 4, "reg_j": 1, "reg_product": 4}\n',
+     ''),
+    (('inequality', '--ideal-i', 'ideal(a*b, b*c, a^2*c, c^3*d)', '--ideal-j', 'ideal(a, c)', '--cap', '7'),
+     0, '{"characteristic": 0, "holds": true, "reg_i": 5, "reg_j": 1, "reg_product": 5}\n',
+     ''),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", BETTI_GOLDEN,
+                         ids=[" ".join(g[0])[:60] for g in BETTI_GOLDEN])
+def test_betti_commands_structured_golden(argv, code, stdout, stderr):
+    r = run(*argv, "--format", "structured")
+    assert r.exit_code == code
+    assert r.stdout == stdout
+    assert r.stderr == stderr
+
+
 # `linforms reg`: the least m up to the cap with a Bayer-Stillman
 # certificate of the product, its forms and dims, re-checked on a fresh
 # view; exit 1 when the search finds none up to the cap.

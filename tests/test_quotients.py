@@ -20,6 +20,7 @@ from idealreg.quotients import (
     QuotientFailure,
     _linear_colon,
     check_order,
+    greedy_order,
     monomial_colon,
     regularity_from_certificate,
     search_order,
@@ -283,3 +284,29 @@ def test_search_order_matches_frozenset_search(I):
         assert cert is None
     else:
         assert cert is not None and list(cert.order) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(kmax=9),
+    st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
+        rng_from_seed(seed), nmax=4, degmax=3, max_gens=7)),
+))
+@example(MonomialIdeal.from_gens(4, gens(4, "a*b", "c*d")))  # no order
+@example(MonomialIdeal.from_gens(2, gens(2, "a^2", "a*b", "b^3")))
+def test_greedy_order_is_a_certified_degree_monotone_order_of_the_generators(I):
+    cert = greedy_order(I)
+    if cert is None:
+        return
+    assert sorted(cert.order) == sorted(I.gens)
+    degs = [degree(u) for u in cert.order]
+    assert degs == sorted(degs)
+    assert verify_certificate(cert)
+    assert search_order(I) is not None
+
+
+def test_greedy_order_gives_up_where_no_order_exists():
+    for mi in (MonomialIdeal.from_gens(4, gens(4, "a*b", "c*d")),
+               MonomialIdeal.from_gens(3, gens(3, "a^2*b", "b^2*c", "c^2*a"))):
+        assert search_order(mi) is None
+        assert greedy_order(mi) is None

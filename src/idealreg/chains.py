@@ -18,9 +18,10 @@ regularity of the product at sum t_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 from .ideals import MonomialIdeal
 from .monomials import (
@@ -81,25 +82,35 @@ def chain_ideal(n, k):
     return MonomialIdeal.from_gens(n, chain_generators(n, k))
 
 
-def _greedy_chain(u):
-    """The lex-greatest gap chain dividing u: smallest admissible indices."""
-    n = len(u)
-    chain = one(n)
+def _greedy_chain(rest):
+    """The lex-greatest gap chain dividing `rest`, a list of exponents, as
+    0-based indices: the smallest admissible ones."""
+    chain = []
     last = -2
-    for i in range(1, n + 1):
-        if u[i - 1] > 0 and i - last > 1:
-            chain = mono_mul(chain, variable(i, n))
+    for i, e in enumerate(rest):
+        if e and i - last > 1:
+            chain.append(i)
             last = i
-    return chain
+    return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def _chain_monomial(chain, n):
+    """The gap chain with 0-based indices `chain` in n variables, one tuple
+    per chain, so that cached decompositions share their factors."""
+    factor = [0] * n
+    for i in chain:
+        factor[i] = 1
+    return tuple(factor)
 
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     factors: tuple  # gap chains, degrees weakly decreasing
+    shape: tuple = field(init=False, compare=False)  # degrees of the factors
 
-    @property
-    def shape(self):
-        return tuple(degree(f) for f in self.factors)
+    def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(map(degree, self.factors)))
 
     def render(self):
         return "".join(f"({format_monomial(f)})" for f in self.factors)
@@ -109,14 +120,17 @@ class CanonicalDecomposition:
 def canonical_decomposition(u):
     """Greedy factorization into gap chains; factors are lex-maximal in turn."""
     u = tuple(u)
-    if degree(u) < 1:
+    left = degree(u)
+    if left < 1:
         raise ValueError("the unit monomial has no decomposition")
-    rest = tuple(u)
+    rest = list(u)
     factors = []
-    while degree(rest) > 0:
-        c = _greedy_chain(rest)
-        factors.append(c)
-        rest = mono_div(rest, c)
+    while left:
+        chain = _greedy_chain(rest)
+        for i in chain:
+            rest[i] -= 1
+        factors.append(_chain_monomial(chain, len(u)))
+        left -= len(chain)
     dec = CanonicalDecomposition(tuple(factors))
     assert dec.shape == tuple(sorted(dec.shape, reverse=True)), (
         "canonical shape must be weakly decreasing"
@@ -133,6 +147,15 @@ def gamma(t, s):
     if s and any(x < 0 for x in s):
         raise ValueError("negative entry in shape")
     return sum(max(x - t + 1, 0) for x in s)
+
+
+def _in_omega(shape, sizes):
+    """Membership in Omega of J_{t_1} ... J_{t_p}, t = sizes, for a monomial
+    of degree sum(t) with canonical shape `shape`: gamma_i(shape) >=
+    gamma_i(t) for i = 1..t_1."""
+    return all(
+        gamma(i, shape) >= gamma(i, sizes) for i in range(1, sizes[0] + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -158,28 +181,38 @@ def sigma_compare(u, v):
     raise AssertionError("distinct monomials with identical decompositions")
 
 
+def sigma_key(u):
+    """Sort key of the sigma order on monomials of one degree: the tuple of
+    canonical factors.  compare_tau is lex on exponent tuples, and the
+    factor tuples of two distinct monomials of one degree are never a
+    prefix of one another, so the key orders as sigma_compare does."""
+    return canonical_decomposition(u).factors
+
+
 def omega(spec):
     """The generating set Omega of J_{t_1} ... J_{t_p}, sigma-descending.
 
-    Membership: degree sum(t) and gamma_i(m) >= gamma_i(t) for all i.  The
-    result is cross-checked against the minimal generators of the actual
-    product of chain ideals, computed independently.
+    Membership: degree sum(t) and gamma_i(m) >= gamma_i(t) for all i,
+    decided once per canonical shape.  The result is cross-checked against
+    the minimal generators of the actual product of chain ideals, computed
+    independently.
     """
     n = spec.nvars
     d = spec.total_degree
-    from math import comb
-
     size = comb(d + n - 1, n - 1)
     if size > ENUM_GUARD:
         raise ValueError(
             f"enumeration guard exceeded: {size} monomials of degree {d} "
             f"> ENUM_GUARD = {ENUM_GUARD}"
         )
-    targets = [(i, gamma(i, spec.sizes)) for i in range(1, spec.sizes[0] + 1)]
+    verdicts = {}  # canonical shape -> membership
     members = []
     for m in monomial_basis(n, d):
         shape = canonical_decomposition(m).shape
-        if all(gamma(i, shape) >= g for i, g in targets):
+        ok = verdicts.get(shape)
+        if ok is None:
+            ok = verdicts[shape] = _in_omega(shape, spec.sizes)
+        if ok:
             members.append(m)
     if len(members) > OMEGA_GUARD:
         raise ValueError(
@@ -191,7 +224,7 @@ def omega(spec):
     assert set(members) == set(product.gens), (
         "Omega disagrees with the product's minimal generators"
     )
-    members.sort(key=cmp_to_key(sigma_compare), reverse=True)
+    members.sort(key=sigma_key, reverse=True)
     return OmegaSet(spec, tuple(members))
 
 
@@ -227,10 +260,8 @@ def quotient_witness(spec, m, n_mono):
         p <= q for p, q in zip(x_az, mono_div(m, gcd_monomial(m, n_mono)))
     ), "witness variable must divide m/gcd(m, n)"
     assert sigma_compare(v, n_mono) > 0, "witness not sigma-greater"
-    shape = canonical_decomposition(v).shape
-    assert degree(v) == spec.total_degree and all(
-        gamma(i, shape) >= gamma(i, spec.sizes)
-        for i in range(1, spec.sizes[0] + 1)
+    assert degree(v) == spec.total_degree and _in_omega(
+        canonical_decomposition(v).shape, spec.sizes
     ), "witness left Omega"
     return v
 

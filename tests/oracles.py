@@ -4,13 +4,15 @@ The library computes each of these quantities along a faster route; the
 tests compare that route against the plain definition here.
 """
 
+import inspect
 import random
+from functools import cmp_to_key
 from itertools import combinations
 
 from hypothesis import strategies as st
 
 from idealreg import linalg
-from idealreg.chains import canonical_decomposition, gamma
+from idealreg.chains import OmegaSet, canonical_decomposition, gamma, sigma_compare
 from idealreg.graded import degree_piece, ring_dim
 from idealreg.ideals import MonomialIdeal
 from idealreg.linforms import (
@@ -81,6 +83,49 @@ def all_chain_decompositions(u):
 
 def gamma_of_monomial(t, u):
     return gamma(t, canonical_decomposition(u).shape)
+
+
+def omega_oracle(spec):
+    """Omega of a chain product by its definition: every degree-sum(t)
+    monomial m with gamma_i(m) >= gamma_i(t) for i = 1..t_1, each gamma
+    taken through the validated `gamma`, sorted sigma-descending by
+    `sigma_compare`."""
+    members = [
+        m for m in monomial_basis(spec.nvars, spec.total_degree)
+        if all(gamma_of_monomial(i, m) >= gamma(i, spec.sizes)
+               for i in range(1, spec.sizes[0] + 1))
+    ]
+    members.sort(key=cmp_to_key(sigma_compare), reverse=True)
+    return OmegaSet(spec, tuple(members))
+
+
+def mutant(module, name, edits):
+    """`module.name` recompiled from the module's source with each
+    (old, new) of `edits` applied; every `old` must occur exactly once."""
+    source = inspect.getsource(module)
+    for old, new in edits:
+        assert source.count(old) == 1, f"mutation anchor {old!r} not unique"
+        source = source.replace(old, new)
+    namespace = dict(vars(module))
+    exec(compile(source, f"<mutant of {module.__name__}>", "exec"), namespace)
+    return namespace[name]
+
+
+# mutants of `chains.omega`, each (old, new) edits of chains.py
+OMEGA_MUTANTS = {
+    "gamma index off by one": [
+        ("gamma(i, shape) >= gamma(i, sizes)",
+         "gamma(i + 1, shape) >= gamma(i, sizes)"),
+    ],
+    "sort not reversed": [
+        ("members.sort(key=sigma_key, reverse=True)",
+         "members.sort(key=sigma_key)"),
+    ],
+    "memo keyed on degree": [
+        ("ok = verdicts.get(shape)", "ok = verdicts.get(sum(shape))"),
+        ("ok = verdicts[shape] =", "ok = verdicts[sum(shape)] ="),
+    ],
+}
 
 
 def compare_revlex(u, v):

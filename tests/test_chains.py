@@ -3,8 +3,9 @@ from functools import cmp_to_key
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
-from idealreg import betti
+from idealreg import betti, chains
 from idealreg.chains import (
     ChainProductSpec,
     canonical_decomposition,
@@ -15,6 +16,7 @@ from idealreg.chains import (
     omega,
     quotient_witness,
     sigma_compare,
+    sigma_key,
 )
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
@@ -25,7 +27,15 @@ from idealreg.monomials import (
     parse_monomial,
 )
 from idealreg.quotients import verify_certificate
-from oracles import all_chain_decompositions, gamma_of_monomial, is_chain
+from oracles import (
+    OMEGA_MUTANTS,
+    all_chain_decompositions,
+    equigenerated_ideals,
+    gamma_of_monomial,
+    is_chain,
+    mutant,
+    omega_oracle,
+)
 
 
 def pm(s, n):
@@ -155,6 +165,62 @@ def test_omega_matches_products():
             assert set(om.members) == set(
                 _product_gens(n, sizes)
             )
+
+
+def partitions(d, top):
+    """The partitions of d into parts of size at most top, parts decreasing."""
+    if d == 0:
+        yield ()
+        return
+    for k in range(min(d, top), 0, -1):
+        for rest in partitions(d - k, k):
+            yield (k,) + rest
+
+
+SMALL_SPECS = [
+    ChainProductSpec(n, sizes)
+    for n in range(1, 9)
+    for d in range(1, 7)
+    for sizes in partitions(d, (n + 1) // 2)
+]
+
+
+def test_omega_matches_the_oracle_on_every_small_spec():
+    assert len(SMALL_SPECS) == 138
+    for spec in SMALL_SPECS:
+        assert omega(spec).members == omega_oracle(spec).members, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(equigenerated_ideals(nmax=8, dmax=6, kmax=40))
+def test_factor_key_sort_is_the_sigma_sort(I):
+    gens = list(I.gens)
+    assert sorted(gens, key=sigma_key) == sorted(gens, key=cmp_to_key(sigma_compare))
+
+
+def caught(omega_fn, spec):
+    """The oracle test fails on omega_fn at spec: omega_fn's own product
+    cross-check raises, or its members differ from the oracle's."""
+    try:
+        return omega_fn(spec).members != omega_oracle(spec).members
+    except AssertionError:
+        return True
+
+
+@pytest.mark.parametrize("edits", OMEGA_MUTANTS.values(), ids=list(OMEGA_MUTANTS))
+def test_omega_oracle_catches_a_mutant(edits):
+    bad_omega = mutant(chains, "omega", edits)
+    assert any(caught(bad_omega, spec) for spec in SMALL_SPECS)
+
+
+def test_the_witness_check_uses_the_membership_of_omega(monkeypatch):
+    spec = ChainProductSpec(5, (2, 1))
+    m, n_mono = omega(spec).members[:2]
+    monkeypatch.setattr(chains, "_in_omega", lambda shape, sizes: False)
+    with pytest.raises(AssertionError, match="witness left Omega"):
+        quotient_witness(spec, m, n_mono)
+    with pytest.raises(AssertionError, match="Omega disagrees"):
+        omega(spec)
 
 
 def _product_gens(n, sizes):

@@ -576,6 +576,75 @@ def test_betti_commands_structured_golden(argv, code, stdout, stderr):
     assert r.stderr == stderr
 
 
+# `hankel omega`, `certify` and `decompose` on small chain products,
+# unsorted sizes, a size out of range, the unit monomial and a degree
+# past the enumeration guard, recorded while Omega was sorted by `sigma_compare` and its
+# membership tested monomial by monomial.  The sort by factor tuples and
+# the membership decided once per shape must keep them byte for byte.
+HANKEL_GOLDEN = [
+    (('hankel', 'omega', '--n', '3', '--t', '2'),
+     0, '{"count": 1, "members": ["a*c"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '3', '--t', '1'),
+     0, '{"count": 3, "members": ["a", "b", "c"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '4', '--t', '1,1'),
+     0, '{"count": 10, "members": ["a*c", "a*d", "a^2", "a*b", "b*d", "b^2", "b*c", "c^2", "c*d", "d^2"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '5', '--t', '1,2'),
+     0, '{"count": 22, "members": ["a*c*e", "a^2*c", "a*b*c", "a*c^2", "a*c*d", "a^2*d", "a*b*d", "a*d^2", "a*d*e", "a^2*e", "a*b*e", "a*e^2", "b^2*d", "b*c*d", "b*d^2", "b*d*e", "b^2*e", "b*c*e", "b*e^2", "c^2*e", "c*d*e", "c*e^2"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '6', '--t', '2,2'),
+     0, '{"count": 49, "members": ["a^2*c*e", "a*b*c*e", "a*c^2*e", "a*c*d*e", "a*c*e^2", "a*c*e*f", "a^2*c*f", "a*b*c*f", "a*c^2*f", "a*c*d*f", "a*c*f^2", "a^2*c^2", "a^2*c*d", "a*b*c*d", "a^2*d*f", "a*b*d*f", "a*d^2*f", "a*d*e*f", "a*d*f^2", "a^2*d^2", "a^2*d*e", "a*b*d^2", "a*b*d*e", "a^2*e^2", "a^2*e*f", "a*b*e^2", "a*b*e*f", "a^2*f^2", "a*b*f^2", "b^2*d*f", "b*c*d*f", "b*d^2*f", "b*d*e*f", "b*d*f^2", "b^2*d^2", "b^2*d*e", "b*c*d*e", "b^2*e^2", "b^2*e*f", "b*c*e^2", "b*c*e*f", "b^2*f^2", "b*c*f^2", "c^2*e^2", "c^2*e*f", "c*d*e*f", "c^2*f^2", "c*d*f^2", "d^2*f^2"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '7', '--t', '3,1'),
+     0, '{"count": 55, "members": ["a*c*e*g", "a^2*c*e", "a*b*c*e", "a*c^2*e", "a*c*d*e", "a*c*e^2", "a*c*e*f", "a^2*c*f", "a*b*c*f", "a*c^2*f", "a*c*d*f", "a*c*f^2", "a*c*f*g", "a^2*c*g", "a*b*c*g", "a*c^2*g", "a*c*d*g", "a*c*g^2", "a^2*d*f", "a*b*d*f", "a*d^2*f", "a*d*e*f", "a*d*f^2", "a*d*f*g", "a^2*d*g", "a*b*d*g", "a*d^2*g", "a*d*e*g", "a*d*g^2", "a^2*e*g", "a*b*e*g", "a*e^2*g", "a*e*f*g", "a*e*g^2", "b^2*d*f", "b*c*d*f", "b*d^2*f", "b*d*e*f", "b*d*f^2", "b*d*f*g", "b^2*d*g", "b*c*d*g", "b*d^2*g", "b*d*e*g", "b*d*g^2", "b^2*e*g", "b*c*e*g", "b*e^2*g", "b*e*f*g", "b*e*g^2", "c^2*e*g", "c*d*e*g", "c*e^2*g", "c*e*f*g", "c*e*g^2"]}\n',
+     ''),
+    (('hankel', 'omega', '--n', '4', '--t', '3'),
+     2, '',
+     'input error: size 3 outside 1..2 for n = 4\n'),
+    (('hankel', 'omega', '--n', '30', '--t', '8,8,8'),
+     2, '',
+     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 > ENUM_GUARD = 10000000\n'),
+    (('hankel', 'certify', '--n', '4', '--t', '2'),
+     0, '{"certificate": {"colon_vars": [[], [3], [1]], "nvars": 4, "order": ["a*c", "a*d", "b*d"]}, "generators": 3, "reg": 2}\n',
+     ''),
+    (('hankel', 'certify', '--n', '5', '--t', '2,2'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [5], [3, 5], [1, 5], [3], [3, 4], [1, 3], [1, 3, 4], [3, 4], [1, 3, 4], [1], [1, 4], [1, 2], [1, 4], [1, 2, 4], [1, 2]], "nvars": 5, "order": ["a^2*c*e", "a*b*c*e", "a*c^2*e", "a*c*d*e", "a*c*e^2", "a^2*c^2", "a^2*c*d", "a*b*c*d", "a^2*d^2", "a^2*d*e", "a*b*d^2", "a*b*d*e", "a^2*e^2", "a*b*e^2", "b^2*d^2", "b^2*d*e", "b*c*d*e", "b^2*e^2", "b*c*e^2", "c^2*e^2"]}, "generators": 20, "reg": 4}\n',
+     ''),
+    (('hankel', 'certify', '--n', '5', '--t', '2,1,1'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [5], [3, 5], [3, 4, 5], [1, 3, 4, 5], [1, 5], [1, 4, 5], [1, 2, 4, 5], [1, 2, 5], [1, 2, 3, 5], [1, 2, 3, 5], [3], [3, 4], [3, 4, 5], [1, 3, 4, 5], [1, 3], [1, 3, 4], [1, 3, 4, 5], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4], [3, 4], [3, 4, 5], [1, 3, 4, 5], [1, 3, 4], [1, 3, 4, 5], [1, 2, 3, 4], [1], [1, 4], [1, 4, 5], [1, 2, 4, 5], [1, 2], [1, 2, 5], [1, 2, 3, 5], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4], [1, 4], [1, 4, 5], [1, 2, 4, 5], [1, 2, 4], [1, 2, 4, 5], [1, 2, 3, 4], [1, 2], [1, 2, 5], [1, 2, 3, 5], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]], "nvars": 5, "order": ["a^2*c*e", "a*b*c*e", "a*c^2*e", "a*c*d*e", "a*c*e^2", "a^2*c^2", "a^2*c*d", "a^3*c", "a^2*b*c", "a*b*c*d", "a*b^2*c", "a*b*c^2", "a*c^3", "a*c^2*d", "a*c*d^2", "a^2*d^2", "a^2*d*e", "a^3*d", "a^2*b*d", "a*b*d^2", "a*b*d*e", "a*b^2*d", "a*d^3", "a*d^2*e", "a*d*e^2", "a^2*e^2", "a^3*e", "a^2*b*e", "a*b*e^2", "a*b^2*e", "a*e^3", "b^2*d^2", "b^2*d*e", "b^3*d", "b^2*c*d", "b*c*d*e", "b*c^2*d", "b*c*d^2", "b*d^3", "b*d^2*e", "b*d*e^2", "b^2*e^2", "b^3*e", "b^2*c*e", "b*c*e^2", "b*c^2*e", "b*e^3", "c^2*e^2", "c^3*e", "c^2*d*e", "c*d^2*e", "c*d*e^2", "c*e^3"]}, "generators": 53, "reg": 4}\n',
+     ''),
+    (('hankel', 'certify', '--n', '6', '--t', '1,3'),
+     0, '{"certificate": {"colon_vars": [[], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5], [5], [1, 5], [1, 2, 5], [1, 2, 3, 5], [1, 2, 3, 4, 5], [3], [1, 3], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5]], "nvars": 6, "order": ["a^2*c*e", "a*b*c*e", "a*c^2*e", "a*c*d*e", "a*c*e^2", "a*c*e*f", "a^2*c*f", "a*b*c*f", "a*c^2*f", "a*c*d*f", "a*c*f^2", "a^2*d*f", "a*b*d*f", "a*d^2*f", "a*d*e*f", "a*d*f^2", "b^2*d*f", "b*c*d*f", "b*d^2*f", "b*d*e*f", "b*d*f^2"]}, "generators": 21, "reg": 4}\n',
+     ''),
+    (('hankel', 'certify', '--n', '30', '--t', '8,8,8'),
+     2, '',
+     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 > ENUM_GUARD = 10000000\n'),
+    (('hankel', 'decompose', '--monomial', 'x1^2*x2^3*x3^2*x5^3*x6*x7*x8^3'),
+     0, '{"factors": ["a*c*e*g", "a*c*e*h", "b*e*h", "b*f*h", "b"], "gamma": {"1": 15, "2": 10, "3": 6, "4": 2}, "shape": [4, 4, 3, 3, 1]}\n',
+     ''),
+    (('hankel', 'decompose', '--monomial', 'a^3', '--n', '2'),
+     0, '{"factors": ["a", "a", "a"], "gamma": {"1": 3}, "shape": [1, 1, 1]}\n',
+     ''),
+    (('hankel', 'decompose', '--monomial', 'a*b*c*d*e'),
+     0, '{"factors": ["a*c*e", "b*d"], "gamma": {"1": 5, "2": 3, "3": 1}, "shape": [3, 2]}\n',
+     ''),
+    (('hankel', 'decompose', '--monomial', '1', '--n', '3'),
+     2, '',
+     'input error: the unit monomial has no decomposition\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", HANKEL_GOLDEN,
+                         ids=[" ".join(g[0]) for g in HANKEL_GOLDEN])
+def test_hankel_commands_structured_golden(argv, code, stdout, stderr):
+    r = run(*argv, "--format", "structured")
+    assert r.exit_code == code
+    assert r.stdout == stdout
+    assert r.stderr == stderr
+
+
 # `linforms reg`: the least m up to the cap with a Bayer-Stillman
 # certificate of the product, its forms and dims, re-checked on a fresh
 # view; exit 1 when the search finds none up to the cap.

@@ -7,6 +7,7 @@ purely combinatorial and characteristic-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice
 from operator import add, itemgetter, le
 
@@ -60,6 +61,17 @@ class MonomialIdeal:
     @property
     def is_equigenerated(self):
         return len({degree(g) for g in self.gens}) == 1
+
+    @cached_property
+    def generator_index(self):
+        """The bitset index of G(I) in `revlex_desc` order, or None unless I
+        is equigenerated.  Built on first read and held with the ideal; the
+        order checks, the order searches and the exchange check read it."""
+        if not self.is_equigenerated:
+            return None
+        from .quotients import GeneratorIndex, revlex_desc  # imports this module
+
+        return GeneratorIndex(revlex_desc(self.gens))
 
     def max_gen_degree(self):
         return max(degree(g) for g in self.gens)

@@ -16,12 +16,7 @@ from operator import or_
 
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, mono_mul, variable
-from .quotients import (
-    GeneratorIndex,
-    QuotientCertificate,
-    check_order,
-    revlex_desc,
-)
+from .quotients import QuotientCertificate, check_order
 
 
 @dataclass(frozen=True)
@@ -46,26 +41,28 @@ class ExchangeFailure:
 def is_polymatroidal(I):
     """True, or the first ExchangeFailure in deterministic order.
 
-    Pairs are scanned with u and v revlex-descending and i ascending.  On a
-    bitset index of G(I) in that order, the v failing at i for a fixed u are
-    those with nu_i(v) < nu_i(u) and nu_j(v) <= nu_j(u) for every j with
-    x_j u / x_i in G(I); the lowest bit over all i is the first failing v.
+    Pairs are scanned with u and v revlex-descending and i ascending.  On
+    the bitset index of G(I) in that order (`I.generator_index`), the v
+    failing at i for a fixed u are those with nu_i(v) < nu_i(u) and
+    nu_j(v) <= nu_j(u) for every j with x_j u / x_i in G(I); the lowest bit
+    over all i is the first failing v.
     """
-    if not I.is_equigenerated:
+    index = I.generator_index
+    if index is None:
         g = I.gens
         return ExchangeFailure(g[0], g[-1], 0, "not equigenerated")
-    ordered = revlex_desc(I.gens)
-    index = GeneratorIndex(ordered)
+    ordered = index.gens
     above = index.above
-    n = I.nvars
     every = (1 << len(ordered)) - 1
-    for u, moves in zip(ordered, index.moves):
-        # reached[i]: the v with nu_j(v) > nu_j(u) for some x_j u / x_i in G(I)
-        reached = [0] * n
-        for j, i, _ in moves:
-            reached[i] |= above[j][u[j]]
-        fails = [every & ~above[i][u[i] - 1] & ~reached[i] if u[i] else 0
-                 for i in range(n)]
+    for u, raises in zip(ordered, index.raises):
+        fails = []
+        for i, e in enumerate(u):
+            f = every & ~above[i][e - 1] if e else 0
+            if f:  # drop the v above u in some x_j with x_j u / x_i in G(I)
+                for _, _, higher, downs in raises:
+                    if downs >> i & 1:
+                        f &= ~higher
+            fails.append(f)
         failing = reduce(or_, fails, 0)
         if failing:
             first = failing & -failing
@@ -87,11 +84,13 @@ def polymatroidal_product(I, J):
 
 
 def revlex_certificate(I):
-    """Linear-quotient certificate for G(I) in revlex-descending order."""
+    """Linear-quotient certificate for G(I) in revlex-descending order,
+    checked on the index of G(I) that the exchange check read."""
     res = is_polymatroidal(I)
     if res is not True:
         raise ValueError(f"not polymatroidal: {res.render()}")
-    cert = check_order(I.nvars, revlex_desc(I.gens))
+    index = I.generator_index
+    cert = check_order(I.nvars, index.gens, index=index)
     assert isinstance(cert, QuotientCertificate), (
         "revlex order must give linear quotients on a polymatroidal ideal"
     )

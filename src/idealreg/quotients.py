@@ -11,13 +11,20 @@ so an exhaustive search over orderings of G(I) settles existence.  When
 the generators share one degree, colons are read off a bitset index of
 them (`GeneratorIndex`); otherwise each colon is computed from the
 exponents of the prefix (`_linear_colon`).
+
+An equigenerated `MonomialIdeal` holds one index of its generators in
+`revlex_desc` order (`MonomialIdeal.generator_index`), built on first
+read.  `search_order`, `greedy_order` and `polymatroid.is_polymatroidal`
+read it, and so does `check_order` when it is handed that index with that
+order.  `check_order` on any other order builds an index of its own, and
+so does `verify_certificate`: a certificate is re-checked from scratch,
+not from the state of the search that found it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from operator import le
 
 from .ideals import MonomialIdeal, minimalize
@@ -107,10 +114,18 @@ class GeneratorIndex:
 
     Bit k of an int stands for g_k.  `above[i][c]` is the set of g with
     exponent of x_i greater than c, for c up to the largest such exponent.
-    `moves[k]` lists the triples (i, j, b) with g_k * x_i / x_j = g_b.
+    A move from g_k is a pair (i, j) with g_k * x_i / x_j = g_b in the
+    set; `raises[k]` groups the moves from g_k by i, as one tuple
+    (i, ups, above[i][g_k[i]], downs) per raised variable, where ups is the
+    set of the g_b reached and downs the set of the j lowered, as bits.
+
+    An index is not changed once built, so one index serves every check on
+    one order of the generators: `MonomialIdeal.generator_index` holds the
+    one in `revlex_desc` order.
     """
 
     def __init__(self, gens):
+        gens = tuple(gens)
         n = len(gens[0])
         self.gens = gens
         self.above = []
@@ -125,39 +140,33 @@ class GeneratorIndex:
                 above[c] = acc
                 acc |= at[c]
             self.above.append(above)
-        # g_k * x_i / x_j = g_b exactly when g_k / x_j = g_b / x_i, so the
-        # moves are the pairs within one bucket of quotients g / x_j.
-        # Exponents are at most the degree d, so base d + 1 codes a
-        # monomial as one int and dividing by x_j subtracts (d + 1)^j.
-        base = degree(gens[0]) + 1
-        powers = [base**j for j in range(n)]
-        buckets = {}
-        for k, u in enumerate(gens):
-            code = sum(e * p for e, p in zip(u, powers))
-            for j, e in enumerate(u):
-                if e:
-                    buckets.setdefault(code - powers[j], []).append((j, k))
-        self.moves = [[] for _ in gens]
-        for members in buckets.values():
-            if len(members) > 1:
-                for j, k in members:
-                    moves = self.moves[k]
-                    for i, b in members:
-                        if i != j:
-                            moves.append((i, j, b))
-
-    @cached_property
-    def raises(self):
-        """Per k, the moves grouped by i: (i, bits of the g_b reached by
-        raising x_i, above[i][g_k[i]])."""
-        out = []
-        for u, moves in zip(self.gens, self.moves):
-            ups = [0] * len(u)
-            for i, _, b in moves:
-                ups[i] |= 1 << b
-            out.append([(i, m, self.above[i][u[i]])
-                        for i, m in enumerate(ups) if m])
-        return out
+        # g_k * x_i / x_j = g_b exactly when g_k * x_i = g_b * x_j, so the
+        # moves from g_k raising x_i reach the other members of the bucket
+        # of products g * x_l that holds g_k * x_i, and lower their x_l.
+        # Exponents of such products are at most d + 1, so base d + 2
+        # codes one as an int and multiplying by x_i adds (d + 2)^i.
+        base = degree(gens[0]) + 2
+        weights = [base**i for i in range(n)]
+        codes = [sum(e * w for e, w in zip(u, weights)) for u in gens]
+        xs = [(i, w, 1 << i) for i, w in enumerate(weights)]  # x_i: code, bit
+        buckets = {}  # code of g * x_l -> [bits of those g, bits of those l]
+        for k, code in enumerate(codes):
+            for _, w, lbit in xs:
+                bucket = buckets.get(code + w)
+                if bucket is None:
+                    buckets[code + w] = [1 << k, lbit]
+                else:
+                    bucket[0] |= 1 << k
+                    bucket[1] |= lbit
+        self.raises = []
+        for k, (u, code) in enumerate(zip(gens, codes)):
+            kbit = 1 << k
+            row = []
+            for i, w, ibit in xs:
+                ups, downs = buckets[code + w]
+                if ups != kbit:
+                    row.append((i, ups ^ kbit, self.above[i][u[i]], downs ^ ibit))
+            self.raises.append(tuple(row))
 
     def colon(self, k, prefix):
         """Variables generating (g_b : b in prefix) : g_k, or None.
@@ -168,23 +177,29 @@ class GeneratorIndex:
         """
         covered = 0
         vars_ = []
-        for i, ups, above in self.raises[k]:
+        for i, ups, above, _ in self.raises[k]:
             if ups & prefix:
                 covered |= above
                 vars_.append(i + 1)
         return None if prefix & ~covered else tuple(vars_)
+
+    def linear(self, k, prefix):
+        """Whether (g_b : b in prefix) : g_k is generated by variables:
+        `colon(k, prefix) is not None`, without building the variables."""
+        covered = 0
+        for _, ups, above, _ in self.raises[k]:
+            if ups & prefix:
+                covered |= above
+        return not prefix & ~covered
 
 
 def _one_degree(gens):
     return len({degree(u) for u in gens}) == 1
 
 
-def _colon_route(gens):
-    """colon(k, prefix) over bit sets of gens: the bitset index when the
-    gens share one degree, `_linear_colon` on the prefix's members otherwise."""
-    if _one_degree(gens):
-        return GeneratorIndex(gens).colon
-
+def _prefix_colon(gens):
+    """colon(k, prefix) over bit sets of gens, by `_linear_colon` on the
+    prefix's members: the route for gens of several degrees."""
     def colon(k, prefix):
         return _linear_colon(
             [u for b, u in enumerate(gens) if prefix >> b & 1], gens[k])
@@ -192,8 +207,25 @@ def _colon_route(gens):
     return colon
 
 
-def check_order(nvars, ordered_gens):
-    """Certify an explicit generator order, or report the failing step."""
+def _search_route(I):
+    """(gens, extends) for the order searches: G(I) in `revlex_desc` order
+    and the yes/no test extends(k, prefix) over bit sets of it, read off
+    I's held index when I is equigenerated."""
+    index = I.generator_index
+    if index is not None:
+        return index.gens, index.linear
+    gens = revlex_desc(I.gens)
+    colon = _prefix_colon(gens)
+    return gens, lambda k, prefix: colon(k, prefix) is not None
+
+
+def check_order(nvars, ordered_gens, index=None):
+    """Certify an explicit generator order, or report the failing step.
+
+    `index`, when given, is a `GeneratorIndex` of exactly this order (the
+    one an ideal holds, for its `revlex_desc` order) and is read instead
+    of building a new one.
+    """
     gens = [tuple(u) for u in ordered_gens]
     if not gens:
         raise ValueError("empty generating sequence")
@@ -214,7 +246,13 @@ def check_order(nvars, ordered_gens):
             f"generating sequence is not minimal: {format_monomial(v)} "
             f"divides {format_monomial(u)}"
         )
-    linear_colon = _colon_route(gens)
+    if index is not None:
+        assert index.gens == tuple(gens), "index of another order"
+        linear_colon = index.colon
+    elif _one_degree(gens):
+        linear_colon = GeneratorIndex(gens).colon
+    else:
+        linear_colon = _prefix_colon(gens)
     steps = [()]
     for t in range(1, len(gens)):
         vars_ = linear_colon(t, (1 << t) - 1)
@@ -241,15 +279,11 @@ def search_order(I):
     memoized as one bit set.  The search is exhaustive: None means no order
     exists.
     """
-    if isinstance(I, MonomialIdeal):
-        gens = list(I.gens)
-        nvars = I.nvars
-    else:
+    if not isinstance(I, MonomialIdeal):
         raise TypeError("search_order expects a MonomialIdeal")
-    if len(gens) > SEARCH_GUARD:
-        raise ValueError(f"search guard exceeded: {len(gens)} > {SEARCH_GUARD}")
-    gens = revlex_desc(gens)
-    linear_colon = _colon_route(gens)
+    if len(I.gens) > SEARCH_GUARD:
+        raise ValueError(f"search guard exceeded: {len(I.gens)} > {SEARCH_GUARD}")
+    gens, extends = _search_route(I)
     full = (1 << len(gens)) - 1
     dead = set()
     path = []
@@ -265,7 +299,7 @@ def search_order(I):
             low = rest & -rest
             rest ^= low
             k = low.bit_length() - 1
-            if prefix and linear_colon(k, prefix) is None:
+            if prefix and not extends(k, prefix):
                 continue
             path.append(k)
             if extend(remaining ^ low):
@@ -276,7 +310,7 @@ def search_order(I):
 
     if not extend(full):
         return None
-    cert = check_order(nvars, [gens[k] for k in path])
+    cert = check_order(I.nvars, [gens[k] for k in path])
     assert isinstance(cert, QuotientCertificate)
     return cert
 
@@ -292,9 +326,8 @@ def greedy_order(I):
     degree qualifies; it does not backtrack, so None does not mean that
     no order exists (`search_order` settles that).
     """
-    gens = revlex_desc(I.gens)
+    gens, extends = _search_route(I)
     degs = [degree(u) for u in gens]
-    linear_colon = _colon_route(gens)
     remaining = list(range(len(gens)))
     prefix = 0
     path = []
@@ -306,7 +339,7 @@ def greedy_order(I):
             # no order extends the prefix
             if degs[k] > low:
                 return None
-            if linear_colon(k, prefix) is not None:
+            if extends(k, prefix):
                 break
         else:
             return None

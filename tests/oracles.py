@@ -247,12 +247,12 @@ def search_order_oracle(I):
 
 
 class DroppedNeighbour(GeneratorIndex):
-    """Mutant index: the first neighbour of g_0 is missing."""
+    """Mutant index: the neighbours of g_0 reached by raising its first
+    raised variable are missing."""
 
     def __init__(self, gens):
         super().__init__(gens)
-        if self.moves[0]:
-            self.moves[0].pop(0)
+        self.raises[0] = self.raises[0][1:]
 
 
 class AboveAtLeast(GeneratorIndex):
@@ -262,3 +262,8 @@ class AboveAtLeast(GeneratorIndex):
         super().__init__(gens)
         every = (1 << len(gens)) - 1
         self.above = [[every] + col[:-1] for col in self.above]
+        self.raises = [
+            tuple((i, ups, self.above[i][u[i]], downs)
+                  for i, ups, _, downs in raises)
+            for u, raises in zip(self.gens, self.raises)
+        ]

@@ -1,9 +1,11 @@
 from functools import cmp_to_key
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from idealreg import betti, polymatroid
+from idealreg import betti, quotients
+from idealreg.cli import main
 from idealreg.fixtures import hook_ideal
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
@@ -23,13 +25,19 @@ from idealreg.polymatroid import (
     squarefree_product,
     transversal_ideal,
 )
-from idealreg.quotients import verify_certificate
+from idealreg.quotients import (
+    GeneratorIndex,
+    check_order,
+    revlex_desc,
+    verify_certificate,
+)
 from idealreg.samplers import random_polymatroidal, rng_from_seed
 from oracles import (
     AboveAtLeast,
     DroppedNeighbour,
     compare_revlex,
     equigenerated_ideals,
+    random_equigenerated,
     random_matroidal,
     random_polymatroidal_product,
 )
@@ -116,8 +124,89 @@ def witness(res):
 def test_exchange_oracle_catches_a_mutant_index(mutant, monkeypatch):
     ideals = [random_polymatroidal_product(seed) for seed in range(20)]
     ideals += [without_last(I) for I in ideals]
-    monkeypatch.setattr(polymatroid, "GeneratorIndex", mutant)
+    monkeypatch.setattr(quotients, "GeneratorIndex", mutant)
     assert any(witness(is_polymatroidal(I)) != exchange_oracle(I) for I in ideals)
+
+
+def shared_index_pool():
+    """Polymatroidal products, the same without their last generator, and
+    random equigenerated ideals, most of them not polymatroidal."""
+    products = [random_polymatroidal_product(seed) for seed in range(30)]
+    return (products + [without_last(P) for P in products]
+            + [random_equigenerated(4, 2, 6, seed) for seed in range(40)])
+
+
+@pytest.mark.parametrize("mutant, caught_by", [
+    # check_order never asks the colon of g_0, so a dropped neighbour of
+    # g_0 shows only as a polymatroidal ideal refused by the exchange check
+    (DroppedNeighbour, "refusal"),
+    (AboveAtLeast, "verify_certificate"),
+])
+def test_a_mutant_held_index_yields_no_false_certificate(
+    mutant, caught_by, monkeypatch
+):
+    """A mutant index held by the ideal feeds both the exchange check and
+    `revlex_certificate`'s `check_order`; `verify_certificate` builds its
+    own index, so it rejects every certificate that is not true."""
+    caught = set()
+    for I in shared_index_pool():
+        truth = check_order(I.nvars, revlex_desc(I.gens))
+        polymatroidal = is_polymatroidal(I) is True
+        held = MonomialIdeal(I.nvars, I.gens)
+        with monkeypatch.context() as m:
+            m.setattr(quotients, "GeneratorIndex", mutant)
+            held.generator_index  # the held index is built here
+            try:
+                cert = revlex_certificate(held)
+            except (ValueError, AssertionError):
+                cert = None
+        assert isinstance(held.generator_index, mutant)
+        if cert is None:
+            if polymatroidal:
+                caught.add("refusal")
+        elif verify_certificate(cert):
+            assert cert == truth
+        else:
+            assert cert != truth
+            caught.add("verify_certificate")
+    assert caught_by in caught
+
+
+def counting_index_builds(monkeypatch):
+    """The gens of every `GeneratorIndex` built from now on."""
+    built = []
+
+    class Counted(GeneratorIndex):
+        def __init__(self, gens):
+            super().__init__(gens)
+            built.append(self.gens)
+
+    monkeypatch.setattr(quotients, "GeneratorIndex", Counted)
+    return built
+
+
+def test_a_polymatroidal_product_item_builds_four_indices(monkeypatch):
+    I = ideal(4, "a^2", "a*b", "a*c", "b*c")
+    J = ideal(4, "a*d", "b*d", "c*d")
+    built = counting_index_builds(monkeypatch)
+    P = polymatroidal_product(I, J)
+    cert = revlex_certificate(P)
+    assert is_polymatroidal(P) is True and verify_certificate(cert)
+    # I, J and P once each, held by the ideal; verify_certificate once more
+    assert built == [I.generator_index.gens, J.generator_index.gens,
+                     P.generator_index.gens, cert.order]
+    assert cert.order == P.generator_index.gens
+
+
+def test_polymatroid_product_command_builds_the_product_index_once(
+    monkeypatch
+):
+    built = counting_index_builds(monkeypatch)
+    r = CliRunner().invoke(main, ["polymatroid", "product",
+                                  "--ideal-i", "ideal(a^2, a*b, b^2)",
+                                  "--ideal-j", "ideal(a, b, c)"])
+    assert r.exit_code == 0 and "reg = 3" in r.output
+    assert len(built) == 3 and len(set(built)) == 3  # I, J and the product
 
 
 def test_not_equigenerated():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealreg import betti
+from idealreg import betti, quotients
 from idealreg.graded import GradedIdealView
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import (
@@ -23,6 +23,7 @@ from idealreg.quotients import (
     greedy_order,
     monomial_colon,
     regularity_from_certificate,
+    revlex_desc,
     search_order,
     verify_certificate,
 )
@@ -33,6 +34,7 @@ from oracles import (
     contains_monomial,
     equigenerated_ideals,
     random_equigenerated,
+    random_polymatroidal_product,
     search_order_oracle,
 )
 
@@ -233,6 +235,63 @@ def test_colon_oracle_catches_a_mutant_index(mutant):
     ideals = [list(random_equigenerated(4, 2, 6, seed).gens) for seed in range(20)]
     assert any(next(colon_disagreements(mutant(gens), gens), None)
                for gens in ideals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(kmax=16),
+    st.integers(0, 10**6).map(random_polymatroidal_product),
+))
+def test_held_index_is_a_fresh_index_of_the_revlex_order(I):
+    held = I.generator_index
+    fresh = GeneratorIndex(revlex_desc(I.gens))
+    assert held is I.generator_index  # built once
+    assert vars(held).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        assert getattr(held, name) == value, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(equigenerated_ideals(kmax=12), st.randoms(use_true_random=False))
+def test_yes_no_colon_test_agrees_with_colon(I, rnd):
+    index = I.generator_index
+    r = len(I.gens)
+    for _ in range(40):
+        k = rnd.randrange(r)
+        prefix = rnd.getrandbits(r) & ~(1 << k)
+        assert index.linear(k, prefix) == (index.colon(k, prefix) is not None)
+
+
+def test_an_ideal_of_several_degrees_holds_no_index(monkeypatch):
+    I = MonomialIdeal.from_gens(3, gens(3, "a^2", "a*b", "b^3", "b^2*c"))
+    assert I.generator_index is None
+    calls = []
+    real = quotients._linear_colon
+
+    def counted(prefix, u):
+        calls.append(u)
+        return real(prefix, u)
+
+    def no_index(gens):
+        raise AssertionError("index built for gens of several degrees")
+
+    monkeypatch.setattr(quotients, "_linear_colon", counted)
+    monkeypatch.setattr(quotients, "GeneratorIndex", no_index)
+    for find in (search_order, greedy_order):
+        calls.clear()
+        cert = find(I)
+        assert cert is not None and verify_certificate(cert)
+        assert calls  # the search asked `_linear_colon`, on the prefix's members
+
+
+def test_equality_and_hash_ignore_the_held_index():
+    for names in (("a^2", "a*b", "b*c"), ("a", "b^2")):
+        I = MonomialIdeal.from_gens(3, gens(3, *names))
+        J = MonomialIdeal.from_gens(3, gens(3, *names))
+        before = hash(I), repr(I)
+        I.generator_index
+        assert (hash(I), repr(I)) == before
+        assert I == J and hash(I) == hash(J) and {I: 1}[J] == 1
 
 
 def pairwise_check_order(nvars, gens):

@@ -266,19 +266,14 @@ def quotient_witness(spec, m, n_mono):
     return v
 
 
-def certify_product(spec, validate_pairs=True, omega_set=None):
+def certify_product(spec, validate_pairs=True):
     """Linear-quotient certificate for J_{t_1} ... J_{t_p} in sigma order.
 
     Omega sigma-descending is certified through the generic order checker;
     optionally every sigma-comparable pair is additionally validated by its
-    explicit witness.  The certified regularity is sum(t_i).  A caller
-    that has built `omega(spec)` already may pass it as `omega_set`.
+    explicit witness.  The certified regularity is sum(t_i).
     """
-    if omega_set is None:
-        omega_set = omega(spec)
-    elif omega_set.spec != spec:
-        raise ValueError("omega_set belongs to another spec")
-    om = omega_set
+    om = omega(spec)
     cert = check_order(spec.nvars, om.members)
     assert isinstance(cert, QuotientCertificate), (
         "sigma order must give linear quotients"

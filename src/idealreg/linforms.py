@@ -317,7 +317,7 @@ def _annihilates(rows, vectors, p):
     return True
 
 
-def verify_decomposition(family, cap, components=None, product=None):
+def verify_decomposition(family, cap, components=None):
     """Compare the product with the intersection of components, degree by degree.
 
     Both sides are computed along independent linear-algebra paths: the
@@ -331,14 +331,11 @@ def verify_decomposition(family, cap, components=None, product=None):
     the intersection in degree d when every degree-d generator has dot
     product 0 (mod p) with every degree-d annihilator row.
 
-    The product side is the view `product_generators(family)`, which the
-    caller may pass in as `product` when it has built it already (the
-    pieces and certificate it holds are then shared).  It builds its
-    pieces up to degree d + 1 and searches a regularity certificate at
-    m = d there (Bayer-Stillman, Invent. Math. 87, 1987).  With one,
-    dim product_e above d + 1 comes from the certificate's recursion
-    (`graded.certified_hilbert_values`, which checks the derived value in
-    degree d + 1 against the built piece).
+    The product side builds its pieces up to degree d + 1 and searches a
+    regularity certificate at m = d there (Bayer-Stillman, Invent. Math.
+    87, 1987).  With one, dim product_e above d + 1 comes from the
+    certificate's recursion (`graded.certified_hilbert_values`, which
+    checks the derived value in degree d + 1 against the built piece).
     Only when none is found, or cap <= d + 1, are the pieces built up to
     the cap.
 
@@ -362,8 +359,7 @@ def verify_decomposition(family, cap, components=None, product=None):
     p = family[0].characteristic
     if components is None:
         components = nonmaximal_components(family)
-    if product is None:
-        product = product_generators(family)
+    product = product_generators(family)
     degrees = range(d, cap + 1)
     annihilator = {e: [] for e in degrees}
     for V, k in components.items():

@@ -247,12 +247,18 @@ def search_order_oracle(I):
 
 
 class DroppedNeighbour(GeneratorIndex):
-    """Mutant index: the neighbours of g_0 reached by raising its first
-    raised variable are missing."""
+    """Mutant index: the first neighbour of g_0 is missing."""
 
     def __init__(self, gens):
         super().__init__(gens)
-        self.raises[0] = self.raises[0][1:]
+        if self.raises[0]:
+            (i, ups, above, downs), *rest = self.raises[0]
+            b = (ups & -ups).bit_length() - 1
+            # g_b = g_0 * x_i / x_j, and x_j is the variable g_b has less of
+            g0, gb = self.gens[0], self.gens[b]
+            j = next(j for j, (e, f) in enumerate(zip(g0, gb)) if f < e)
+            self.raises[0] = ((i, ups & ~(1 << b), above, downs & ~(1 << j)),
+                              *rest)
 
 
 class AboveAtLeast(GeneratorIndex):

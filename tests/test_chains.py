@@ -246,18 +246,6 @@ def test_certify_products():
     assert cert.max_degree() == 4 and verify_certificate(cert)
 
 
-@pytest.mark.parametrize("n, sizes", [(5, (2, 2)), (6, (3, 1)), (7, (2, 2, 1))])
-def test_certify_product_reads_a_handed_over_omega(monkeypatch, n, sizes):
-    spec = ChainProductSpec(n, sizes)
-    own = certify_product(spec)
-    om = omega(spec)
-    monkeypatch.setattr(chains, "omega", lambda spec: pytest.fail("rebuilt"))
-    assert certify_product(spec, omega_set=om) == own
-    assert certify_product(spec, False, om) == own
-    with pytest.raises(ValueError, match="another spec"):
-        certify_product(ChainProductSpec(n + 1, sizes), omega_set=om)
-
-
 def test_certified_products_have_linear_resolution():
     for n, sizes in ((5, (2, 2)), (6, (3, 1)), (4, (2, 1))):
         spec = ChainProductSpec(n, sizes)

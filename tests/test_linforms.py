@@ -435,24 +435,6 @@ def test_verify_decomposition_fails_on_a_certificate_with_a_wrong_dim(
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("family", [
-    pinched_family(3),
-    REPEATED,
-    [LinearIdeal.from_rows(2, [r], 2) for r in ([1, 0], [0, 1], [1, 1])],
-])
-def test_verify_decomposition_reads_a_handed_over_product_view(
-    monkeypatch, family
-):
-    d = len(family)
-    own = verify_decomposition(family, d + 3)
-    view = product_generators(family)
-    calls = spy_pieces(monkeypatch)
-    handed = verify_decomposition(family, d + 3, product=view)
-    monkeypatch.undo()
-    assert handed == own
-    assert {I for I, _ in calls} == {view}
-
-
 def test_uncertified_verify_builds_every_product_piece(monkeypatch):
     # (x1), (x2), (x1 + x2) over GF(2): every linear form over GF(2)
     # divides the product, so no certificate exists at m = 3 and the

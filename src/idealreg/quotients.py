@@ -19,6 +19,16 @@ read it, and so does `check_order` when it is handed that index with that
 order.  `check_order` on any other order builds an index of its own, and
 so does `verify_certificate`: a certificate is re-checked from scratch,
 not from the state of the search that found it.
+
+Before `search_order` starts its search it fixes which generators must
+come before which.  For a generator g_k write w_b = max(g_b - g_k, 0) and
+let S_k be the variables x_i equal to some w_b, b != k.  The colon of a
+prefix by g_k is generated by variables exactly when every member's w
+meets the variables among the members' w.  Those variables lie in S_k for
+every prefix, so a g_b whose w_b meets no variable of S_k fails g_k's test
+in every prefix that holds it: g_k comes before g_b in every order with
+linear quotients.  The search skips a candidate that still waits on such
+a predecessor, and a cycle in the relation means no order exists.
 """
 
 from __future__ import annotations
@@ -269,6 +279,55 @@ def verify_certificate(cert):
     return isinstance(res, QuotientCertificate) and res.colon_vars == cert.colon_vars
 
 
+def _covered(gens, index, k, prefix):
+    """Bits of the g_b whose w_b = max(g_b - g_k, 0) meets a variable that
+    is the w_c of some c in prefix: the prefix members that the colon test
+    for g_k on prefix passes (`covered` in `GeneratorIndex.linear`).
+
+    Read off the held index when there is one, else from the exponents.
+    """
+    if index is not None:
+        covered = 0
+        for _, ups, above, _ in index.raises[k]:
+            if ups & prefix:
+                covered |= above
+        return covered
+    u = gens[k]
+    ws = [[a - b if a > b else 0 for a, b in zip(v, u)] for v in gens]
+    S = {w.index(1) for b, w in enumerate(ws) if prefix >> b & 1 and sum(w) == 1}
+    return sum(1 << b for b, w in enumerate(ws) if any(w[i] for i in S))
+
+
+def _must_precede(gens, index):
+    """need[b]: the bits of the generators that come before g_b in every
+    order of gens with linear quotients, the g_k whose colon test with
+    every other generator as prefix does not pass g_b (see `search_order`).
+    """
+    r = len(gens)
+    full = (1 << r) - 1
+    need = [0] * r
+    for k in range(r):
+        others = full ^ (1 << k)
+        blocked = others & ~_covered(gens, index, k, others)
+        for b in range(r):
+            if blocked >> b & 1:
+                need[b] |= 1 << k
+    return need
+
+
+def _has_cycle(need):
+    """Whether the must-precede relation `need` has a cycle: peeling off
+    the generators with nothing left to wait on stalls before the end."""
+    left = (1 << len(need)) - 1
+    while left:
+        ready = sum(1 << b for b, n in enumerate(need)
+                    if left >> b & 1 and not n & left)
+        if not ready:
+            return True
+        left ^= ready
+    return False
+
+
 def search_order(I):
     """Find an order with linear quotients, or prove none exists.
 
@@ -278,12 +337,28 @@ def search_order(I):
     prefix as a set, so the generators left after a dead prefix are
     memoized as one bit set.  The search is exhaustive: None means no order
     exists.
+
+    Before the search starts, `_must_precede` fixes a relation: with
+    w_b = max(g_b - g_k, 0) and S_k the variables equal to some w_b,
+    b != k, g_k comes before g_b in every order with linear quotients
+    when w_b meets no variable of S_k.  Proof: the prefix members that
+    g_k's colon test passes are those whose w meets a variable among the
+    members' w; that set can only grow with the prefix, so it is largest
+    when the prefix is every other generator, where it is the w meeting
+    S_k.  A g_b outside it fails the test in every prefix, so it never
+    comes before g_k.  A candidate whose predecessors are not all placed
+    heads a subtree with no order in it and is skipped before its colon
+    test, so the search finds the same first order and None stays
+    exhaustive; a cycle in the relation gives None before the search.
     """
     if not isinstance(I, MonomialIdeal):
         raise TypeError("search_order expects a MonomialIdeal")
     if len(I.gens) > SEARCH_GUARD:
         raise ValueError(f"search guard exceeded: {len(I.gens)} > {SEARCH_GUARD}")
     gens, extends = _search_route(I)
+    need = _must_precede(gens, I.generator_index)
+    if _has_cycle(need):
+        return None
     full = (1 << len(gens)) - 1
     dead = set()
     path = []
@@ -299,7 +374,7 @@ def search_order(I):
             low = rest & -rest
             rest ^= low
             k = low.bit_length() - 1
-            if prefix and not extends(k, prefix):
+            if need[k] & remaining or prefix and not extends(k, prefix):
                 continue
             path.append(k)
             if extend(remaining ^ low):

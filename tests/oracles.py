@@ -128,6 +128,24 @@ OMEGA_MUTANTS = {
 }
 
 
+# mutants of `quotients.search_order`'s must-precede pruning, each (old, new)
+# edits of quotients.py
+SEARCH_MUTANTS = {
+    "precedence edge reversed": [
+        ("need[b] |= 1 << k", "need[k] |= 1 << b"),
+    ],
+    "predecessors looked up in the prefix": [
+        ("if need[k] & remaining or", "if need[k] & prefix or"),
+    ],
+    "blocked set from the empty prefix": [
+        ("_covered(gens, index, k, others)", "_covered(gens, index, k, 0)"),
+    ],
+    "cycle test ignores placed generators": [
+        ("if left >> b & 1 and not n & left)", "if left >> b & 1 and not n)"),
+    ],
+}
+
+
 def compare_revlex(u, v):
     """Graded reverse-lex comparison of same-degree monomials.
 

@@ -400,7 +400,9 @@ def test_linforms_verify_structured_golden(args, code, stdout):
 # commands, as the pairwise colon and exchange scans gave them: a failing
 # exchange (the hook), failing orders, a mixed-degree order and a
 # same-degree sequence with a repeated generator.  The bitset route for
-# equigenerated inputs must keep them byte for byte.
+# equigenerated inputs must keep them byte for byte, and so must the
+# must-precede pruning of the order search: the searches include ideals of
+# several degrees and 24 generators, at SEARCH_GUARD.
 CERT_GOLDEN = [
     (('quotients', 'check', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
      0, '{"certificate": {"colon_vars": [[], [1], [1], [2]], "nvars": 4, "order": ["a^2*b", "a*b*c", "b*c*d", "c*d^2"]}, "reg": 3}\n',
@@ -446,6 +448,15 @@ CERT_GOLDEN = [
      ''),
     (('quotients', 'search', '--ideal', 'ideal(a^3, a^2*b, a*b^2, b^3)'),
      0, '{"certificate": {"colon_vars": [[], [1], [1], [1]], "nvars": 2, "order": ["a^3", "a^2*b", "a*b^2", "b^3"]}, "order_exists": true, "reg": 3}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(d, c*e, a^2*b, a^2*c, b^3*c)'),
+     1, '{"order_exists": false}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(c, a^2, a*b, b^2)'),
+     0, '{"certificate": {"colon_vars": [[], [3], [1, 3], [1, 3]], "nvars": 3, "order": ["c", "a^2", "a*b", "b^2"]}, "order_exists": true, "reg": 2}\n',
+     ''),
+    (('quotients', 'search', '--ideal', 'ideal(a^3, a^2*b, a^2*c, a*b^2, a*b*c, a*b*e, a*c*d, a*c*e, a*d^2, a*e^2, b^2*c, b^2*d, b*c^2, b*c*d, b*c*e, b*d^2, b*d*e, b*e^2, c^2*d, c^2*e, c*d*e, c*e^2, d^2*e, d*e^2)'),
+     1, '{"order_exists": false}\n',
      ''),
     (('polymatroid', 'check', '--ideal', 'ideal(a^2*b, a*b*c, b*c*d, c*d^2)'),
      1, '{"polymatroidal": false, "witness": {"index": 2, "reason": "no exchange index", "u": "a^2*b", "v": "c*d^2"}}\n',

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,14 +31,18 @@ from idealreg.quotients import (
 )
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
 from oracles import (
+    SEARCH_MUTANTS,
     AboveAtLeast,
     DroppedNeighbour,
     contains_monomial,
     equigenerated_ideals,
+    mutant,
     random_equigenerated,
     random_polymatroidal_product,
     search_order_oracle,
 )
+
+SEARCH_POOL = Path(__file__).resolve().parents[1] / "bench" / "search_pool.json"
 
 
 def gens(n, *names):
@@ -330,12 +336,14 @@ def test_check_order_names_the_first_repeated_generator():
     st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
         rng_from_seed(seed), nmax=4, degmax=3, max_gens=7)),
 ))
-@example(MonomialIdeal.from_gens(4, gens(4, "a*b", "c*d")))  # no order
+@example(MonomialIdeal.from_gens(4, gens(4, "a*b", "c*d")))  # a cycle: None at the root
 @example(MonomialIdeal.from_gens(4, gens(4, "b", "c")).product(  # no order
     MonomialIdeal.from_gens(4, gens(4, "a^2*b", "a*b*c", "b*c*d", "c*d^2"))))
 @example(MonomialIdeal.from_gens(  # an order other than the sorted one
     5, gens(5, "a*b*e", "a*c*e", "b^2*d", "b*d*e", "c*d*e")))
 @example(MonomialIdeal.from_gens(2, monomial_basis(2, 3)))
+@example(MonomialIdeal.from_gens(  # several degrees, no cycle, candidates skipped
+    5, gens(5, "d", "c*e", "a^2*b", "a^2*c", "b^3*c")))
 def test_search_order_matches_frozenset_search(I):
     expected = search_order_oracle(I)
     cert = search_order(I)
@@ -369,3 +377,101 @@ def test_greedy_order_gives_up_where_no_order_exists():
                MonomialIdeal.from_gens(3, gens(3, "a^2*b", "b^2*c", "c^2*a"))):
         assert search_order(mi) is None
         assert greedy_order(mi) is None
+
+
+@pytest.mark.parametrize("n,names,need,cycle", [
+    (4, ("a*b", "c*d"), [0b10, 0b01], True),
+    (3, ("a*b^2", "b^2*c", "a*c^2"), [0b100, 0b100, 0], False),
+    (5, ("d", "c*e", "a^2*b", "a^2*c", "b^3*c"), [0, 0b1, 0b10011, 0b10011, 0b11], False),
+    (2, ("a^3", "a^2*b", "a*b^2", "b^3"), [0, 0, 0, 0], False),
+])
+def test_must_precede_examples(n, names, need, cycle):
+    # bit k of need[b]: g_k comes before g_b, gens in `revlex_desc` order
+    I = MonomialIdeal.from_gens(n, gens(n, *names))
+    route_gens, _ = quotients._search_route(I)
+    assert list(route_gens) == gens(n, *names)
+    assert quotients._must_precede(route_gens, I.generator_index) == need
+    assert quotients._has_cycle(need) is cycle
+
+
+def orders_with_linear_quotients(gens):
+    """Every order of gens whose colons are all generated by variables."""
+    return [order for order in permutations(gens)
+            if all(_linear_colon(order[:t], order[t]) is not None
+                   for t in range(1, len(order)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    equigenerated_ideals(kmax=6),
+    st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
+        rng_from_seed(seed), nmax=4, degmax=3, max_gens=6)),
+))
+@example(MonomialIdeal.from_gens(3, gens(3, "c", "a^2", "a*b", "b^2")))
+def test_must_precede_holds_in_every_order_with_linear_quotients(I):
+    route_gens, _ = quotients._search_route(I)
+    need = quotients._must_precede(route_gens, I.generator_index)
+    orders = orders_with_linear_quotients(route_gens)
+    for order in orders:
+        at = {u: t for t, u in enumerate(order)}
+        for b, u in enumerate(route_gens):
+            before = [v for k, v in enumerate(route_gens) if need[b] >> k & 1]
+            assert all(at[v] < at[u] for v in before)
+    assert not (orders and quotients._has_cycle(need))
+
+
+def pool_ideals():
+    """The search pool of the benchmark's `certificates` workload, as
+    (ideal, recorded verdict, recorded colon steps); the file is only read."""
+    pool = json.loads(SEARCH_POOL.read_text())
+    n = pool["nvars"]
+    return [(MonomialIdeal.from_gens(n, [parse_monomial(g, n)[0] for g in rec["gens"]]),
+             rec["order_exists"], rec["colon_steps"])
+            for rec in pool["ideals"]]
+
+
+def test_order_search_on_the_pool_stays_within_its_colon_test_budget(monkeypatch):
+    # counted, not timed: 832 colon tests over the 240 pool ideals, against
+    # 2 111 257 with no must-precede relation and 99 624 with the relation
+    # but no cycle test
+    calls = [0]
+    real = GeneratorIndex.linear
+
+    def counted(self, k, prefix):
+        calls[0] += 1
+        return real(self, k, prefix)
+
+    monkeypatch.setattr(GeneratorIndex, "linear", counted)
+    for I, order_exists, _ in pool_ideals():
+        assert not order_exists
+        assert search_order(I) is None
+    assert 0 < calls[0] <= 1000
+
+
+def order_of(cert):
+    return None if cert is None else list(cert.order)
+
+
+@pytest.fixture(scope="module")
+def pruning_corpus():
+    """(ideal, `search_order_oracle`'s answer): the ten shortest searches of
+    the pool, polymatroidal products, which have orders, and ideals of
+    several degrees."""
+    pool = sorted(pool_ideals(), key=lambda rec: rec[2])[:10]
+    ideals = [I for I, _, _ in pool]
+    ideals += [random_polymatroidal_product(seed, max_gens=16) for seed in range(20)]
+    mixed = (random_monomial_ideal(rng_from_seed(seed), nmax=4, degmax=3, max_gens=7)
+             for seed in range(400))
+    ideals += [I for I in mixed if len({degree(u) for u in I.gens}) > 1][:60]
+    return [(I, search_order_oracle(I)) for I in ideals]
+
+
+def test_search_order_matches_frozenset_search_on_the_pruning_corpus(pruning_corpus):
+    assert [order_of(search_order(I)) for I, _ in pruning_corpus] == [
+        expected for _, expected in pruning_corpus]
+
+
+@pytest.mark.parametrize("edits", SEARCH_MUTANTS.values(), ids=list(SEARCH_MUTANTS))
+def test_frozenset_search_catches_each_pruning_mutant(edits, pruning_corpus):
+    bad_search = mutant(quotients, "search_order", edits)
+    assert any(order_of(bad_search(I)) != expected for I, expected in pruning_corpus)

@@ -4,9 +4,10 @@ Exit codes: 0 for success or a true verdict, 1 for a false verdict (an
 inequality that fails, a non-polymatroidal ideal, a missing order, ...)
 and for `linforms reg` finding no certificate up to the cap (which proves
 nothing: the search is one-sided), 2 for bad input.  Commands raise
-ValueError for bad input (ParseError is one) and for a tripped guard; `main` is the one place that turns it into
-exit 2 with a single ``input error: <message>`` line on stderr.  Any
-other exception, such as a failed internal check, still propagates.
+ValueError for bad input (ParseError is one) and for a tripped guard;
+`main` is the one place that turns it into exit 2 with a single
+``input error: <message>`` line on stderr.  Any other exception, such as
+a failed internal check, still propagates.
 Structured output is JSON with sorted keys, so a run with the same seed
 and characteristic is byte-identical.
 """
@@ -41,7 +42,7 @@ from .linforms import (
     product_generators,
     verify_decomposition,
 )
-from .monomials import format_monomial, parse_monomial
+from .monomials import degree, format_monomial, parse_monomial
 from .parsing import parse_ideal_gens, parse_ideal_text, parse_linforms_text
 from .polymatroid import (
     is_polymatroidal,
@@ -95,14 +96,37 @@ SWEEP_GUARD = 10_000
 
 # `betti` and `inequality` check each table against the Hilbert function
 # up to the cap, which one walk counts over the monomials of x1..x_{n-1}
-# of degree <= cap: dim R_cap = C(cap+n-1, n-1) of them.  WALK_GUARD
-# bounds that count for the cap each table uses, given by --cap or set by
-# the ideal (`betti.table_cap`): one table for `betti`, those of I, J and
-# IJ for `inequality`.  `betti --ideal "ideal(d)"`, one walk step per
-# monomial, took 0.4 s at cap 100 (176 851), 2.3 s at cap 200
-# (1 373 701), 3.9 s at cap 228 (2 027 795) and 19.9 s at cap 400
-# (10 827 401).
+# of degree <= cap: dim R_cap = C(cap+n-1, n-1) of them.  The Hilbert
+# values and the Euler check then run over the cap + 1 degrees, which is
+# the whole work in one variable, where the walk is one monomial.
+# WALK_GUARD bounds the walk plus the degrees for the cap each table
+# uses, given by --cap or set by the ideal (`betti.table_cap`): one table
+# for `betti`, those of I, J and IJ for `inequality`.  Timings of
+# `betti`, in-process with the guard lifted (2 cores, Python 3.11; median
+# of five, or one run where marked), as monomials + degrees -> time:
+#   "ideal(d)", cap 100:          176 851 +       101 ->  0.18 s
+#   "ideal(d)", cap 200:        1 373 701 +       201 ->  1.9 s
+#   "ideal(d)", cap 228:        2 027 795 +       229 ->  2.0 s (refused)
+#   "ideal(d)", cap 400:       10 827 401 +       401 -> 17.7 s (one, refused)
+#   "ideal(a^100000)":                  1 +   100 002 ->  0.44 s
+#   "ideal(a^1000000)":                 1 + 1 000 002 ->  3.0 s
+#   "ideal(a^1999998)":                 1 + 2 000 000 ->  6.7 s (one, refused)
+#   "ideal(a, b)", cap 1000000: 1 000 001 + 1 000 001 ->  3.3 s (one, refused)
+# The shared host's speed swings these by up to 1.5x.  A degree costs two
+# to three walk steps, but the guard counts both alike, so in one variable
+# it admits runs of about 7 s.
 WALK_GUARD = 2_000_000
+
+# `hankel decompose` builds one gap chain per factor, and a monomial of
+# degree d has at most d factors: "a^d" has exactly d.  DECOMPOSE_GUARD
+# bounds d.  Timings, in-process with the guard lifted (2 cores, Python
+# 3.11), median of three:
+#   "a^10000":                  0.02 s
+#   "a^100000":                 0.29 s,  32 MB
+#   "x1^50000*x2^50000":        0.41 s
+#   "a^1000000":                2.8 s,  150 MB (refused)
+# Each factor is an n-tuple: "a^100000" took 1.3 s with --n 100.
+DECOMPOSE_GUARD = 100_000
 
 
 def _sweep_cap(cap, default, nvars):
@@ -122,10 +146,10 @@ def _sweep_cap(cap, default, nvars):
 def _check_walk(I, cap):
     cap = betti.table_cap(I, cap)
     count = ring_dim(I.nvars, cap)
-    if count > WALK_GUARD:
+    if count + cap + 1 > WALK_GUARD:
         raise ValueError(
             f"cap {cap} in {I.nvars} variables walks {count} monomials, "
-            f"above WALK_GUARD = {WALK_GUARD}"
+            f"above WALK_GUARD = {WALK_GUARD} with its {cap + 1} degrees"
         )
 
 
@@ -437,7 +461,11 @@ def hankel_omega(nvars, sizes_text, fmt):
 @click.option("--n", "nvars", type=int, default=None)
 @format_option
 def hankel_decompose(monomial, nvars, fmt):
-    dec = canonical_decomposition(parse_monomial(monomial, nvars)[0])
+    u = parse_monomial(monomial, nvars)[0]
+    if degree(u) > DECOMPOSE_GUARD:
+        raise ValueError(
+            f"degree {degree(u)} is above DECOMPOSE_GUARD = {DECOMPOSE_GUARD}")
+    dec = canonical_decomposition(u)
     gammas = {i: gamma(i, dec.shape) for i in range(1, dec.shape[0] + 1)}
     _emit(fmt, [dec.render(), f"shape = {dec.shape}", f"gamma = {gammas}"],
           {"factors": [format_monomial(f) for f in dec.factors],

@@ -60,15 +60,13 @@ class MonomialIdeal:
 
     @property
     def is_equigenerated(self):
-        return len({degree(g) for g in self.gens}) == 1
+        return degree(self.gens[0]) == degree(self.gens[-1])  # sorted by degree
 
     @cached_property
     def generator_index(self):
-        """The bitset index of G(I) in `revlex_desc` order, or None unless I
-        is equigenerated.  Built on first read and held with the ideal; the
-        order checks, the order searches and the exchange check read it."""
-        if not self.is_equigenerated:
-            return None
+        """The bitset index of G(I) in `revlex_desc` order.  Built on first
+        read and held with the ideal; the order checks, the order searches
+        and the exchange check read it."""
         from .quotients import GeneratorIndex, revlex_desc  # imports this module
 
         return GeneratorIndex(revlex_desc(self.gens))

@@ -45,22 +45,24 @@ def is_polymatroidal(I):
     the bitset index of G(I) in that order (`I.generator_index`), the v
     failing at i for a fixed u are those with nu_i(v) < nu_i(u) and
     nu_j(v) <= nu_j(u) for every j with x_j u / x_i in G(I); the lowest bit
-    over all i is the first failing v.
+    over all i is the first failing v.  The generators of one degree
+    reached from u by raising x_j are the x_j u / x_l, so x_j u / x_i is
+    among them exactly when one of them has less x_i than u.
     """
-    index = I.generator_index
-    if index is None:
+    if not I.is_equigenerated:
         g = I.gens
         return ExchangeFailure(g[0], g[-1], 0, "not equigenerated")
+    index = I.generator_index
     ordered = index.gens
-    above = index.above
     every = (1 << len(ordered)) - 1
     for u, raises in zip(ordered, index.raises):
         fails = []
-        for i, e in enumerate(u):
-            f = every & ~above[i][e - 1] if e else 0
+        for at, above, e in zip(index.at, index.above, u):
+            # lower: the v with less x_i than u
+            f = lower = every & ~(at[e] | above[e]) if e else 0
             if f:  # drop the v above u in some x_j with x_j u / x_i in G(I)
-                for _, _, higher, downs in raises:
-                    if downs >> i & 1:
+                for _, ups, higher in raises:
+                    if ups & lower:
                         f &= ~higher
             fails.append(f)
         failing = reduce(or_, fails, 0)

@@ -7,15 +7,14 @@ regularity of an ideal with linear quotients is the largest generator
 degree, so a certificate doubles as a regularity computation.
 
 Only monomial ideals are handled: their minimal generating set is unique,
-so an exhaustive search over orderings of G(I) settles existence.  When
-the generators share one degree, colons are read off a bitset index of
-them (`GeneratorIndex`); otherwise each colon is computed from the
-exponents of the prefix (`_linear_colon`).
+so an exhaustive search over orderings of G(I) settles existence.  Colons
+are read off a bitset index of the generators (`GeneratorIndex`), of any
+degrees.
 
-An equigenerated `MonomialIdeal` holds one index of its generators in
-`revlex_desc` order (`MonomialIdeal.generator_index`), built on first
-read.  `search_order`, `greedy_order` and `polymatroid.is_polymatroidal`
-read it, and so does `check_order` when it is handed that index with that
+A `MonomialIdeal` holds one index of its generators in `revlex_desc`
+order (`MonomialIdeal.generator_index`), built on first read.
+`search_order`, `greedy_order` and `polymatroid.is_polymatroidal` read
+it, and so does `check_order` when it is handed that index with that
 order.  `check_order` on any other order builds an index of its own, and
 so does `verify_certificate`: a certificate is re-checked from scratch,
 not from the state of the search that found it.
@@ -100,34 +99,25 @@ class QuotientFailure:
         return False
 
 
-def _linear_colon(prefix, u):
-    """Variables generating (prefix) : u, or None if it needs more.
-
-    No v in prefix may divide u.  The colon is generated by the
-    w = max(v - u, 0); the degree-1 ones are the variables S in it, and it
-    is generated by S exactly when every w meets S.
-    """
-    ws = [[a - b if a > b else 0 for a, b in zip(v, u)] for v in prefix]
-    S = {w.index(1) for w in ws if sum(w) == 1}
-    if all(any(w[i] for i in S) for w in ws):
-        return tuple(sorted(i + 1 for i in S))
-    return None
-
-
 def revlex_desc(gens):
     """Monomials by degree, then revlex-descending: reversed exponents ascending."""
     return sorted(gens, key=lambda u: (degree(u), u[::-1]))
 
 
 class GeneratorIndex:
-    """Bitset index of distinct same-degree monomials g_0, ..., g_{r-1}.
+    """Bitset index of distinct monomials g_0, ..., g_{r-1}, none dividing
+    another, of any degrees.
 
-    Bit k of an int stands for g_k.  `above[i][c]` is the set of g with
-    exponent of x_i greater than c, for c up to the largest such exponent.
-    A move from g_k is a pair (i, j) with g_k * x_i / x_j = g_b in the
-    set; `raises[k]` groups the moves from g_k by i, as one tuple
-    (i, ups, above[i][g_k[i]], downs) per raised variable, where ups is the
-    set of the g_b reached and downs the set of the j lowered, as bits.
+    Bit k of an int stands for g_k.  `at[i][c]` is the set of g with
+    exponent c of x_i and `above[i][c]` the set with a greater one, both
+    keyed by the exponents of x_i that occur, so the index holds at most r
+    entries per variable whatever the exponents.
+
+    w = max(g_b - g_k, 0) is the variable x_i exactly when g_b exceeds g_k
+    by one in x_i and in no other variable.  `raises[k]` holds one tuple
+    (i, ups, above[i][g_k[i]]) per such x_i, where ups is the set of those
+    g_b: at[i][g_k[i] + 1] less the g above g_k in some other variable.
+    For gens of one degree these are the moves g_b = g_k * x_i / x_j.
 
     An index is not changed once built, so one index serves every check on
     one order of the generators: `MonomialIdeal.generator_index` holds the
@@ -138,56 +128,56 @@ class GeneratorIndex:
         gens = tuple(gens)
         n = len(gens[0])
         self.gens = gens
+        self.at = []
         self.above = []
         for i in range(n):  # one pass per variable
-            col = [u[i] for u in gens]
-            at = [0] * (max(col) + 1)
-            for k, e in enumerate(col):
-                at[e] |= 1 << k
-            above = [0] * len(at)
+            at = {}
+            for k, u in enumerate(gens):
+                at[u[i]] = at.get(u[i], 0) | 1 << k
+            above = {}
             acc = 0
-            for c in range(len(at) - 1, -1, -1):
+            for c in sorted(at, reverse=True):
                 above[c] = acc
                 acc |= at[c]
+            self.at.append(at)
             self.above.append(above)
-        # g_k * x_i / x_j = g_b exactly when g_k * x_i = g_b * x_j, so the
-        # moves from g_k raising x_i reach the other members of the bucket
-        # of products g * x_l that holds g_k * x_i, and lower their x_l.
-        # Exponents of such products are at most d + 1, so base d + 2
-        # codes one as an int and multiplying by x_i adds (d + 2)^i.
-        base = degree(gens[0]) + 2
-        weights = [base**i for i in range(n)]
-        codes = [sum(e * w for e, w in zip(u, weights)) for u in gens]
-        xs = [(i, w, 1 << i) for i, w in enumerate(weights)]  # x_i: code, bit
-        buckets = {}  # code of g * x_l -> [bits of those g, bits of those l]
-        for k, code in enumerate(codes):
-            for _, w, lbit in xs:
-                bucket = buckets.get(code + w)
-                if bucket is None:
-                    buckets[code + w] = [1 << k, lbit]
-                else:
-                    bucket[0] |= 1 << k
-                    bucket[1] |= lbit
         self.raises = []
-        for k, (u, code) in enumerate(zip(gens, codes)):
-            kbit = 1 << k
+        for u in gens:
+            highs = [above[e] for above, e in zip(self.above, u)]
+            # the g above u in some x_j, j > i: suffix ORs of highs
+            after = [0] * n
+            acc = 0
+            for j in range(n - 1, 0, -1):
+                acc |= highs[j]
+                after[j - 1] = acc
             row = []
-            for i, w, ibit in xs:
-                ups, downs = buckets[code + w]
-                if ups != kbit:
-                    row.append((i, ups ^ kbit, self.above[i][u[i]], downs ^ ibit))
+            before = 0  # the g above u in some x_j, j < i
+            for i, (at, e, high) in enumerate(zip(self.at, u, highs)):
+                ups = at.get(e + 1, 0) & ~(before | after[i])
+                if ups:
+                    row.append((i, ups, high))
+                before |= high
             self.raises.append(tuple(row))
+
+    def covered(self, k, prefix):
+        """Bits of the g_b whose w_b = max(g_b - g_k, 0) meets a variable
+        that is the w of some member of prefix."""
+        covered = 0
+        for _, ups, above in self.raises[k]:
+            if ups & prefix:
+                covered |= above
+        return covered
 
     def colon(self, k, prefix):
         """Variables generating (g_b : b in prefix) : g_k, or None.
 
-        w = max(g_b - g_k, 0) is x_i exactly when g_b = g_k * x_i / x_j, and
-        the colon is generated by those x_i when every g_b in the prefix
-        exceeds g_k in one of them.
+        The colon is generated by the w_b = max(g_b - g_k, 0); the degree-1
+        ones are the variables in it, and it is generated by them exactly
+        when every w_b of the prefix meets one of them.
         """
         covered = 0
         vars_ = []
-        for i, ups, above, _ in self.raises[k]:
+        for i, ups, above in self.raises[k]:
             if ups & prefix:
                 covered |= above
                 vars_.append(i + 1)
@@ -196,37 +186,11 @@ class GeneratorIndex:
     def linear(self, k, prefix):
         """Whether (g_b : b in prefix) : g_k is generated by variables:
         `colon(k, prefix) is not None`, without building the variables."""
-        covered = 0
-        for _, ups, above, _ in self.raises[k]:
-            if ups & prefix:
-                covered |= above
-        return not prefix & ~covered
+        return not prefix & ~self.covered(k, prefix)
 
 
 def _one_degree(gens):
     return len({degree(u) for u in gens}) == 1
-
-
-def _prefix_colon(gens):
-    """colon(k, prefix) over bit sets of gens, by `_linear_colon` on the
-    prefix's members: the route for gens of several degrees."""
-    def colon(k, prefix):
-        return _linear_colon(
-            [u for b, u in enumerate(gens) if prefix >> b & 1], gens[k])
-
-    return colon
-
-
-def _search_route(I):
-    """(gens, extends) for the order searches: G(I) in `revlex_desc` order
-    and the yes/no test extends(k, prefix) over bit sets of it, read off
-    I's held index when I is equigenerated."""
-    index = I.generator_index
-    if index is not None:
-        return index.gens, index.linear
-    gens = revlex_desc(I.gens)
-    colon = _prefix_colon(gens)
-    return gens, lambda k, prefix: colon(k, prefix) is not None
 
 
 def check_order(nvars, ordered_gens, index=None):
@@ -256,16 +220,12 @@ def check_order(nvars, ordered_gens, index=None):
             f"generating sequence is not minimal: {format_monomial(v)} "
             f"divides {format_monomial(u)}"
         )
-    if index is not None:
-        assert index.gens == tuple(gens), "index of another order"
-        linear_colon = index.colon
-    elif _one_degree(gens):
-        linear_colon = GeneratorIndex(gens).colon
-    else:
-        linear_colon = _prefix_colon(gens)
+    if index is None:
+        index = GeneratorIndex(gens)
+    assert index.gens == tuple(gens), "index of another order"
     steps = [()]
     for t in range(1, len(gens)):
-        vars_ = linear_colon(t, (1 << t) - 1)
+        vars_ = index.colon(t, (1 << t) - 1)
         if vars_ is None:
             colon = monomial_colon(gens[:t], gens[t])
             return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
@@ -279,36 +239,18 @@ def verify_certificate(cert):
     return isinstance(res, QuotientCertificate) and res.colon_vars == cert.colon_vars
 
 
-def _covered(gens, index, k, prefix):
-    """Bits of the g_b whose w_b = max(g_b - g_k, 0) meets a variable that
-    is the w_c of some c in prefix: the prefix members that the colon test
-    for g_k on prefix passes (`covered` in `GeneratorIndex.linear`).
-
-    Read off the held index when there is one, else from the exponents.
-    """
-    if index is not None:
-        covered = 0
-        for _, ups, above, _ in index.raises[k]:
-            if ups & prefix:
-                covered |= above
-        return covered
-    u = gens[k]
-    ws = [[a - b if a > b else 0 for a, b in zip(v, u)] for v in gens]
-    S = {w.index(1) for b, w in enumerate(ws) if prefix >> b & 1 and sum(w) == 1}
-    return sum(1 << b for b, w in enumerate(ws) if any(w[i] for i in S))
-
-
-def _must_precede(gens, index):
+def _must_precede(index):
     """need[b]: the bits of the generators that come before g_b in every
-    order of gens with linear quotients, the g_k whose colon test with
-    every other generator as prefix does not pass g_b (see `search_order`).
+    order of index.gens with linear quotients, the g_k whose colon test
+    with every other generator as prefix does not pass g_b (see
+    `search_order`).
     """
-    r = len(gens)
+    r = len(index.gens)
     full = (1 << r) - 1
     need = [0] * r
     for k in range(r):
         others = full ^ (1 << k)
-        blocked = others & ~_covered(gens, index, k, others)
+        blocked = others & ~index.covered(k, others)
         for b in range(r):
             if blocked >> b & 1:
                 need[b] |= 1 << k
@@ -355,8 +297,9 @@ def search_order(I):
         raise TypeError("search_order expects a MonomialIdeal")
     if len(I.gens) > SEARCH_GUARD:
         raise ValueError(f"search guard exceeded: {len(I.gens)} > {SEARCH_GUARD}")
-    gens, extends = _search_route(I)
-    need = _must_precede(gens, I.generator_index)
+    index = I.generator_index
+    gens, extends = index.gens, index.linear
+    need = _must_precede(index)
     if _has_cycle(need):
         return None
     full = (1 << len(gens)) - 1
@@ -401,7 +344,8 @@ def greedy_order(I):
     degree qualifies; it does not backtrack, so None does not mean that
     no order exists (`search_order` settles that).
     """
-    gens, extends = _search_route(I)
+    index = I.generator_index
+    gens, extends = index.gens, index.linear
     degs = [degree(u) for u in gens]
     remaining = list(range(len(gens)))
     prefix = 0

@@ -227,6 +227,22 @@ def test_hankel_enumeration_guard_exits_2(command):
     assert "ENUM_GUARD = 10000000" in r.stderr
 
 
+def test_hankel_decompose_guard_exits_2():
+    r = run("hankel", "decompose", "--monomial", "a^1000000")
+    _assert_input_error(r)
+    assert "degree 1000000 is above DECOMPOSE_GUARD" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("quotients", "check"), ("quotients", "search"), ("polymatroid", "check"),
+])
+def test_huge_exponents_get_a_verdict(command):
+    # the generator index holds one entry per exponent that occurs, not one
+    # per exponent up to the largest
+    r = run(*command, "--ideal", "ideal(a^1000000000, b^1000000000)")
+    assert r.exit_code == 1 and not r.stderr
+
+
 def test_quotients_search_guard_exits_2():
     # the 28 quadrics in 7 variables are past SEARCH_GUARD = 24
     quadrics = ", ".join(format_monomial(m) for m in monomial_basis(7, 2))
@@ -337,6 +353,19 @@ def test_walk_guard_exits_2(argv):
     r = run(*argv, "--cap", "16000")
     _assert_input_error(r)
     assert "walks 682922696001 monomials, above WALK_GUARD" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--ideal", "ideal(a^100000000)"),
+    ("inequality", "--ideal-i", "ideal(a^100000000)", "--ideal-j", "ideal(a)"),
+])
+def test_walk_guard_counts_the_degrees_of_the_cap(argv):
+    # one variable walks one monomial, but the Euler check runs over the
+    # 100000002 degrees of the default cap 100000001
+    r = run(*argv)
+    _assert_input_error(r)
+    assert ("cap 100000001 in 1 variables walks 1 monomials, above WALK_GUARD"
+            in r.stderr)
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ from idealreg.quotients import (
     GeneratorIndex,
     QuotientCertificate,
     QuotientFailure,
-    _linear_colon,
     check_order,
     greedy_order,
     monomial_colon,
@@ -34,6 +33,8 @@ from oracles import (
     SEARCH_MUTANTS,
     AboveAtLeast,
     DroppedNeighbour,
+    UnexcludedUps,
+    _linear_colon,
     contains_monomial,
     equigenerated_ideals,
     mutant,
@@ -229,14 +230,18 @@ def colon_disagreements(index, gens):
 
 
 @settings(max_examples=150, deadline=None)
-@given(equigenerated_ideals(), st.integers(0, 10**6))
+@given(st.one_of(
+    equigenerated_ideals(),
+    st.integers(0, 10**6).map(lambda seed: random_monomial_ideal(
+        rng_from_seed(seed), nmax=5, degmax=4, max_gens=8)),
+), st.integers(0, 10**6))
 def test_bitset_colon_matches_linear_colon_on_every_subset(I, seed):
     gens = list(I.gens)
     random.Random(seed).shuffle(gens)  # the index takes any order
     assert list(colon_disagreements(GeneratorIndex(gens), gens)) == []
 
 
-@pytest.mark.parametrize("mutant", [DroppedNeighbour, AboveAtLeast])
+@pytest.mark.parametrize("mutant", [DroppedNeighbour, AboveAtLeast, UnexcludedUps])
 def test_colon_oracle_catches_a_mutant_index(mutant):
     ideals = [list(random_equigenerated(4, 2, 6, seed).gens) for seed in range(20)]
     assert any(next(colon_disagreements(mutant(gens), gens), None)
@@ -268,26 +273,37 @@ def test_yes_no_colon_test_agrees_with_colon(I, rnd):
         assert index.linear(k, prefix) == (index.colon(k, prefix) is not None)
 
 
-def test_an_ideal_of_several_degrees_holds_no_index(monkeypatch):
+def test_both_searches_read_the_held_index_of_an_ideal_of_several_degrees(
+    monkeypatch
+):
     I = MonomialIdeal.from_gens(3, gens(3, "a^2", "a*b", "b^3", "b^2*c"))
-    assert I.generator_index is None
-    calls = []
-    real = quotients._linear_colon
+    index = I.generator_index
+    assert index.gens == tuple(revlex_desc(I.gens))
+    read = []
+    real = GeneratorIndex.linear
 
-    def counted(prefix, u):
-        calls.append(u)
-        return real(prefix, u)
+    def counted(self, k, prefix):
+        read.append(self)
+        return real(self, k, prefix)
 
-    def no_index(gens):
-        raise AssertionError("index built for gens of several degrees")
-
-    monkeypatch.setattr(quotients, "_linear_colon", counted)
-    monkeypatch.setattr(quotients, "GeneratorIndex", no_index)
+    monkeypatch.setattr(GeneratorIndex, "linear", counted)
     for find in (search_order, greedy_order):
-        calls.clear()
+        read.clear()
         cert = find(I)
         assert cert is not None and verify_certificate(cert)
-        assert calls  # the search asked `_linear_colon`, on the prefix's members
+        assert read and all(x is index for x in read)
+
+
+def test_the_index_holds_one_entry_per_exponent_that_occurs():
+    # counted, not timed: lists up to the largest exponent would hold 10^9
+    for names in (("a^1000000000", "b^1000000000"),
+                  ("a^1000000000", "a*b^999999999", "c")):
+        I = MonomialIdeal.from_gens(3, gens(3, *names))
+        index = I.generator_index
+        exponents = [{u[i] for u in I.gens} for i in range(3)]
+        assert [set(at) for at in index.at] == exponents
+        assert [set(above) for above in index.above] == exponents
+        assert all(len(e) <= len(I.gens) for e in exponents)
 
 
 def test_equality_and_hash_ignore_the_held_index():
@@ -388,9 +404,8 @@ def test_greedy_order_gives_up_where_no_order_exists():
 def test_must_precede_examples(n, names, need, cycle):
     # bit k of need[b]: g_k comes before g_b, gens in `revlex_desc` order
     I = MonomialIdeal.from_gens(n, gens(n, *names))
-    route_gens, _ = quotients._search_route(I)
-    assert list(route_gens) == gens(n, *names)
-    assert quotients._must_precede(route_gens, I.generator_index) == need
+    assert list(I.generator_index.gens) == gens(n, *names)
+    assert quotients._must_precede(I.generator_index) == need
     assert quotients._has_cycle(need) is cycle
 
 
@@ -409,8 +424,8 @@ def orders_with_linear_quotients(gens):
 ))
 @example(MonomialIdeal.from_gens(3, gens(3, "c", "a^2", "a*b", "b^2")))
 def test_must_precede_holds_in_every_order_with_linear_quotients(I):
-    route_gens, _ = quotients._search_route(I)
-    need = quotients._must_precede(route_gens, I.generator_index)
+    route_gens = I.generator_index.gens
+    need = quotients._must_precede(I.generator_index)
     orders = orders_with_linear_quotients(route_gens)
     for order in orders:
         at = {u: t for t, u in enumerate(order)}

@@ -116,7 +116,7 @@ class CanonicalDecomposition:
         return "".join(f"({format_monomial(f)})" for f in self.factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)  # room for the OMEGA_GUARD members of one Omega
 def canonical_decomposition(u):
     """Greedy factorization into gap chains; factors are lex-maximal in turn."""
     u = tuple(u)

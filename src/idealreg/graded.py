@@ -171,9 +171,6 @@ class DegreePiece:
         """The complement basis of this subspace, built on first use."""
         return QuotientBasis(self)
 
-    def contains_vector(self, vec, p):
-        return not self.quotient.reduce(vec, p)
-
 
 def ring_dim(n, e):
     """dim_K R_e = C(e+n-1, n-1)."""

@@ -177,34 +177,6 @@ class MonomialIdeal:
         return "ideal(" + ", ".join(format_monomial(g) for g in self.gens) + ")"
 
 
-def intersect(I, J):
-    """Intersection of monomial ideals: pairwise lcms, minimalized."""
-    if I.nvars != J.nvars:
-        raise ValueError("ambient mismatch")
-    return MonomialIdeal.from_gens(
-        I.nvars, (lcm_monomial(u, v) for u in I.gens for v in J.gens)
-    )
-
-
-def colon_by_variable_power(I, i):
-    """(I : x_i^infinity): zero out the x_i exponent of every generator."""
-    gens = []
-    for g in I.gens:
-        h = list(g)
-        h[i - 1] = 0
-        gens.append(tuple(h))
-    return MonomialIdeal.from_gens(I.nvars, gens)
-
-
-def saturation(I):
-    """(I : m^infinity) computed combinatorially (test oracle route)."""
-    acc = None
-    for i in range(1, I.nvars + 1):
-        J = colon_by_variable_power(I, i)
-        acc = J if acc is None else intersect(acc, J)
-    return acc
-
-
 def dimension_monomial(I):
     """Krull dimension of R/I: n minus the least vertex cover of supports."""
     from itertools import combinations

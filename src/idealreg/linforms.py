@@ -382,15 +382,14 @@ def verify_decomposition(family, cap, components=None):
 
 
 def is_linearly_general(family):
-    """dim I_A = min(n, sum of factor dims) for every nonempty subset A."""
+    """dim I_A = min(n, sum of factor dims) for every nonempty subset A,
+    read off the components I_A of `primary_components` (which refuses
+    more than PRIMARY_GUARD factors)."""
     n = family[0].nvars
-    d = len(family)
-    for size in range(1, d + 1):
-        for A in combinations(range(1, d + 1), size):
-            total = sum(family[i - 1].dim for i in A)
-            if sum_ideal(family, A).dim != min(n, total):
-                return False
-    return True
+    return all(
+        c.ideal.dim == min(n, sum(family[i - 1].dim for i in c.subset))
+        for c in primary_components(family)
+    )
 
 
 def _detect_pinched_family(family):

@@ -9,7 +9,8 @@ degree, so a certificate doubles as a regularity computation.
 Only monomial ideals are handled: their minimal generating set is unique,
 so an exhaustive search over orderings of G(I) settles existence.  Colons
 are read off a bitset index of the generators (`GeneratorIndex`), of any
-degrees.
+degrees, whose build also refuses a sequence in which one generator
+divides another.
 
 A `MonomialIdeal` holds one index of its generators in `revlex_desc`
 order (`MonomialIdeal.generator_index`), built on first read.
@@ -32,9 +33,7 @@ a predecessor, and a cycle in the relation means no order exists.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import le
 
 from .ideals import MonomialIdeal, minimalize
 from .monomials import (
@@ -105,8 +104,8 @@ def revlex_desc(gens):
 
 
 class GeneratorIndex:
-    """Bitset index of distinct monomials g_0, ..., g_{r-1}, none dividing
-    another, of any degrees.
+    """Bitset index of monomials g_0, ..., g_{r-1} of any degrees, none
+    dividing another.
 
     Bit k of an int stands for g_k.  `at[i][c]` is the set of g with
     exponent c of x_i and `above[i][c]` the set with a greater one, both
@@ -118,6 +117,11 @@ class GeneratorIndex:
     (i, ups, above[i][g_k[i]]) per such x_i, where ups is the set of those
     g_b: at[i][g_k[i] + 1] less the g above g_k in some other variable.
     For gens of one degree these are the moves g_b = g_k * x_i / x_j.
+
+    The build checks that no g divides another: the g above g_k in no
+    variable are its divisors, g_k included.  For the first g_k with
+    another divisor it raises ValueError naming the lowest one, so a
+    repeated generator is reported too.
 
     An index is not changed once built, so one index serves every check on
     one order of the generators: `MonomialIdeal.generator_index` holds the
@@ -142,7 +146,8 @@ class GeneratorIndex:
             self.at.append(at)
             self.above.append(above)
         self.raises = []
-        for u in gens:
+        every = (1 << len(gens)) - 1
+        for k, u in enumerate(gens):
             highs = [above[e] for above, e in zip(self.above, u)]
             # the g above u in some x_j, j > i: suffix ORs of highs
             after = [0] * n
@@ -157,6 +162,14 @@ class GeneratorIndex:
                 if ups:
                     row.append((i, ups, high))
                 before |= high
+            # the g above u in no variable divide u
+            divisors = every & ~before ^ 1 << k
+            if divisors:
+                v = gens[(divisors & -divisors).bit_length() - 1]
+                raise ValueError(
+                    f"generating sequence is not minimal: {format_monomial(v)} "
+                    f"divides {format_monomial(u)}"
+                )
             self.raises.append(tuple(row))
 
     def covered(self, k, prefix):
@@ -189,13 +202,10 @@ class GeneratorIndex:
         return not prefix & ~self.covered(k, prefix)
 
 
-def _one_degree(gens):
-    return len({degree(u) for u in gens}) == 1
-
-
 def check_order(nvars, ordered_gens, index=None):
     """Certify an explicit generator order, or report the failing step.
 
+    The `GeneratorIndex` build refuses a sequence that is not minimal.
     `index`, when given, is a `GeneratorIndex` of exactly this order (the
     one an ideal holds, for its `revlex_desc` order) and is read instead
     of building a new one.
@@ -206,20 +216,6 @@ def check_order(nvars, ordered_gens, index=None):
     for u in gens:
         if len(u) != nvars:
             raise ValueError(f"ambient mismatch: {len(u)} vs {nvars} variables")
-    if _one_degree(gens):
-        # distinct monomials of one degree never divide each other
-        counts = Counter(gens)
-        pair = next(((u, u) for u in gens if counts[u] > 1), None)
-    else:
-        pair = next(((v, u) for i, u in enumerate(gens)
-                     for j, v in enumerate(gens)
-                     if i != j and all(map(le, v, u))), None)
-    if pair is not None:
-        v, u = pair
-        raise ValueError(
-            f"generating sequence is not minimal: {format_monomial(v)} "
-            f"divides {format_monomial(u)}"
-        )
     if index is None:
         index = GeneratorIndex(gens)
     assert index.gens == tuple(gens), "index of another order"

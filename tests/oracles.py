@@ -24,6 +24,8 @@ from idealreg.linforms import (
 from idealreg.monomials import (
     degree,
     divides,
+    format_monomial,
+    lcm_monomial,
     mono_div,
     mono_mul,
     monomial_basis,
@@ -128,6 +130,32 @@ OMEGA_MUTANTS = {
 }
 
 
+# mutants of the minimality check of `quotients.GeneratorIndex`, each
+# (old, new) edits of quotients.py
+MINIMALITY_MUTANTS = {
+    "last variable left out of the set above g_k": [
+        ("before |= high", "before |= high if i < n - 1 else 0"),
+    ],
+    "highest divisor named": [
+        ("(divisors & -divisors).bit_length() - 1", "divisors.bit_length() - 1"),
+    ],
+}
+
+
+def minimality_error(gens):
+    """The error `check_order` raises on a sequence in which a member
+    divides another, or None: every ordered pair is scanned, and the first
+    member u that another one divides is named with the first such v."""
+    pair = next(((v, u) for i, u in enumerate(gens)
+                 for j, v in enumerate(gens)
+                 if i != j and divides(v, u)), None)
+    if pair is None:
+        return None
+    v, u = pair
+    return (f"generating sequence is not minimal: {format_monomial(v)} "
+            f"divides {format_monomial(u)}")
+
+
 # mutants of `quotients.search_order`'s must-precede pruning, each (old, new)
 # edits of quotients.py
 SEARCH_MUTANTS = {
@@ -167,6 +195,40 @@ def contains_monomial(I, u):
     return any(divides(g, u) for g in I.gens)
 
 
+def contains_vector(piece, vec, p):
+    """vec lies in the subspace of the `DegreePiece` piece: it reduces to
+    zero against the piece's quotient basis."""
+    return not piece.quotient.reduce(vec, p)
+
+
+def intersect(I, J):
+    """Intersection of monomial ideals: pairwise lcms, minimalized."""
+    if I.nvars != J.nvars:
+        raise ValueError("ambient mismatch")
+    return MonomialIdeal.from_gens(
+        I.nvars, (lcm_monomial(u, v) for u in I.gens for v in J.gens)
+    )
+
+
+def colon_by_variable_power(I, i):
+    """(I : x_i^infinity): zero out the x_i exponent of every generator."""
+    gens = []
+    for g in I.gens:
+        h = list(g)
+        h[i - 1] = 0
+        gens.append(tuple(h))
+    return MonomialIdeal.from_gens(I.nvars, gens)
+
+
+def saturation(I):
+    """(I : m^infinity) computed combinatorially."""
+    acc = None
+    for i in range(1, I.nvars + 1):
+        J = colon_by_variable_power(I, i)
+        acc = J if acc is None else intersect(acc, J)
+    return acc
+
+
 def random_matroidal(rng, nmax=6):
     """Squarefree polymatroidal sample (no principal multiples)."""
     n = rng.randint(2, nmax)
@@ -203,7 +265,7 @@ def verify_decomposition_all_components(family, cap):
         if e == d:
             for g in product.generators:
                 for cp in pieces:
-                    if not cp.contains_vector(g.vector(p), p):
+                    if not contains_vector(cp, g.vector(p), p):
                         containment_ok = False
     equal = containment_ok and all(a == b for a, b in dims.values())
     return DecompositionReport(cap, dims, containment_ok, equal)

@@ -28,7 +28,7 @@ from idealreg.graded import (
     ideal_product,
     saturation_degree,
 )
-from idealreg.ideals import MonomialIdeal, dimension_monomial, saturation
+from idealreg.ideals import MonomialIdeal, dimension_monomial
 from idealreg.linforms import (
     associated_prime_check,
     pinched_family,
@@ -60,7 +60,7 @@ from idealreg.samplers import (
     random_polymatroidal,
     rng_from_seed,
 )
-from oracles import contains_monomial, random_matroidal
+from oracles import contains_monomial, random_matroidal, saturation
 
 
 def report(number, label):

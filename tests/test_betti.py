@@ -19,7 +19,7 @@ from idealreg.graded import (
     regularity_certificate,
     saturation_degree,
 )
-from idealreg.ideals import MonomialIdeal, saturation
+from idealreg.ideals import MonomialIdeal
 from idealreg.linforms import LinearIdeal, product_generators
 from idealreg.monomials import (
     basis_index,
@@ -41,6 +41,7 @@ from idealreg.samplers import (
     random_polymatroidal,
     rng_from_seed,
 )
+from oracles import saturation
 
 
 def view(nvars, *names, char=0):

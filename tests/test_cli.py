@@ -259,6 +259,24 @@ def test_linforms_decompose_primary_guard_exits_2():
     assert "too many factors: 13 > 12" in r.stderr
 
 
+def test_linforms_general_primary_guard_exits_2():
+    # `general` reads the same 2^d - 1 component ideals as `decompose`
+    r = run("linforms", "general", "--family",
+            "linforms(" + ", ".join(f"[[1,{k}]]" for k in range(13)) + ")")
+    _assert_input_error(r)
+    assert "too many factors: 13 > 12" in r.stderr
+
+
+def test_polymatroid_transversal_guard_exits_2():
+    # 7 copies of {1..14}: the product by the 7th subset brings the
+    # exchange steps to 17767400, past TRANSVERSAL_GUARD = 10000000
+    subsets = ";".join([",".join(map(str, range(1, 15)))] * 7)
+    r = run("polymatroid", "transversal", "--n", "14", "--subsets", subsets)
+    _assert_input_error(r)
+    assert ("the products up to subset 7 take 17767400 exchange steps, "
+            "above TRANSVERSAL_GUARD = 10000000") in r.stderr
+
+
 @pytest.mark.parametrize("command", ["verify", "sat", "reg"])
 def test_linforms_cap_guard_exits_2(command):
     # a cap past CAP_GUARD = 32 is refused before any degree is swept

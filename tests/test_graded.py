@@ -18,10 +18,10 @@ from idealreg.graded import (
     ring_dim,
     saturation_degree,
 )
-from idealreg.ideals import MonomialIdeal, saturation
+from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import basis_index, monomial_basis, parse_monomial
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
-from oracles import contains_monomial
+from oracles import contains_monomial, saturation
 
 
 def view(nvars, *names, char=0):

@@ -3,14 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from idealreg.ideals import (
-    MonomialIdeal,
-    colon_by_variable_power,
-    dimension_monomial,
-    intersect,
-    minimalize,
-    saturation,
-)
+from idealreg.ideals import MonomialIdeal, dimension_monomial, minimalize
 from idealreg.monomials import (
     divides,
     degree,
@@ -18,6 +11,7 @@ from idealreg.monomials import (
     monomial_basis,
     parse_monomial,
 )
+from oracles import colon_by_variable_power, intersect, saturation
 
 
 def small_ideals(nmax=4, degmax=4, max_gens=5, nmin=2):

@@ -30,6 +30,7 @@ from idealreg.quotients import (
 )
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
 from oracles import (
+    MINIMALITY_MUTANTS,
     SEARCH_MUTANTS,
     AboveAtLeast,
     DroppedNeighbour,
@@ -37,6 +38,7 @@ from oracles import (
     _linear_colon,
     contains_monomial,
     equigenerated_ideals,
+    minimality_error,
     mutant,
     random_equigenerated,
     random_polymatroidal_product,
@@ -344,6 +346,57 @@ def test_check_order_names_the_first_repeated_generator():
     # the first generator in the order that occurs twice, not the first repeat
     with pytest.raises(ValueError, match="not minimal: a\\*b divides a\\*b"):
         check_order(3, gens(3, "a*b", "b*c", "b*c", "a*b"))
+
+
+@st.composite
+def monomial_sequences(draw):
+    """(n, seq): up to 8 monomials in n <= 4 variables, of several degrees
+    (most sequences then hold a divisor) or of one degree, with up to two
+    generators repeated, in any order."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        monomial = st.tuples(*[st.integers(0, 3)] * n)
+    else:
+        monomial = st.sampled_from(monomial_basis(n, draw(st.integers(1, 3))))
+    seq = draw(st.lists(monomial, min_size=1, max_size=8))
+    seq += [seq[k % len(seq)] for k in draw(st.lists(st.integers(0, 7), max_size=2))]
+    return n, draw(st.permutations(seq))
+
+
+def check_order_error(check, nvars, seq):
+    """The message of the ValueError check(nvars, seq) raises, or None."""
+    try:
+        check(nvars, seq)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_sequences())
+@example((3, gens(3, "a*b", "b*c", "b*c", "a*b")))  # the first repeat in the order
+@example((2, gens(2, "a*b", "b", "a^2", "a")))  # b and a divide a*b: b is named
+@example((3, gens(3, "b", "c")))  # minimal: c is above b in the last variable only
+def test_check_order_refuses_exactly_the_sequences_with_a_divisor(case):
+    n, seq = case
+    assert check_order_error(check_order, n, seq) == minimality_error(seq)
+
+
+@pytest.mark.parametrize("edits", MINIMALITY_MUTANTS.values(),
+                         ids=list(MINIMALITY_MUTANTS))
+def test_divisor_oracle_catches_each_minimality_mutant(edits):
+    bad_check = mutant(quotients, "check_order", edits)
+    rng = random.Random(0)
+    corpus = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        seq = [tuple(rng.randint(0, 3) for _ in range(n))
+               for _ in range(rng.randint(1, 8))]
+        corpus.append((n, seq))
+    assert all(check_order_error(check_order, n, seq) == minimality_error(seq)
+               for n, seq in corpus)
+    assert any(check_order_error(bad_check, n, seq) != minimality_error(seq)
+               for n, seq in corpus)
 
 
 @settings(max_examples=150, deadline=None)

@@ -37,7 +37,6 @@ from .graded import (
 )
 from .linforms import (
     is_linearly_general,
-    nonmaximal_components,
     primary_components,
     product_generators,
     verify_decomposition,
@@ -62,37 +61,8 @@ from .quotients import QuotientCertificate, check_order, search_order
 # C(cap+n-1, n-1), the column count of the top piece.  On two-factor
 # families the sweeps at about 5000 columns took 2-10 s (2 cores, Python
 # 3.11), and time grows faster than the column count.
-#
-# `linforms verify` also writes down the annihilators of the primary
-# components' power pieces, one `power_annihilator` call over degrees
-# d..cap per distinct non-maximal ideal I_A (maximal components and
-# repeated ideals add nothing), and takes the rank of their stack in each
-# degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals.
-# The product side builds its pieces up to degree d + 1 and reads the
-# dims above from a certificate at m = d; only without one are its pieces
-# built up to the cap.  Timings of `linforms verify`, in-process, median
-# of three runs (2 cores, Python 3.11):
-#   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.04 s
-#   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.6 s
-#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.8 s
-#   (x1), (x2) in 4 variables, cap 24:             2925 x 3  =  8 775 ->  0.14 s
-#   (x1 + 2x2 + 3x3 + 5x4), (7x1 - 11x2 + 13x3 + 17x4),
-#     cap 20:                                      1771 x 3  =  5 313 ->  2.6 s
-#     cap 25:                                      3276 x 3  =  9 828 -> 10.9 s
-#   nine 2-dimensional subspaces of R_1 in 4 variables, spanned by
-#     (k, 2k+1, -3, 5-k), (7-k, 1, k^2-3, 2), k = 1..9,
-#     default cap:                                  455 x 9  =  4 095 -> 12.8 s
-#   (x1), (x2) in 4 variables, cap 29:             4960 x 3  = 14 880 (refused)
-#   (x1), ..., (x5) in 5 variables, default cap:    495 x 30 = 14 850 (refused)
-# The slowest are bound by QQ row reductions whose coefficients grow with
-# the degree: the stacked rank on the two-line family, and on the nine
-# subspaces the product side, which this guard does not count: its
-# pieces in degrees 9 and 10 (about 5 s, 512 generators) and the
-# certificate search on them (about 4.5 s).  GENERATOR_GUARD and
-# PIECE_GUARD bound those.
 CAP_GUARD = 32
 PIECE_GUARD = 5000
-SWEEP_GUARD = 10_000
 
 # `betti` and `inequality` check each table against the Hilbert function
 # up to the cap, which one walk counts over the monomials of x1..x_{n-1}
@@ -361,15 +331,7 @@ def linforms_decompose(family, characteristic, fmt):
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
     cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars)
-    cols = ring_dim(fam[0].nvars, cap)
-    components = nonmaximal_components(fam)
-    ideals = len(components)
-    if cols * ideals > SWEEP_GUARD:
-        raise ValueError(
-            f"{cols} columns times {ideals} non-maximal component ideals "
-            f"is {cols * ideals}, above SWEEP_GUARD = {SWEEP_GUARD}"
-        )
-    rep = verify_decomposition(fam, cap, components)
+    rep = verify_decomposition(fam, cap)
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},

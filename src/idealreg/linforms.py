@@ -60,6 +60,35 @@ PRIMARY_GUARD = 12
 # subspaces of R_1 in 4 variables: 512 = 2^9 2.5 s, 1024 = 2^10 6.4 s.
 GENERATOR_GUARD = 1000
 
+# `verify_decomposition` writes down the annihilators of the primary
+# components' power pieces, one `power_annihilator` call over degrees
+# d..cap per distinct non-maximal ideal I_A (maximal components and
+# repeated ideals add nothing), and takes the rank of their stack in each
+# degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals.
+# The product side builds its pieces up to degree d + 1 and reads the
+# dims above from a certificate at m = d; only without one are its pieces
+# built up to the cap.  Timings of `linforms verify`, in-process, median
+# of three runs (2 cores, Python 3.11):
+#   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.03 s
+#   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.5 s
+#   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.8 s
+#   (x1), (x2) in 4 variables, cap 24:             2925 x 3  =  8 775 ->  0.12 s
+#   (x1 + 2x2 + 3x3 + 5x4), (7x1 - 11x2 + 13x3 + 17x4),
+#     cap 20:                                      1771 x 3  =  5 313 ->  2.6 s
+#     cap 25:                                      3276 x 3  =  9 828 ->  9.8 s
+#   nine 2-dimensional subspaces of R_1 in 4 variables, spanned by
+#     (k, 2k+1, -3, 5-k), (7-k, 1, k^2-3, 2), k = 1..9,
+#     default cap:                                  455 x 9  =  4 095 -> 11.1 s
+#   (x1), (x2) in 4 variables, cap 29:             4960 x 3  = 14 880 (refused)
+#   (x1), ..., (x5) in 5 variables, default cap:    495 x 30 = 14 850 (refused)
+# The slowest are bound by QQ row reductions whose coefficients grow with
+# the degree: the stacked rank on the two-line family, and on the nine
+# subspaces the product side, which this guard does not count: its
+# pieces in degrees 9 and 10 (about 5 s, 512 generators) and the
+# certificate search on them (about 4.5 s).  GENERATOR_GUARD and
+# `cli.PIECE_GUARD` bound those.
+SWEEP_GUARD = 10_000
+
 
 @dataclass(frozen=True)
 class LinearIdeal:
@@ -317,7 +346,7 @@ def _annihilates(rows, vectors, p):
     return True
 
 
-def verify_decomposition(family, cap, components=None):
+def verify_decomposition(family, cap):
     """Compare the product with the intersection of components, degree by degree.
 
     Both sides are computed along independent linear-algebra paths: the
@@ -339,9 +368,9 @@ def verify_decomposition(family, cap, components=None):
     Only when none is found, or cap <= d + 1, are the pieces built up to
     the cap.
 
-    The intersection side builds only what can change its answer
-    (`nonmaximal_components`, which the caller may pass in when it has
-    computed them already):
+    The intersection side builds only what can change its answer, the
+    `nonmaximal_components` of the family, and refuses a sweep of more
+    than SWEEP_GUARD for dim R_cap times their number:
 
     - components are grouped by ideal and only the largest exponent is
       kept;
@@ -354,11 +383,16 @@ def verify_decomposition(family, cap, components=None):
       d..cap, which shares its products and column maps across them.
     """
     d = len(family)
+    components = nonmaximal_components(family)
+    cols, ideals = ring_dim(family[0].nvars, cap), len(components)
+    if cols * ideals > SWEEP_GUARD:
+        raise ValueError(
+            f"{cols} columns times {ideals} non-maximal component ideals "
+            f"is {cols * ideals}, above SWEEP_GUARD = {SWEEP_GUARD}"
+        )
     if cap < d:
         raise ValueError(f"cap {cap} below the product's generation degree {d}")
     p = family[0].characteristic
-    if components is None:
-        components = nonmaximal_components(family)
     product = product_generators(family)
     degrees = range(d, cap + 1)
     annihilator = {e: [] for e in degrees}

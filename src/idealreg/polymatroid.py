@@ -16,28 +16,28 @@ from operator import or_
 
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, mono_mul, variable
-from .quotients import QuotientCertificate, check_order
+from .quotients import QuotientCertificate, check_order  # noqa: F401 (bench/selftest.py traces it)
 
 
 TRANSVERSAL_GUARD = 10_000_000
 # transversal_ideal multiplies one subset in at a time, and each product
-# re-runs the exchange check, which takes up to r * n * min(n, r) steps on
-# r generators in n variables.  Before each product the c = |G(acc)| * |A_k|
-# candidate products bound r, and TRANSVERSAL_GUARD bounds the sum of
-# c * n * min(n, c) over the products so far.  Timings of
-# `polymatroid transversal`, in-process with the guard lifted (2 cores,
-# Python 3.11; median of three, or one run where marked), as generators,
+# runs the exchange check on its result, which takes up to
+# r * n * min(n, r) steps on r generators in n variables.  Before each
+# product the c = |G(acc)| * |A_k| candidate products bound r, and
+# TRANSVERSAL_GUARD bounds the sum of c * n * min(n, c) over the products
+# so far.  Timings of `polymatroid transversal`, in-process with the
+# guard lifted (2 cores, Python 3.11; median of three), as generators,
 # steps -> time and peak RSS:
-#   6 copies of {1..12}:                   924,   2 738 880 -> 0.12 s,  23 MB
-#   12 disjoint pairs in 24 variables:    4096,   4 708 224 -> 0.67 s,  60 MB
-#   8 disjoint triples in 24 variables:   6561,   5 662 872 -> 0.89 s, 127 MB
-#   5 disjoint 6-sets in 30 variables:    7776,   8 391 600 -> 1.25 s, 223 MB (one)
+#   6 copies of {1..12}:                   924,   2 738 880 -> 0.14 s,  23 MB
+#   12 disjoint pairs in 24 variables:    4096,   4 708 224 -> 0.56 s,  59 MB
+#   8 disjoint triples in 24 variables:   6561,   5 662 872 -> 0.82 s, 126 MB
+#   5 disjoint 6-sets in 30 variables:    7776,   8 391 600 -> 1.14 s, 223 MB
 #   6 copies of {1..14}:                  3003,   9 527 168 -> 0.42 s,  42 MB
-#   13 disjoint pairs in 26 variables:    8192,  11 062 688 -> 1.94 s, 172 MB (one, refused)
-#   7 copies of {1..14}:                  3432,  17 767 400 -> 0.74 s,  50 MB (refused)
-#   12 disjoint pairs, 10 singletons:     4096,  56 791 968 -> 5.89 s,  84 MB (one, refused)
-#   {1..100}, then 190 singletons:         100, 551 000 000 -> 7.20 s,  22 MB (one, refused)
-#   8 copies of {1..16}:                 12870, 107 855 872 -> 7.05 s, 384 MB (one, refused)
+#   13 disjoint pairs in 26 variables:    8192,  11 062 688 -> 1.56 s, 172 MB (refused)
+#   7 copies of {1..14}:                  3432,  17 767 400 -> 0.67 s,  50 MB (refused)
+#   12 disjoint pairs, 10 singletons:     4096,  56 791 968 -> 4.17 s,  84 MB (refused)
+#   {1..100}, then 190 singletons:         100, 551 000 000 -> 5.04 s,  22 MB (refused)
+#   8 copies of {1..16}:                 12870, 107 855 872 -> 7.00 s, 384 MB (refused)
 
 
 @dataclass(frozen=True)
@@ -107,13 +107,12 @@ def polymatroidal_product(I, J):
 
 
 def revlex_certificate(I):
-    """Linear-quotient certificate for G(I) in revlex-descending order,
-    checked on the index of G(I) that the exchange check read."""
+    """Linear-quotient certificate for G(I) in revlex-descending order:
+    the `certificate` of the index of G(I) that the exchange check read."""
     res = is_polymatroidal(I)
     if res is not True:
         raise ValueError(f"not polymatroidal: {res.render()}")
-    index = I.generator_index
-    cert = check_order(I.nvars, index.gens, index=index)
+    cert = I.generator_index.certificate()
     assert isinstance(cert, QuotientCertificate), (
         "revlex order must give linear quotients on a polymatroidal ideal"
     )
@@ -132,6 +131,11 @@ def squarefree_product(I, J):
     for X in (I, J):
         if not is_matroidal(X):
             raise ValueError("squarefree product needs matroidal factors")
+    return _squarefree_product(I, J)
+
+
+def _squarefree_product(I, J):
+    """`squarefree_product` of factors known to be matroidal."""
     products = (mono_mul(u, v) for u in I.gens for v in J.gens)
     prods = [w for w in products if all(e <= 1 for e in w)]
     if not prods:
@@ -165,7 +169,8 @@ def transversal_ideal(nvars, subsets):
             )
         nxt = MonomialIdeal.from_gens(nvars, [variable(i, nvars) for i in A])
         try:
-            acc = squarefree_product(acc, nxt)
+            # variable ideals are matroidal, and acc was asserted so when built
+            acc = _squarefree_product(acc, nxt)
         except ValueError as exc:
             if "no squarefree product" in str(exc):
                 raise ValueError("no transversal exists for the subsets") from exc

@@ -15,10 +15,10 @@ divides another.
 A `MonomialIdeal` holds one index of its generators in `revlex_desc`
 order (`MonomialIdeal.generator_index`), built on first read.
 `search_order`, `greedy_order` and `polymatroid.is_polymatroidal` read
-it, and so does `check_order` when it is handed that index with that
-order.  `check_order` on any other order builds an index of its own, and
-so does `verify_certificate`: a certificate is re-checked from scratch,
-not from the state of the search that found it.
+it, and `polymatroid.revlex_certificate` is its `certificate`.
+`check_order` builds an index of its own for the order it is given, and
+so does `verify_certificate` through it: a certificate is re-checked from
+scratch, not from the state of the search that found it.
 
 Before `search_order` starts its search it fixes which generators must
 come before which.  For a generator g_k write w_b = max(g_b - g_k, 0) and
@@ -125,7 +125,7 @@ class GeneratorIndex:
 
     An index is not changed once built, so one index serves every check on
     one order of the generators: `MonomialIdeal.generator_index` holds the
-    one in `revlex_desc` order.
+    one in `revlex_desc` order, and `certificate` checks that order.
     """
 
     def __init__(self, gens):
@@ -201,32 +201,31 @@ class GeneratorIndex:
         `colon(k, prefix) is not None`, without building the variables."""
         return not prefix & ~self.covered(k, prefix)
 
+    def certificate(self):
+        """The `QuotientCertificate` of the order g_0, ..., g_{r-1}, or the
+        `QuotientFailure` at its first colon not generated by variables."""
+        gens = self.gens
+        steps = [()]
+        for t in range(1, len(gens)):
+            vars_ = self.colon(t, (1 << t) - 1)
+            if vars_ is None:
+                colon = monomial_colon(gens[:t], gens[t])
+                return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
+            steps.append(vars_)
+        return QuotientCertificate(len(gens[0]), gens, tuple(steps))
 
-def check_order(nvars, ordered_gens, index=None):
-    """Certify an explicit generator order, or report the failing step.
 
-    The `GeneratorIndex` build refuses a sequence that is not minimal.
-    `index`, when given, is a `GeneratorIndex` of exactly this order (the
-    one an ideal holds, for its `revlex_desc` order) and is read instead
-    of building a new one.
-    """
+def check_order(nvars, ordered_gens):
+    """Certify an explicit generator order, or report the failing step: the
+    `certificate` of a fresh `GeneratorIndex`, whose build refuses a
+    sequence that is not minimal."""
     gens = [tuple(u) for u in ordered_gens]
     if not gens:
         raise ValueError("empty generating sequence")
     for u in gens:
         if len(u) != nvars:
             raise ValueError(f"ambient mismatch: {len(u)} vs {nvars} variables")
-    if index is None:
-        index = GeneratorIndex(gens)
-    assert index.gens == tuple(gens), "index of another order"
-    steps = [()]
-    for t in range(1, len(gens)):
-        vars_ = index.colon(t, (1 << t) - 1)
-        if vars_ is None:
-            colon = monomial_colon(gens[:t], gens[t])
-            return QuotientFailure(t + 1, next(v for v in colon if degree(v) >= 2))
-        steps.append(vars_)
-    return QuotientCertificate(nvars, tuple(gens), tuple(steps))
+    return GeneratorIndex(gens).certificate()
 
 
 def verify_certificate(cert):

@@ -184,6 +184,15 @@ def test_decomposition_random_families():
         assert rep.equal
 
 
+def test_verify_decomposition_refuses_a_sweep_past_the_guard():
+    # (x1), ..., (x5) in 5 variables: 495 columns at cap 8 times the 30
+    # non-maximal component ideals (every I_A but A = {1..5})
+    lines = [LinearIdeal.from_rows(5, [[int(j == i) for j in range(5)]])
+             for i in range(5)]
+    with pytest.raises(ValueError, match="is 14850, above SWEEP_GUARD = 10000"):
+        verify_decomposition(lines, 8)
+
+
 def test_is_linearly_general():
     assert is_linearly_general(pinched_family(2))  # min(3, 4) = 3 holds at d=2
     assert not is_linearly_general(pinched_family(3))  # shared y: 3 < min(4, 4)

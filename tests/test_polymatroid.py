@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from idealreg import betti, quotients
+from idealreg import betti, polymatroid, quotients
 from idealreg.cli import main
 from idealreg.fixtures import hook_ideal
 from idealreg.graded import GradedIdealView
@@ -207,6 +207,20 @@ def test_polymatroid_product_command_builds_the_product_index_once(
                                   "--ideal-j", "ideal(a, b, c)"])
     assert r.exit_code == 0 and "reg = 3" in r.output
     assert len(built) == 3 and len(set(built)) == 3  # I, J and the product
+
+
+def test_transversal_ideal_runs_one_exchange_check_per_product(monkeypatch):
+    checked = []
+    real = polymatroid.is_polymatroidal
+
+    def counting(I):
+        checked.append(I)
+        return real(I)
+
+    monkeypatch.setattr(polymatroid, "is_polymatroidal", counting)
+    T = transversal_ideal(5, [(1, 2), (2, 3, 4), (1, 4, 5), (3, 5)])
+    assert len(checked) == 3 and checked[-1] == T
+    assert len(set(checked)) == 3  # each intermediate product once
 
 
 def test_not_equigenerated():

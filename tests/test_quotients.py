@@ -382,6 +382,36 @@ def test_check_order_refuses_exactly_the_sequences_with_a_divisor(case):
     assert check_order_error(check_order, n, seq) == minimality_error(seq)
 
 
+def shuffled_generators(seed):
+    """(n, seq): the generators of a random ideal of several degrees, in a
+    random order, which often has no linear quotients."""
+    rng = rng_from_seed(seed)
+    I = random_monomial_ideal(rng, nmax=5, degmax=4, max_gens=8)
+    order = list(I.gens)
+    rng.shuffle(order)
+    return I.nvars, order
+
+
+def outcome(check, *args):
+    """check(*args), or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomial_sequences(),
+                 st.integers(0, 10**6).map(shuffled_generators)))
+@example((4, gens(4, "a^2*b", "a*b*c", "b*c*d", "c*d^2")))  # certified
+@example((4, gens(4, "c*d^2", "a^2*b", "a*b*c", "b*c*d")))  # fails at step 2
+@example((2, gens(2, "a*b", "b", "a^2", "a")))  # not minimal
+def test_index_certificate_is_check_order(case):
+    n, seq = case
+    assert (outcome(lambda: GeneratorIndex(seq).certificate())
+            == outcome(check_order, n, seq))
+
+
 @pytest.mark.parametrize("edits", MINIMALITY_MUTANTS.values(),
                          ids=list(MINIMALITY_MUTANTS))
 def test_divisor_oracle_catches_each_minimality_mutant(edits):

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from . import linalg
+from . import check, linalg
 from .graded import (
     GradedIdealView,
     certified_hilbert_values,
@@ -200,7 +200,7 @@ def _homology_of_complex(levels, p):
         boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], p))
     for c in range(1, len(levels) - 1):
         composite = linalg.matmul(boundaries[c + 1], boundaries[c], p)
-        assert all(not row for row in composite), "koszul sign error"
+        check(all(not row for row in composite), "koszul sign error")
     ranks = [0] * (len(levels) + 1)
     for c in range(1, len(levels)):
         ranks[c] = linalg.rank(boundaries[c], p)
@@ -256,8 +256,8 @@ def _quotient_entries(cert, cap):
     with linear quotients: beta_{i+1,i+deg u_k}(R/I) += C(r_k, i), with
     r_k = len(cert.colon_vars[k])."""
     degs = [mono_degree(u) for u in cert.order]
-    if any(a > b for a, b in zip(degs, degs[1:])):
-        raise AssertionError(f"linear-quotient order not degree-monotone: {degs}")
+    check(all(a <= b for a, b in zip(degs, degs[1:])),
+          lambda: f"linear-quotient order not degree-monotone: {degs}")
     entries = {(0, 0): 1}
     for d, vs in zip(degs, cert.colon_vars):
         for i in range(min(len(vs), cap - d) + 1):
@@ -364,7 +364,7 @@ class StrandEngine:
         rows_dn = self.differential_rows(i, j)
         if rows_up and rows_dn:
             composite = linalg.matmul(rows_up, rows_dn, self.p)
-            assert all(not r for r in composite), "koszul composite not zero"
+            check(all(not r for r in composite), "koszul composite not zero")
         return dim - self.rank(i, j) - self.rank(i + 1, j)
 
 
@@ -407,8 +407,8 @@ def _certificate_entries(I, cert, cap):
         c = _koszul_euler(hf, n, j)
         i = j - m + 1
         b = (-1) ** i * c
-        if b < 0 or (b and not 1 <= i <= n):
-            raise AssertionError(f"certificate table not linear: c_{j} = {c}")
+        check(b >= 0 and (not b or 1 <= i <= n),
+              lambda: f"certificate table not linear: c_{j} = {c}")
         if b and j <= cap:
             entries[(i, j)] = b
     return entries
@@ -426,10 +426,8 @@ def _euler_check(I, entries, cap):
     for j in range(cap + 1):
         lhs = sum((-1) ** i * v for (i, jj), v in entries.items() if jj == j)
         rhs = _koszul_euler(hv, n, j)
-        if lhs != rhs:
-            raise AssertionError(
-                f"Euler characteristic mismatch in degree {j}: {lhs} != {rhs}"
-            )
+        check(lhs == rhs,
+              lambda: f"Euler characteristic mismatch in degree {j}: {lhs} != {rhs}")
 
 
 def betti_table(I, cap=None):

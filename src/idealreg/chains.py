@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
+from . import check
 from .ideals import MonomialIdeal
 from .monomials import (
     compare_tau,
@@ -40,6 +41,21 @@ from .quotients import QuotientCertificate, check_order
 
 OMEGA_GUARD = 50_000
 ENUM_GUARD = 10_000_000
+
+# `canonical_decomposition` takes at most d factors from a monomial of
+# degree d in n variables, "a^d" exactly d, and each takes one pass over
+# the n exponents.  DECOMPOSE_GUARD bounds d * n.  Timings of `hankel
+# decompose`, in-process with the guard lifted (2 cores, Python 3.11;
+# median of five, or of the runs marked), as d * n -> time:
+#   "a^100000":                100 000 ->  0.26 s
+#   "a^200000":                200 000 ->  0.52 s
+#   "a^50000*b^50000":         200 000 ->  0.31 s
+#   "a^2000", --n 100:         200 000 ->  0.03 s
+#   "a^1000000":             1 000 000 ->  3.2 s  (three, refused)
+#   "a^100000", --n 1000:  100 000 000 -> 11.6 s  (one, refused)
+# A factor costs about 2.6 us plus 0.12 us per variable, so at a given
+# d * n one variable is the slowest.
+DECOMPOSE_GUARD = 200_000
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,11 @@ def canonical_decomposition(u):
     left = degree(u)
     if left < 1:
         raise ValueError("the unit monomial has no decomposition")
+    if left * len(u) > DECOMPOSE_GUARD:
+        raise ValueError(
+            f"degree {left} times {len(u)} variables is {left * len(u)}, "
+            f"above DECOMPOSE_GUARD = {DECOMPOSE_GUARD}"
+        )
     rest = list(u)
     factors = []
     while left:
@@ -132,9 +153,8 @@ def canonical_decomposition(u):
         factors.append(_chain_monomial(chain, len(u)))
         left -= len(chain)
     dec = CanonicalDecomposition(tuple(factors))
-    assert dec.shape == tuple(sorted(dec.shape, reverse=True)), (
-        "canonical shape must be weakly decreasing"
-    )
+    check(dec.shape == tuple(sorted(dec.shape, reverse=True)),
+          "canonical shape must be weakly decreasing")
     return dec
 
 
@@ -221,9 +241,8 @@ def omega(spec):
     product = chain_ideal(n, spec.sizes[0])
     for t in spec.sizes[1:]:
         product = product.product(chain_ideal(n, t))
-    assert set(members) == set(product.gens), (
-        "Omega disagrees with the product's minimal generators"
-    )
+    check(set(members) == set(product.gens),
+          "Omega disagrees with the product's minimal generators")
     members.sort(key=sigma_key, reverse=True)
     return OmegaSet(spec, tuple(members))
 
@@ -255,14 +274,13 @@ def quotient_witness(spec, m, n_mono):
     else:
         raise AssertionError("impossible case split for a sigma-greater pair")
     x_az = variable(a[z], nv)
-    assert mono_div(v, gcd_monomial(v, n_mono)) == x_az, "witness colon not linear"
-    assert all(
-        p <= q for p, q in zip(x_az, mono_div(m, gcd_monomial(m, n_mono)))
-    ), "witness variable must divide m/gcd(m, n)"
-    assert sigma_compare(v, n_mono) > 0, "witness not sigma-greater"
-    assert degree(v) == spec.total_degree and _in_omega(
-        canonical_decomposition(v).shape, spec.sizes
-    ), "witness left Omega"
+    check(mono_div(v, gcd_monomial(v, n_mono)) == x_az, "witness colon not linear")
+    check(all(p <= q for p, q in zip(x_az, mono_div(m, gcd_monomial(m, n_mono)))),
+          "witness variable must divide m/gcd(m, n)")
+    check(sigma_compare(v, n_mono) > 0, "witness not sigma-greater")
+    check(degree(v) == spec.total_degree
+          and _in_omega(canonical_decomposition(v).shape, spec.sizes),
+          "witness left Omega")
     return v
 
 
@@ -275,12 +293,12 @@ def certify_product(spec, validate_pairs=True):
     """
     om = omega(spec)
     cert = check_order(spec.nvars, om.members)
-    assert isinstance(cert, QuotientCertificate), (
-        "sigma order must give linear quotients"
-    )
+    check(isinstance(cert, QuotientCertificate),
+          "sigma order must give linear quotients")
     if validate_pairs:
         for k, n_mono in enumerate(om.members):
             for m in om.members[:k]:
                 quotient_witness(spec, m, n_mono)
-    assert cert.max_degree() == spec.total_degree
+    check(cert.max_degree() == spec.total_degree,
+          "certified regularity differs from the total degree")
     return cert

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: parsing, output and the one error boundary.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (an
 inequality that fails, a non-polymatroidal ideal, a missing order, ...)
@@ -8,6 +8,10 @@ ValueError for bad input (ParseError is one) and for a tripped guard;
 `main` is the one place that turns it into exit 2 with a single
 ``input error: <message>`` line on stderr.  Any other exception, such as
 a failed internal check, still propagates.
+The library modules hold their guards, so a library caller meets the
+same refusals; the commands here supply only the default caps.  The one
+guard kept here is WALK_GUARD, a bound on the Euler check's walk that
+`betti` and `inequality` take as a proxy for a table's cost.
 Structured output is JSON with sorted keys, so a run with the same seed
 and characteristic is byte-identical.
 """
@@ -19,7 +23,7 @@ import sys
 
 import click
 
-from . import betti
+from . import betti, check
 from .chains import (
     ChainProductSpec,
     canonical_decomposition,
@@ -41,7 +45,7 @@ from .linforms import (
     product_generators,
     verify_decomposition,
 )
-from .monomials import degree, format_monomial, parse_monomial
+from .monomials import format_monomial, parse_monomial
 from .parsing import parse_ideal_gens, parse_ideal_text, parse_linforms_text
 from .polymatroid import (
     is_polymatroidal,
@@ -51,18 +55,6 @@ from .polymatroid import (
 )
 from .quotients import QuotientCertificate, check_order, search_order
 
-
-# `linforms verify`, `sat` and `reg` sweep degrees up to the cap (sat and
-# reg look for a certificate in each degree until one is found), and their
-# pieces grow like cap^(n-1).  CAP_GUARD is the largest cap, given or
-# default; the default grows with the number of factors, and
-# `linforms sat` on 200 copies of (x1) in 2 variables (cap 200, the guard
-# lifted) took 0.4 s.  PIECE_GUARD is the largest dim R_cap =
-# C(cap+n-1, n-1), the column count of the top piece.  On two-factor
-# families the sweeps at about 5000 columns took 2-10 s (2 cores, Python
-# 3.11), and time grows faster than the column count.
-CAP_GUARD = 32
-PIECE_GUARD = 5000
 
 # `betti` and `inequality` check each table against the Hilbert function
 # up to the cap, which one walk counts over the monomials of x1..x_{n-1}
@@ -87,31 +79,6 @@ PIECE_GUARD = 5000
 # it admits runs of about 7 s.
 WALK_GUARD = 2_000_000
 
-# `hankel decompose` builds one gap chain per factor, and a monomial of
-# degree d has at most d factors: "a^d" has exactly d.  DECOMPOSE_GUARD
-# bounds d.  Timings, in-process with the guard lifted (2 cores, Python
-# 3.11), median of three:
-#   "a^10000":                  0.02 s
-#   "a^100000":                 0.29 s,  32 MB
-#   "x1^50000*x2^50000":        0.41 s
-#   "a^1000000":                2.8 s,  150 MB (refused)
-# Each factor is an n-tuple: "a^100000" took 1.3 s with --n 100.
-DECOMPOSE_GUARD = 100_000
-
-
-def _sweep_cap(cap, default, nvars):
-    if cap is None:
-        cap = default
-    if cap > CAP_GUARD:
-        raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
-    cols = ring_dim(nvars, cap)
-    if cols > PIECE_GUARD:
-        raise ValueError(
-            f"degree-{cap} piece in {nvars} variables has {cols} columns, "
-            f"above PIECE_GUARD = {PIECE_GUARD}"
-        )
-    return cap
-
 
 def _check_walk(I, cap):
     cap = betti.table_cap(I, cap)
@@ -121,11 +88,6 @@ def _check_walk(I, cap):
             f"cap {cap} in {I.nvars} variables walks {count} monomials, "
             f"above WALK_GUARD = {WALK_GUARD} with its {cap + 1} degrees"
         )
-
-
-def _fail_input(msg):
-    click.echo(f"input error: {msg}", err=True)
-    sys.exit(2)
 
 
 def _emit(fmt, text_lines, payload):
@@ -151,13 +113,14 @@ char_option = click.option("--char", "characteristic", type=int, default=0)
 
 class _Main(click.Group):
     """The CLI's one error boundary: a ValueError from any command is bad
-    input, reported by `_fail_input`."""
+    input, reported as one ``input error:`` line and exit 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
-            _fail_input(str(exc))
+            click.echo(f"input error: {exc}", err=True)
+            sys.exit(2)
 
 
 @click.group(cls=_Main)
@@ -330,8 +293,7 @@ def linforms_decompose(family, characteristic, fmt):
 @format_option
 def linforms_verify(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    cap = _sweep_cap(cap, len(fam) + 3, fam[0].nvars)
-    rep = verify_decomposition(fam, cap)
+    rep = verify_decomposition(fam, len(fam) + 3 if cap is None else cap)
     payload = {
         "cap": rep.cap,
         "dims": {str(e): list(v) for e, v in rep.dims.items()},
@@ -360,8 +322,7 @@ def linforms_general(family, characteristic, fmt):
 @format_option
 def linforms_sat(family, cap, characteristic, fmt):
     fam = parse_linforms_text(family, characteristic)
-    cap = _sweep_cap(cap, len(fam), fam[0].nvars)
-    sp = saturation_degree(product_generators(fam), cap)
+    sp = saturation_degree(product_generators(fam), len(fam) if cap is None else cap)
     sat = "not certified within cap" if sp.exceeds_cap else sp.sat_degree
     _emit(fmt, [f"sat = {sat} (cap {sp.cap})",
                 f"profile: {sp.profile}"],
@@ -377,7 +338,7 @@ def linforms_sat(family, cap, characteristic, fmt):
 def linforms_reg(family, cap, characteristic, fmt):
     """Bayer-Stillman certificate of reg(I_1...I_d) <= m, least m up to the cap."""
     fam = parse_linforms_text(family, characteristic)
-    cap = _sweep_cap(cap, len(fam), fam[0].nvars)
+    cap = len(fam) if cap is None else cap
     prod = product_generators(fam)
     cert = least_certificate(prod, cap)
     d = prod.max_gen_degree()
@@ -387,8 +348,7 @@ def linforms_reg(family, cap, characteristic, fmt):
               [f"no certificate for m = {d}..{cap}: reg not certified within cap"],
               {**payload, "certificate": None, "reg_upper": None})
         sys.exit(1)
-    if not cert.verify(prod):
-        raise AssertionError(f"certificate at m = {cert.m} fails its re-check")
+    check(cert.verify(prod), lambda: f"certificate at m = {cert.m} fails its re-check")
     m = cert.m
     lines = [f"certificate at m = {m} (cap {cap}): {d} <= reg <= {m}"]
     forms = [list(h) for h in cert.forms]
@@ -423,11 +383,7 @@ def hankel_omega(nvars, sizes_text, fmt):
 @click.option("--n", "nvars", type=int, default=None)
 @format_option
 def hankel_decompose(monomial, nvars, fmt):
-    u = parse_monomial(monomial, nvars)[0]
-    if degree(u) > DECOMPOSE_GUARD:
-        raise ValueError(
-            f"degree {degree(u)} is above DECOMPOSE_GUARD = {DECOMPOSE_GUARD}")
-    dec = canonical_decomposition(u)
+    dec = canonical_decomposition(parse_monomial(monomial, nvars)[0])
     gammas = {i: gamma(i, dec.shape) for i in range(1, dec.shape[0] + 1)}
     _emit(fmt, [dec.render(), f"shape = {dec.shape}", f"gamma = {gammas}"],
           {"factors": [format_monomial(f) for f in dec.factors],

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
-from . import linalg
+from . import check, linalg
 from .fields import field_of, scalar
 from .ideals import MonomialIdeal
 from .monomials import basis_index, degree as mono_degree, mono_mul, monomial_basis
@@ -420,17 +420,37 @@ def _search_certificate(I, m):
     return _bayer_stillman(I, m, draws)
 
 
-def _check_cap(I, cap):
-    if cap < I.max_gen_degree():
+# `least_certificate`, `saturation_degree` and
+# `linforms.verify_decomposition` sweep degrees up to the cap, and their
+# pieces grow like cap^(n-1).  CAP_GUARD is the largest cap: `linforms
+# sat` on 200 copies of (x1) in 2 variables (cap 200, the guard lifted)
+# took 0.4 s.  PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1),
+# the column count of the top piece.  On two-factor families the sweeps
+# at about 5000 columns took 2-10 s (2 cores, Python 3.11), and time
+# grows faster than the column count.
+CAP_GUARD = 32
+PIECE_GUARD = 5000
+
+
+def check_cap(nvars, cap, low):
+    """Refuse a sweep up to `cap` in `nvars` variables past CAP_GUARD or
+    PIECE_GUARD, or below `low`, the largest generator degree."""
+    if cap > CAP_GUARD:
+        raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
+    cols = ring_dim(nvars, cap)
+    if cols > PIECE_GUARD:
         raise ValueError(
-            f"cap {cap} below the largest generator degree {I.max_gen_degree()}"
+            f"degree-{cap} piece in {nvars} variables has {cols} columns, "
+            f"above PIECE_GUARD = {PIECE_GUARD}"
         )
+    if cap < low:
+        raise ValueError(f"cap {cap} below the largest generator degree {low}")
 
 
 def least_certificate(I, cap):
     """The certificate at the least m in max_gen_degree()..cap that has
     one, or None."""
-    _check_cap(I, cap)
+    check_cap(I.nvars, cap, I.max_gen_degree())
     for m in range(I.max_gen_degree(), cap + 1):
         cert = regularity_certificate(I, m)
         if cert is not None:
@@ -457,10 +477,8 @@ def certified_hilbert_values(I, cert, top):
             a[i] += a[i + 1]
         hf.append(a[0])
     built = hilbert_value(I, m + 1)
-    if hf[m + 1] != built:
-        raise AssertionError(
-            f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}"
-        )
+    check(hf[m + 1] == built,
+          lambda: f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}")
     return hf
 
 
@@ -493,7 +511,7 @@ def saturation_degree(I, cap):
     is one-sided: when no m up to cap has a certificate, no number is
     given (`sat_degree` None and an empty profile: not certified).
     """
-    _check_cap(I, cap)
+    check_cap(I.nvars, cap, I.max_gen_degree())
     if I.is_monomial:
         top = mono_degree(I.monomial_ideal().lcm_of_gens()) + 1
     else:

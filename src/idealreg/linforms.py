@@ -34,13 +34,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, prod
 
-from . import linalg
+from . import check, linalg
 from .fields import field_of, scalar
 from .graded import (
     DegreePiece,
     GradedIdealView,
     HomPolynomial,
     certified_hilbert_values,
+    check_cap,
     colon_piece,
     degree_piece,
     hilbert_value,
@@ -86,7 +87,7 @@ GENERATOR_GUARD = 1000
 # subspaces the product side, which this guard does not count: its
 # pieces in degrees 9 and 10 (about 5 s, 512 generators) and the
 # certificate search on them (about 4.5 s).  GENERATOR_GUARD and
-# `cli.PIECE_GUARD` bound those.
+# `graded.PIECE_GUARD` bound those.
 SWEEP_GUARD = 10_000
 
 
@@ -228,7 +229,7 @@ def power_piece(V, k, degrees):
         rows = [product(expo) for expo in monomial_basis(n, e)
                 if sum(expo[:r]) >= k]
         rref, pivots = linalg.row_reduce(rows, p)
-        assert len(pivots) == len(rows), "adapted monomials must be independent"
+        check(len(pivots) == len(rows), "adapted monomials must be independent")
         pieces.append(DegreePiece(rref, pivots, ring_dim(n, e)))
     return pieces
 
@@ -366,7 +367,7 @@ def verify_decomposition(family, cap):
     certificate's recursion (`graded.certified_hilbert_values`, which
     checks the derived value in degree d + 1 against the built piece).
     Only when none is found, or cap <= d + 1, are the pieces built up to
-    the cap.
+    the cap, which `graded.check_cap` checks first, as in graded's sweeps.
 
     The intersection side builds only what can change its answer, the
     `nonmaximal_components` of the family, and refuses a sweep of more
@@ -383,6 +384,7 @@ def verify_decomposition(family, cap):
       d..cap, which shares its products and column maps across them.
     """
     d = len(family)
+    check_cap(family[0].nvars, cap, d)
     components = nonmaximal_components(family)
     cols, ideals = ring_dim(family[0].nvars, cap), len(components)
     if cols * ideals > SWEEP_GUARD:
@@ -390,8 +392,6 @@ def verify_decomposition(family, cap):
             f"{cols} columns times {ideals} non-maximal component ideals "
             f"is {cols * ideals}, above SWEEP_GUARD = {SWEEP_GUARD}"
         )
-    if cap < d:
-        raise ValueError(f"cap {cap} below the product's generation degree {d}")
     p = family[0].characteristic
     product = product_generators(family)
     degrees = range(d, cap + 1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from . import check
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, mono_mul, variable
 from .quotients import QuotientCertificate, check_order  # noqa: F401 (bench/selftest.py traces it)
@@ -102,7 +103,7 @@ def polymatroidal_product(I, J):
             raise ValueError(f"factor not polymatroidal: {res.render()}")
     P = I.product(J)
     post = is_polymatroidal(P)
-    assert post is True, f"product lost the exchange property: {post.render()}"
+    check(post is True, lambda: f"product lost the exchange property: {post.render()}")
     return P
 
 
@@ -113,9 +114,8 @@ def revlex_certificate(I):
     if res is not True:
         raise ValueError(f"not polymatroidal: {res.render()}")
     cert = I.generator_index.certificate()
-    assert isinstance(cert, QuotientCertificate), (
-        "revlex order must give linear quotients on a polymatroidal ideal"
-    )
+    check(isinstance(cert, QuotientCertificate),
+          "revlex order must give linear quotients on a polymatroidal ideal")
     return cert
 
 
@@ -141,7 +141,7 @@ def _squarefree_product(I, J):
     if not prods:
         raise ValueError("no squarefree product of generators exists")
     P = MonomialIdeal.from_gens(I.nvars, prods)
-    assert is_matroidal(P), "squarefree product lost matroidality"
+    check(is_matroidal(P), "squarefree product lost matroidality")
     return P
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import check
 from .ideals import MonomialIdeal, minimalize
 from .monomials import (
     degree,
@@ -324,7 +325,8 @@ def search_order(I):
     if not extend(full):
         return None
     cert = check_order(I.nvars, [gens[k] for k in path])
-    assert isinstance(cert, QuotientCertificate)
+    check(isinstance(cert, QuotientCertificate),
+          lambda: f"searched order rejected by check_order: {cert}")
     return cert
 
 
@@ -361,8 +363,8 @@ def greedy_order(I):
         prefix |= 1 << k
         path.append(k)
     cert = check_order(I.nvars, [gens[k] for k in path])
-    if not isinstance(cert, QuotientCertificate):
-        raise AssertionError(f"greedy order rejected by check_order: {cert}")
+    check(isinstance(cert, QuotientCertificate),
+          lambda: f"greedy order rejected by check_order: {cert}")
     return cert
 
 

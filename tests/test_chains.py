@@ -81,6 +81,18 @@ def test_decomposition_trivia():
     assert canonical_decomposition(x).shape == (1, 1, 1)
 
 
+def test_decomposition_guard_bounds_degree_times_variables():
+    # a^2000 in 100 variables is at DECOMPOSE_GUARD = 200000, and admitted
+    assert len(canonical_decomposition((2000,) + (0,) * 99).factors) == 2000
+    with pytest.raises(ValueError, match=(
+        "degree 100000 times 1000 variables is 100000000, "
+        "above DECOMPOSE_GUARD = 200000"
+    )):
+        canonical_decomposition((100000,) + (0,) * 999)
+    with pytest.raises(ValueError, match="degree 1000000 times 1 variables"):
+        canonical_decomposition((1000000,))
+
+
 def test_greedy_factor_is_tau_maximal():
     # oracle: the first factor must be tau-greatest among all dividing chains
     rng = random.Random(6)

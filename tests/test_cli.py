@@ -227,10 +227,16 @@ def test_hankel_enumeration_guard_exits_2(command):
     assert "ENUM_GUARD = 10000000" in r.stderr
 
 
-def test_hankel_decompose_guard_exits_2():
-    r = run("hankel", "decompose", "--monomial", "a^1000000")
+@pytest.mark.parametrize("argv, product", [
+    (("--monomial", "a^1000000"), "degree 1000000 times 1 variables is 1000000"),
+    # each of the 100000 factors takes a pass over 1000 exponents
+    (("--monomial", "a^100000", "--n", "1000"),
+     "degree 100000 times 1000 variables is 100000000"),
+])
+def test_hankel_decompose_guard_exits_2(argv, product):
+    r = run("hankel", "decompose", *argv)
     _assert_input_error(r)
-    assert "degree 1000000 is above DECOMPOSE_GUARD" in r.stderr
+    assert f"{product}, above DECOMPOSE_GUARD = 200000" in r.stderr
 
 
 @pytest.mark.parametrize("command", [

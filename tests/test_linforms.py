@@ -10,6 +10,7 @@ from idealreg.graded import (
     RegularityCertificate,
     degree_piece,
     ideal_product,
+    least_certificate,
     ring_dim,
     saturation_degree,
 )
@@ -191,6 +192,28 @@ def test_verify_decomposition_refuses_a_sweep_past_the_guard():
              for i in range(5)]
     with pytest.raises(ValueError, match="is 14850, above SWEEP_GUARD = 10000"):
         verify_decomposition(lines, 8)
+
+
+LIBRARY_SWEEPS = {
+    "verify_decomposition": verify_decomposition,
+    "saturation_degree":
+        lambda fam, cap: saturation_degree(product_generators(fam), cap),
+    "least_certificate":
+        lambda fam, cap: least_certificate(product_generators(fam), cap),
+}
+
+
+@pytest.mark.parametrize("sweep", LIBRARY_SWEEPS.values(), ids=list(LIBRARY_SWEEPS))
+@pytest.mark.parametrize("rows, cap, message", [
+    # the cases of the CLI's guard tests, met by library callers too
+    ([[[1, 0]]], 33, "cap 33 exceeds CAP_GUARD = 32"),
+    ([[[1, 0, 0, 0, 0]], [[0, 1, 0, 0, 0]]], 32,
+     "degree-32 piece in 5 variables has 58905 columns, above PIECE_GUARD = 5000"),
+], ids=["CAP_GUARD", "PIECE_GUARD"])
+def test_library_sweeps_refuse_a_cap_past_the_guards(sweep, rows, cap, message):
+    family = [LinearIdeal.from_rows(len(V[0]), V) for V in rows]
+    with pytest.raises(ValueError, match=message):
+        sweep(family, cap)
 
 
 def test_is_linearly_general():

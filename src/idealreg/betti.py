@@ -43,10 +43,10 @@
 Cross-checks.  The linear-quotient, monomial and strand tables are
 compared with the Hilbert function of R/I in each degree j <= cap through
 the Euler characteristic of the strand,
-sum_i (-1)^i beta_ij = sum_k (-1)^k C(n, k) dim (R/I)_{j-k}.  For a monomial
-ideal all those Hilbert values come from one counting walk over the
-standard monomials (`MonomialIdeal.hilbert_values`); otherwise each is
-read off the degree piece I_e.  On the linear-quotient route the Euler
+sum_i (-1)^i beta_ij = sum_k (-1)^k C(n, k) dim (R/I)_{j-k}.  All those
+Hilbert values come from `graded.hilbert_values`: one counting walk over
+the standard monomials of a monomial ideal, the degree pieces I_e of any
+other.  On the linear-quotient route the Euler
 check catches a wrong r_k, but not the cancelling pairs of a non-minimal
 cone, hence the degree assertion; the monomial route stays its oracle in
 the tests.  The certificate table is built from the
@@ -71,10 +71,9 @@ from math import comb
 
 from . import check, linalg
 from .graded import (
-    GradedIdealView,
     certified_hilbert_values,
     degree_piece,  # noqa: F401 (bench/selftest.py traces betti.degree_piece by name)
-    hilbert_value,
+    hilbert_values,
     ideal_product,
     multiplication_maps,
     quotient_basis,
@@ -89,11 +88,9 @@ from .quotients import greedy_order
 MULTIDEGREE_GUARD = 10_000_000
 
 
-def taylor_degree_cap(I):
-    """deg lcm of the minimal generators; Betti degrees never exceed it."""
-    if isinstance(I, GradedIdealView):
-        I = I.monomial_ideal()
-    return mono_degree(I.lcm_of_gens())
+def taylor_degree_cap(mi):
+    """deg lcm(G(mi)) of a monomial ideal mi; Betti degrees never exceed it."""
+    return mono_degree(mi.lcm_of_gens())
 
 
 def table_cap(I, cap):
@@ -102,7 +99,7 @@ def table_cap(I, cap):
     if cap is not None:
         return cap
     cap = I.max_gen_degree() + I.nvars
-    return max(cap, taylor_degree_cap(I)) if I.is_monomial else cap
+    return max(cap, taylor_degree_cap(I.monomial_ideal())) if I.is_monomial else cap
 
 
 @dataclass
@@ -419,10 +416,7 @@ def _certificate_entries(I, cert, cap):
 
 def _euler_check(I, entries, cap):
     n = I.nvars
-    if I.is_monomial:
-        hv = I.monomial_ideal().hilbert_values(cap)
-    else:
-        hv = [hilbert_value(I, e) for e in range(cap + 1)]
+    hv = hilbert_values(I, cap)
     for j in range(cap + 1):
         lhs = sum((-1) ** i * v for (i, jj), v in entries.items() if jj == j)
         rhs = _koszul_euler(hv, n, j)

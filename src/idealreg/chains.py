@@ -159,7 +159,9 @@ def canonical_decomposition(u):
 
 
 def gamma(t, s):
-    """gamma_t of an integer sequence, or of a monomial via its shape."""
+    """gamma_t of an integer sequence such as a shape.  A monomial is read
+    as its plain exponent sequence, not via its canonical shape (that is
+    `tests/oracles.gamma_of_monomial`)."""
     if t < 1:
         raise ValueError("gamma index must be at least 1")
     if isinstance(s, tuple) and s and not isinstance(s[0], int):

@@ -33,7 +33,8 @@ from math import comb
 from . import check, linalg
 from .fields import field_of, scalar
 from .ideals import MonomialIdeal
-from .monomials import basis_index, degree as mono_degree, mono_mul, monomial_basis
+from .monomials import (basis_index, degree as mono_degree, mono_mul,
+                        monomial_basis, variable)
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,14 @@ class HomPolynomial:
         return cls(degs.pop(), tuple(sorted(terms.items())))
 
     @classmethod
-    def from_monomial(cls, u, coeff=1):
-        return cls(mono_degree(u), ((tuple(u), coeff),))
+    def from_monomial(cls, u):
+        return cls(mono_degree(u), ((tuple(u), 1),))
 
     @classmethod
     def linear_form(cls, coeffs):
         """Linear form from a coefficient vector over x1..xn."""
         n = len(coeffs)
-        terms = [
-            (tuple(1 if k == i else 0 for k in range(n)), c)
-            for i, c in enumerate(coeffs)
-            if c != 0
-        ]
+        terms = [(variable(i, n), c) for i, c in enumerate(coeffs, 1) if c != 0]
         if not terms:
             raise ValueError("zero linear form")
         return cls(1, tuple(terms))
@@ -253,13 +250,18 @@ def quotient_basis(I, e):
     return degree_piece(I, e).quotient
 
 
+def hilbert_values(I, top):
+    """[dim_K (R/I)_e for e = 0..top], a fresh list: the one choice of route,
+    one `MonomialIdeal.hilbert_values` walk for a monomial view and the
+    degree pieces I_e otherwise."""
+    if I.is_monomial:
+        return I.monomial_ideal().hilbert_values(top)
+    return [ring_dim(I.nvars, e) - degree_piece(I, e).dim for e in range(top + 1)]
+
+
 def hilbert_value(I, e):
     """dim_K (R/I)_e."""
-    if e < 0:
-        return 0
-    if I.is_monomial:
-        return I.monomial_ideal().hilbert_function(e)
-    return ring_dim(I.nvars, e) - degree_piece(I, e).dim
+    return hilbert_values(I, e)[e] if e >= 0 else 0
 
 
 def ideal_product(I, J):
@@ -459,24 +461,24 @@ def least_certificate(I, cap):
 
 
 def certified_hilbert_values(I, cert, top):
-    """dim (R/I)_e for e = 0..top (top > m = cert.m), read off I's pieces
-    up to degree m and derived from the certificate above.
+    """dim (R/I)_e for e = 0..top (top > m = cert.m), `hilbert_values` of
+    I up to degree m and derived from the certificate above.
 
     Each J_i of the certificate is m-regular, so h_i stays injective on
     R/J_i in every degree >= m, and a_i(e) = dim (R/J_i)_e satisfies
     a_i(e) = a_i(e - 1) + a_{i+1}(e), with a_{k+1} = 0 and a_1 the
     Hilbert function of R/I.  The value derived in degree m + 1 must equal
-    `hilbert_value(I, m + 1)`, read off the piece I_{m+1} the search built
-    (or counted on the monomials of a monomial I).
+    the one `hilbert_values` gives there, read off the piece I_{m+1} the
+    search built (or counted on the monomials of a monomial I).
     """
     m = cert.m
-    hf = [hilbert_value(I, e) for e in range(m + 1)]
+    hf = hilbert_values(I, m + 1)
+    built = hf.pop()
     a = [*cert.dims, 0]
     for _ in range(m, top):
         for i in reversed(range(len(cert.dims))):
             a[i] += a[i + 1]
         hf.append(a[0])
-    built = hilbert_value(I, m + 1)
     check(hf[m + 1] == built,
           lambda: f"certificate Hilbert value {hf[m + 1]} in degree {m + 1} != {built}")
     return hf

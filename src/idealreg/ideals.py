@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import add, itemgetter, le
 
-from .monomials import degree, lcm_monomial, one, support
+from .monomials import degree, one, support
 
 
 def minimalize(monomials):
@@ -75,10 +75,7 @@ class MonomialIdeal:
         return max(degree(g) for g in self.gens)
 
     def lcm_of_gens(self):
-        acc = one(self.nvars)
-        for g in self.gens:
-            acc = lcm_monomial(acc, g)
-        return acc
+        return tuple(map(max, zip(*self.gens)))
 
     def padded(self, n):
         """The same ideal in n >= nvars variables (x_{nvars+1}.. unused)."""

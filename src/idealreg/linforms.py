@@ -44,7 +44,7 @@ from .graded import (
     check_cap,
     colon_piece,
     degree_piece,
-    hilbert_value,
+    hilbert_values,
     multiplication_maps,
     regularity_certificate,
     ring_dim,
@@ -366,8 +366,9 @@ def verify_decomposition(family, cap):
     87, 1987).  With one, dim product_e above d + 1 comes from the
     certificate's recursion (`graded.certified_hilbert_values`, which
     checks the derived value in degree d + 1 against the built piece).
-    Only when none is found, or cap <= d + 1, are the pieces built up to
-    the cap, which `graded.check_cap` checks first, as in graded's sweeps.
+    Only when none is found, or cap <= d + 1, does `graded.hilbert_values`
+    read every degree up to the cap, which `graded.check_cap` checks
+    first, as in graded's sweeps.
 
     The intersection side builds only what can change its answer, the
     `nonmaximal_components` of the family, and refuses a sweep of more
@@ -403,7 +404,7 @@ def verify_decomposition(family, cap):
     containment_ok = _annihilates(annihilator[d], gens, p)
     cert = regularity_certificate(product, d) if cap > d + 1 else None
     if cert is None:
-        hf = [hilbert_value(product, e) for e in range(cap + 1)]
+        hf = hilbert_values(product, cap)
     else:
         hf = certified_hilbert_values(product, cert, cap)
     dims = {}

@@ -34,16 +34,17 @@ def parse_ideal_gens(text):
     body = m.group(1).strip()
     if not body:
         raise ParseError("empty ideal")
-    parts = [p.strip() for p in body.split(",")]
-    top = 0
-    for p in parts:
+    parsed = []
+    for p in body.split(","):
+        p = p.strip()
         try:
-            top = max(top, parse_monomial(p)[1])
+            parsed.append(parse_monomial(p))
         except ValueError as exc:
             raise ParseError(f"bad monomial {p!r}: {exc}") from exc
+    top = max(used for _, used in parsed)
     if top < 1:
         raise ParseError("could not infer any variable")
-    return top, [parse_monomial(p, top)[0] for p in parts]
+    return top, [u + (0,) * (top - len(u)) for u, _ in parsed]
 
 
 def parse_ideal_text(text):

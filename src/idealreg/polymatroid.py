@@ -131,15 +131,19 @@ def squarefree_product(I, J):
     for X in (I, J):
         if not is_matroidal(X):
             raise ValueError("squarefree product needs matroidal factors")
-    return _squarefree_product(I, J)
+    P = _squarefree_product(I, J)
+    if P is None:
+        raise ValueError("no squarefree product of generators exists")
+    return P
 
 
 def _squarefree_product(I, J):
-    """`squarefree_product` of factors known to be matroidal."""
+    """`squarefree_product` of factors known to be matroidal, or None when
+    no product of generators is squarefree."""
     products = (mono_mul(u, v) for u in I.gens for v in J.gens)
     prods = [w for w in products if all(e <= 1 for e in w)]
     if not prods:
-        raise ValueError("no squarefree product of generators exists")
+        return None
     P = MonomialIdeal.from_gens(I.nvars, prods)
     check(is_matroidal(P), "squarefree product lost matroidality")
     return P
@@ -168,11 +172,8 @@ def transversal_ideal(nvars, subsets):
                 f"above TRANSVERSAL_GUARD = {TRANSVERSAL_GUARD}"
             )
         nxt = MonomialIdeal.from_gens(nvars, [variable(i, nvars) for i in A])
-        try:
-            # variable ideals are matroidal, and acc was asserted so when built
-            acc = _squarefree_product(acc, nxt)
-        except ValueError as exc:
-            if "no squarefree product" in str(exc):
-                raise ValueError("no transversal exists for the subsets") from exc
-            raise
+        # variable ideals are matroidal, and acc was asserted so when built
+        acc = _squarefree_product(acc, nxt)
+        if acc is None:
+            raise ValueError("no transversal exists for the subsets")
     return acc

@@ -43,6 +43,7 @@ from .monomials import (
     gcd_monomial,
     mono_div,
     parse_monomial,
+    variable,
 )
 
 SEARCH_GUARD = 24
@@ -70,8 +71,7 @@ class QuotientCertificate:
         lines = []
         for u, vs in zip(self.order, self.colon_vars):
             colon = "(0)" if not vs else "(" + ", ".join(
-                format_monomial(tuple(1 if k == i - 1 else 0 for k in range(self.nvars)))
-                for i in vs
+                format_monomial(variable(i, self.nvars)) for i in vs
             ) + ")"
             lines.append(f"{format_monomial(u)}  :  {colon}")
         return "\n".join(lines)

@@ -23,6 +23,33 @@ def test_no_assert_statement_in_the_library():
     assert not found, f"assert statements, stripped by python -O: {found}"
 
 
+def _unused_imports(path):
+    """`file:line name` of each name an import in `path` binds and the
+    file never reads, but for lines marked ``# noqa: F401`` that name the
+    bench/ script holding the name."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                line = lines[alias.lineno - 1]
+                if name in used or ("# noqa: F401" in line and "bench/" in line):
+                    continue
+                found.append(f"{path.name}:{alias.lineno} {name}")
+    return found
+
+
+def test_no_unused_import_in_the_library():
+    found = [f for path in sorted(PACKAGE.glob("*.py")) for f in _unused_imports(path)]
+    assert not found, f"imported names never used: {found}"
+
+
 # (a*b, c*d) takes the monomial route, and the complex of a*b*c*d has
 # faces of size 2; one flipped sign in their boundaries breaks d∘d = 0.
 # Exit 3 means the child did not run optimized.

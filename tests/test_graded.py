@@ -13,6 +13,7 @@ from idealreg.graded import (
     colon_piece,
     degree_piece,
     hilbert_value,
+    hilbert_values,
     ideal_product,
     quotient_basis,
     ring_dim,
@@ -71,17 +72,21 @@ def test_monomial_and_generic_hilbert_agree():
     gens = ["a^2*b", "b^2*c", "c^3"]
     I = view(3, *gens)
     J = GradedIdealView(
-        3,
-        [
-            HomPolynomial.from_monomial(parse_monomial(s, 3)[0], 1)
-            for s in gens
-        ],
+        3, [HomPolynomial.from_monomial(parse_monomial(s, 3)[0]) for s in gens]
     )
     J_generic = GradedIdealView(
         3, list(J.generators) + [J.generators[0]], 0
     )  # redundant generator, forces the generic path to do real reduction
     for e in range(7):
         assert hilbert_value(I, e) == ring_dim(3, e) - degree_piece(J_generic, e).dim
+    # a redundant non-monomial generator, a^2*b + c^3, puts the same ideal
+    # on the degree-piece route of `hilbert_values`
+    K = GradedIdealView(
+        3, list(J.generators) + [HomPolynomial.make({(2, 1, 0): 1, (0, 0, 3): 1})]
+    )
+    assert I.is_monomial and not K.is_monomial
+    assert hilbert_values(I, 6) == hilbert_values(K, 6)
+    assert hilbert_values(I, 6) == [hilbert_value(I, e) for e in range(7)]
 
 
 def test_ideal_product_monomial():

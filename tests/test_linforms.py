@@ -14,6 +14,7 @@ from idealreg.graded import (
     ring_dim,
     saturation_degree,
 )
+from idealreg.ideals import MonomialIdeal
 from idealreg.linforms import (
     LinearIdeal,
     PrimaryComponent,
@@ -214,6 +215,25 @@ def test_library_sweeps_refuse_a_cap_past_the_guards(sweep, rows, cap, message):
     family = [LinearIdeal.from_rows(len(V[0]), V) for V in rows]
     with pytest.raises(ValueError, match=message):
         sweep(family, cap)
+
+
+@pytest.mark.parametrize("cap", [4, 12])
+def test_verify_decomposition_counts_a_monomial_product_in_one_walk(monkeypatch, cap):
+    # (x1)(x2)(x3) in 4 variables: the product view is monomial, so its
+    # Hilbert values up to the cap (cap 4, no certificate) or up to d + 1
+    # (cap 12, certificate at m = 3) come from one walk, not one per degree
+    family = [LinearIdeal.from_rows(4, [[int(i == j) for j in range(4)]])
+              for i in range(3)]
+    walks = []
+    walk = MonomialIdeal._walk
+
+    def counted(self, *args):
+        walks.append(args)
+        return walk(self, *args)
+
+    monkeypatch.setattr(MonomialIdeal, "_walk", counted)
+    assert verify_decomposition(family, cap).equal
+    assert len(walks) == 1
 
 
 def test_is_linearly_general():

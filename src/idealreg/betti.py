@@ -42,25 +42,26 @@
 
 Cross-checks.  The linear-quotient, monomial and strand tables are
 compared with the Hilbert function of R/I in each degree j <= cap through
-the Euler characteristic of the strand,
-sum_i (-1)^i beta_ij = sum_k (-1)^k C(n, k) dim (R/I)_{j-k}.  All those
-Hilbert values come from `graded.hilbert_values`: one counting walk over
-the standard monomials of a monomial ideal, the degree pieces I_e of any
-other.  On the linear-quotient route the Euler
-check catches a wrong r_k, but not the cancelling pairs of a non-minimal
-cone, hence the degree assertion; the monomial route stays its oracle in
-the tests.  The certificate table is built from the
-Hilbert function, so the Euler check would hold by construction; there
-it is replaced by four checks: each certificate step is an exact rank
-computation, the derived dim (R/I)_{m+1} must equal the one of the piece
-I_{m+1} the search built, the coefficients of t^j for 0 < j < m must
-vanish, and every derived Betti number must be >= 0 and vanish for i > n.
+the Euler characteristic of the strand, sum_i (-1)^i beta_ij = the
+coefficient of t^j in (1 - t)^n HS(R/I), with the entries summed by
+degree in one pass.  The Hilbert values come from `graded.hilbert_values`:
+the numerator read off the generators of a monomial ideal, the degree
+pieces I_e of any other.  On the linear-quotient route the Euler check
+catches a wrong r_k, but not the cancelling pairs of a non-minimal cone,
+hence the degree assertion; the monomial route stays its oracle in the
+tests.  The certificate table is built from the Hilbert function, so the
+Euler check would hold by construction; there it is replaced by four
+checks: each certificate step is an exact rank computation, the derived
+dim (R/I)_{m+1} must equal the one of the piece I_{m+1} the search built,
+the coefficients of t^j for 0 < j < m must vanish, and every derived
+Betti number must be >= 0 and vanish for i > n.
 The strand route stays the oracle of the certificate route in the tests.
 
 Certification: for a monomial ideal all Betti numbers vanish in internal
 degrees beyond deg lcm(G(I)) (the Taylor complex bound), so a table with
-cap at least that bound is complete and certified.  Polynomial ideals are
-never certified; values are reported "within cap".
+cap at least that bound is complete and certified.  A table takes
+lcm(G(I)) once, for its default cap, `certified` and the Koszul route.
+Polynomial ideals are never certified; values are reported "within cap".
 """
 
 from __future__ import annotations
@@ -82,24 +83,10 @@ from .graded import (
 from .monomials import degree as mono_degree
 from .quotients import greedy_order
 
-# bounds the candidate multidegrees of the Koszul fallback
-# (`_monomial_candidates`) only: a table read off a linear-quotient order
-# enumerates none, so the guard never refuses such an ideal
+# bounds the candidate multidegrees of the Koszul fallback, and the
+# standard divisors of lcm(G(I)) listed for them: a table read off a
+# linear-quotient order enumerates none, so it never refuses such an ideal
 MULTIDEGREE_GUARD = 10_000_000
-
-
-def taylor_degree_cap(mi):
-    """deg lcm(G(mi)) of a monomial ideal mi; Betti degrees never exceed it."""
-    return mono_degree(mi.lcm_of_gens())
-
-
-def table_cap(I, cap):
-    """The cap of `betti_table(I, cap)`: cap when given, else
-    max_gen_degree + n, raised to the Taylor cap for a monomial I."""
-    if cap is not None:
-        return cap
-    cap = I.max_gen_degree() + I.nvars
-    return max(cap, taylor_degree_cap(I.monomial_ideal())) if I.is_monomial else cap
 
 
 @dataclass
@@ -223,15 +210,16 @@ def _monomial_candidates(std, std_set, lcm, n, cap):
     return seen
 
 
-def _monomial_entries(mi, cap, p):
-    """Nonzero beta_ij(R/I), j <= cap, summed over the candidate multidegrees.
+def _monomial_entries(mi, lcm, cap, p):
+    """Nonzero beta_ij(R/I), j <= cap, summed over the candidate multidegrees
+    of lcm = lcm(G(mi)), whose standard divisors are listed only as far as
+    `_monomial_candidates` admits.
 
     Many candidates share one upper Koszul complex once its faces are
     labelled by support position, so its homology is taken once per
     distinct complex, in a memo that lives for this call only.
     """
-    lcm = mi.lcm_of_gens()
-    std = mi.standard_divisors_of(lcm)
+    std = mi.standard_divisors_of(lcm, MULTIDEGREE_GUARD >> mi.nvars)
     std_set = set(std)
     entries = {(0, 0): 1}
     homology = {}  # complex, as a tuple of levels -> its h list
@@ -380,11 +368,13 @@ def _strand_entries(I, cap):
 # ------------------------------------------------------------ certificate route
 
 
-def _koszul_euler(hf, n, j):
-    """sum_k (-1)^k C(n, k) hf[j - k]: the coefficient of t^j in
-    (1 - t)^n HS(R/I) for the Hilbert values hf of R/I, and the Euler
-    characteristic of the degree-j Koszul strand."""
-    return sum((-1) ** k * comb(n, k) * hf[j - k] for k in range(min(n, j) + 1))
+def _koszul_euler(hf, n):
+    """The coefficients of t^0..t^top of (1 - t)^n HS(R/I) for the Hilbert
+    values hf = [dim (R/I)_e for e = 0..top], by n differences: the Euler
+    characteristics of the Koszul strands of degrees 0..top."""
+    for _ in range(n):
+        hf = [a - b for a, b in zip(hf, [0] + hf)]
+    return hf
 
 
 def _certificate_entries(I, cert, cap):
@@ -398,10 +388,9 @@ def _certificate_entries(I, cert, cap):
     check against the piece I_{m+1}.
     """
     n, m = I.nvars, cert.m
-    hf = certified_hilbert_values(I, cert, m + n)
+    coeffs = _koszul_euler(certified_hilbert_values(I, cert, m + n), n)
     entries = {(0, 0): 1}
-    for j in range(1, m + n + 1):
-        c = _koszul_euler(hf, n, j)
+    for j, c in enumerate(coeffs[1:], 1):
         i = j - m + 1
         b = (-1) ** i * c
         check(b >= 0 and (not b or 1 <= i <= n),
@@ -415,41 +404,43 @@ def _certificate_entries(I, cert, cap):
 
 
 def _euler_check(I, entries, cap):
-    n = I.nvars
-    hv = hilbert_values(I, cap)
-    for j in range(cap + 1):
-        lhs = sum((-1) ** i * v for (i, jj), v in entries.items() if jj == j)
-        rhs = _koszul_euler(hv, n, j)
-        check(lhs == rhs,
-              lambda: f"Euler characteristic mismatch in degree {j}: {lhs} != {rhs}")
+    """sum_i (-1)^i beta_ij = the coefficient of t^j in (1 - t)^n HS(R/I)
+    for every j <= cap: the entries are summed by degree in one pass."""
+    rhs = _koszul_euler(hilbert_values(I, cap), I.nvars)
+    lhs = [0] * (cap + 1)
+    for (i, j), v in entries.items():
+        lhs[j] += (-1) ** i * v
+    check(lhs == rhs, lambda: "Euler characteristic mismatch in degree %d: %d != %d"
+          % next((j, a, b) for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
 
 
 def betti_table(I, cap=None):
     """All beta_ij(R/I) for j <= cap; certified for monomial I at Taylor cap.
 
-    A monomial ideal takes the linear-quotient route when the greedy pass
-    finds a certified order, the monomial route otherwise.  A non-monomial
-    ideal takes the certificate route when it is generated in one degree
-    and a certificate is found, the strand route otherwise.
+    Without a cap, the cap is max_gen_degree + n, raised for a monomial I
+    to its Taylor cap deg lcm(G(I)).  A monomial ideal takes the
+    linear-quotient route when the greedy pass finds a certified order,
+    the monomial route otherwise.  A non-monomial ideal takes the
+    certificate route when it is generated in one degree and a certificate
+    is found, the strand route otherwise.
     """
-    cap = table_cap(I, cap)
-    if cap < I.max_gen_degree():
+    top = I.max_gen_degree()
+    mi = I.monomial_ideal() if I.is_monomial else None
+    lcm = mi.lcm_of_gens() if mi is not None else ()
+    taylor = mono_degree(lcm)  # 0 for a non-monomial I, never certified
+    if cap is None:
+        cap = max(top + I.nvars, taylor)
+    if cap < top:
         raise ValueError("cap below the largest generator degree")
-    if I.is_monomial:
-        mi = I.monomial_ideal()
+    if mi is not None:
         if mi.is_unit:
             raise ValueError("unit ideal")
         cert = greedy_order(mi)
-        if cert is None:
-            entries = _monomial_entries(mi, cap, I.characteristic)
-        else:
-            entries = _quotient_entries(cert, cap)
-        certified = cap >= taylor_degree_cap(mi)
+        entries = (_monomial_entries(mi, lcm, cap, I.characteristic) if cert is None
+                   else _quotient_entries(cert, cap))
         _euler_check(I, entries, cap)
-        return BettiTable(I.nvars, entries, cap, certified)
-    cert = None
-    if I.min_gen_degree() == I.max_gen_degree():
-        cert = regularity_certificate(I, I.max_gen_degree())
+        return BettiTable(I.nvars, entries, cap, cap >= taylor)
+    cert = regularity_certificate(I, top) if I.min_gen_degree() == top else None
     if cert is None:
         entries = _strand_entries(I, cap)
         _euler_check(I, entries, cap)

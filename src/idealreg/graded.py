@@ -252,8 +252,8 @@ def quotient_basis(I, e):
 
 def hilbert_values(I, top):
     """[dim_K (R/I)_e for e = 0..top], a fresh list: the one choice of route,
-    one `MonomialIdeal.hilbert_values` walk for a monomial view and the
-    degree pieces I_e otherwise."""
+    the Hilbert numerator read from the generators of a monomial view
+    (`MonomialIdeal.hilbert_values`) and the degree pieces I_e otherwise."""
     if I.is_monomial:
         return I.monomial_ideal().hilbert_values(top)
     return [ring_dim(I.nvars, e) - degree_piece(I, e).dim for e in range(top + 1)]
@@ -469,7 +469,7 @@ def certified_hilbert_values(I, cert, top):
     a_i(e) = a_i(e - 1) + a_{i+1}(e), with a_{k+1} = 0 and a_1 the
     Hilbert function of R/I.  The value derived in degree m + 1 must equal
     the one `hilbert_values` gives there, read off the piece I_{m+1} the
-    search built (or counted on the monomials of a monomial I).
+    search built (or read off the numerator of a monomial I).
     """
     m = cert.m
     hf = hilbert_values(I, m + 1)

@@ -49,11 +49,6 @@ def gcd_monomial(u, v):
     return tuple(min(a, b) for a, b in zip(u, v))
 
 
-def lcm_monomial(u, v):
-    _same_ambient(u, v)
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
 def variable(i, n):
     """The monomial x_i in n variables."""
     if not 1 <= i <= n:

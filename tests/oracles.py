@@ -25,7 +25,6 @@ from idealreg.monomials import (
     degree,
     divides,
     format_monomial,
-    lcm_monomial,
     mono_div,
     mono_mul,
     monomial_basis,
@@ -39,6 +38,10 @@ from idealreg.samplers import (
     random_transversal_ideal,
     random_uniform_matroid_ideal,
 )
+
+
+def lcm_monomial(u, v):
+    return tuple(map(max, u, v))
 
 
 def is_chain(u):

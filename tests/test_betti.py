@@ -200,12 +200,22 @@ def _faces_by_variable(a, std_set):
         levels.append(nxt)
 
 
+def _taylor(mi):
+    """deg lcm(G(mi)): the cap of a certified table."""
+    return degree(mi.lcm_of_gens())
+
+
+def _koszul_entries(mi, cap, char):
+    """The table of the monomial (Koszul) route, the oracle of the others."""
+    return betti._monomial_entries(mi, mi.lcm_of_gens(), cap, char)
+
+
 @given(small_monomial_ideals())
 @example(projective_plane_ideal())
 @settings(deadline=None)
 def test_memoized_entries_match_homology_of_every_candidate(mi):
     # oracle: no memo, faces labelled by variable, one homology per candidate
-    cap = betti.taylor_degree_cap(mi)
+    cap = _taylor(mi)
     lcm = mi.lcm_of_gens()
     std = mi.standard_divisors_of(lcm)
     std_set = set(std)
@@ -216,7 +226,7 @@ def test_memoized_entries_match_homology_of_every_candidate(mi):
             for c, h in enumerate(betti._homology_of_complex(levels, char)):
                 if h:
                     oracle[c + 1, sum(a)] = oracle.get((c + 1, sum(a)), 0) + h
-        assert betti._monomial_entries(mi, cap, char) == oracle
+        assert _koszul_entries(mi, cap, char) == oracle
 
 
 @given(small_monomial_ideals())
@@ -263,13 +273,13 @@ def _assert_degree_monotone(cert):
 @settings(deadline=None)
 def test_quotient_route_matches_koszul_route(mi, char, k):
     # caps from the top generator degree up to the Taylor cap
-    top, taylor = mi.max_gen_degree(), betti.taylor_degree_cap(mi)
+    top, taylor = mi.max_gen_degree(), _taylor(mi)
     cap = top + k % (taylor - top + 1)
     cert = greedy_order(mi)
     if cert is not None:
         _assert_degree_monotone(cert)
     table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char), cap)
-    assert table.entries == betti._monomial_entries(mi, cap, char)
+    assert table.entries == _koszul_entries(mi, cap, char)
 
 
 def test_quotient_route_is_taken_on_a_fair_share_of_random_ideals():
@@ -283,10 +293,10 @@ def test_quotient_route_is_taken_on_a_fair_share_of_random_ideals():
             _assert_degree_monotone(cert)
             taken += 1
             mixed += len({degree(g) for g in mi.gens}) > 1
-        cap = betti.taylor_degree_cap(mi)
+        cap = _taylor(mi)
         for char in (0, 2):
             table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char))
-            assert table.entries == betti._monomial_entries(mi, cap, char)
+            assert table.entries == _koszul_entries(mi, cap, char)
     # both routes run, and mixed degrees reach the new one
     assert total // 3 <= taken <= total - total // 10, (taken, total)
     assert mixed >= total // 10, (mixed, total)
@@ -315,11 +325,11 @@ def test_quotient_route_matches_koszul_route_on_relabelled_chain_products(n, siz
     for _ in range(3):
         mi = _relabelled(_chain_product(n, sizes), rng)
         assert greedy_order(mi) is not None
-        cap = betti.taylor_degree_cap(mi)
+        cap = _taylor(mi)
         for char in (0, 2):
             table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi, char))
             assert table.certified
-            assert table.entries == betti._monomial_entries(mi, cap, char)
+            assert table.entries == _koszul_entries(mi, cap, char)
 
 
 def test_quotient_route_matches_koszul_route_on_polymatroidal_products():
@@ -330,9 +340,9 @@ def test_quotient_route_matches_koszul_route_on_polymatroidal_products():
         n = max(I.nvars, J.nvars)
         mi = _relabelled(polymatroidal_product(I.padded(n), J.padded(n)), rng)
         assert greedy_order(mi) is not None
-        cap = betti.taylor_degree_cap(mi)
+        cap = _taylor(mi)
         table = betti.betti_table(GradedIdealView.from_monomial_ideal(mi))
-        assert table.entries == betti._monomial_entries(mi, cap, 0)
+        assert table.entries == _koszul_entries(mi, cap, 0)
 
 
 def _with_certificate(monkeypatch, cert):

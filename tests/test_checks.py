@@ -50,6 +50,23 @@ def test_no_unused_import_in_the_library():
     assert not found, f"imported names never used: {found}"
 
 
+def test_cli_binds_no_guard():
+    # every guard lives in the library module whose work it bounds, so a
+    # library caller meets the refusals the commands meet
+    bound = []
+    for node in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                bound.append(sub.id)
+            elif isinstance(sub, ast.alias):
+                bound.append(sub.asname or sub.name)
+    guards = [name for name in bound if name.endswith("_GUARD")]
+    assert not guards, f"guards bound in cli.py: {guards}"
+
+
 # (a*b, c*d) takes the monomial route, and the complex of a*b*c*d has
 # faces of size 2; one flipped sign in their boundaries breaks d∘d = 0.
 # Exit 3 means the child did not run optimized.

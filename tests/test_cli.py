@@ -8,6 +8,7 @@ from idealreg import betti, linforms
 from idealreg.cli import main
 from idealreg.fields import PRIME_BOUND
 from idealreg.graded import RegularityCertificate
+from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import format_monomial, monomial_basis
 from idealreg.parsing import (
     ParseError,
@@ -368,15 +369,23 @@ def test_linforms_sat_default_cap_guard_exits_2():
     assert "cap 33 exceeds CAP_GUARD = 32" in r.stderr
 
 
+# The three `test_walk_guard_*` tests keep the names of the CLI walk guard
+# they were written for.  The Euler check's Hilbert values come from the
+# Hilbert numerator, which NUMERATOR_GUARD in `ideals` bounds on its own
+# counted steps, for CLI and library callers alike.
 @pytest.mark.parametrize("argv", [
     ("betti", "--ideal", "ideal(a*b, c*d)"),
     ("inequality", "--ideal-i", "ideal(a*b)", "--ideal-j", "ideal(c*d)"),
 ])
 def test_walk_guard_exits_2(argv):
-    # the Euler check would walk C(16003, 3) monomials of x1..x3
-    r = run(*argv, "--cap", "16000")
+    # the prefix sums of the Hilbert values in 4 variables up to degree
+    # 10^7 alone count 4 * 4 * (10^7 + 1) steps
+    t0 = time.perf_counter()
+    r = run(*argv, "--cap", "10000000")
+    assert time.perf_counter() - t0 < 1.0
     _assert_input_error(r)
-    assert "walks 682922696001 monomials, above WALK_GUARD" in r.stderr
+    assert ("in 4 variables up to degree 10000000 passes NUMERATOR_GUARD = 40000000"
+            in r.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,12 +393,13 @@ def test_walk_guard_exits_2(argv):
     ("inequality", "--ideal-i", "ideal(a^100000000)", "--ideal-j", "ideal(a)"),
 ])
 def test_walk_guard_counts_the_degrees_of_the_cap(argv):
-    # one variable walks one monomial, but the Euler check runs over the
-    # 100000002 degrees of the default cap 100000001
+    # one generator, but the default cap 100000001 has 100000002 degrees
+    t0 = time.perf_counter()
     r = run(*argv)
+    assert time.perf_counter() - t0 < 1.0
     _assert_input_error(r)
-    assert ("cap 100000001 in 1 variables walks 1 monomials, above WALK_GUARD"
-            in r.stderr)
+    assert ("Hilbert numerator of 1 generators in 1 variables up to degree "
+            "100000001 passes NUMERATOR_GUARD" in r.stderr)
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,12 +407,54 @@ def test_walk_guard_counts_the_degrees_of_the_cap(argv):
     ("inequality", "--ideal-i", "ideal(x16)", "--ideal-j", "ideal(x1)"),
 ])
 def test_walk_guard_checks_default_cap(argv):
-    # no --cap: the default cap 1 + 16 walks C(32, 15) monomials of x1..x15
+    # the default cap 1 + 16 in 16 variables, where the numerator of one
+    # linear generator is 1 - t
     t0 = time.perf_counter()
     r = run(*argv)
     assert time.perf_counter() - t0 < 1.0
+    assert r.exit_code == 0, r.output
+    assert r.stderr == ""
+
+
+def test_betti_takes_the_lcm_once_per_table(monkeypatch):
+    # the Taylor cap, `certified` and the Koszul route share one lcm
+    calls = {"lcm": 0, "table": 0}
+    lcm, table = MonomialIdeal.lcm_of_gens, betti.betti_table
+
+    def counted_lcm(self):
+        calls["lcm"] += 1
+        return lcm(self)
+
+    def counted_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(MonomialIdeal, "lcm_of_gens", counted_lcm)
+    monkeypatch.setattr(betti, "betti_table", counted_table)
+    r = run("betti", "--ideal", "ideal(a^2*b, b*c^2, c*d)")
+    assert r.exit_code == 0, r.output
+    assert calls["table"] >= 1 and calls["lcm"] == calls["table"]
+
+
+def test_koszul_fallback_stops_listing_divisors_at_the_guard(monkeypatch):
+    # four coprime blocks a^4*b^4, c^4*d^4, ... in 8 variables have no
+    # linear quotients, and 24^4 = 331776 standard divisors of their lcm,
+    # past MULTIDEGREE_GUARD >> 8 = 39062: the listing stops one run of
+    # the last variable past that
+    listed = []
+    divisors = MonomialIdeal.standard_divisors_of
+
+    def counted(self, *args):
+        out = divisors(self, *args)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(MonomialIdeal, "standard_divisors_of", counted)
+    r = run("betti", "--ideal", "ideal(a^4*b^4, c^4*d^4, e^4*f^4, g^4*h^4)",
+            "--cap", "8")
     _assert_input_error(r)
-    assert "cap 17 in 16 variables walks 565722720 monomials" in r.stderr
+    assert "multidegree enumeration guard exceeded" in r.stderr
+    assert listed and max(listed) <= (betti.MULTIDEGREE_GUARD >> 8) + 5
 
 
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])

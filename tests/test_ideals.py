@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -97,6 +98,55 @@ def test_standard_divisors_oracle(I):
             if divides(m, cap) and not brute_contains(I, m):
                 expected.add(m)
     assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.integers(0, 30))
+def test_standard_divisors_stop_past_the_limit(I, limit):
+    # the walk stops after the run of x_n that passes the limit
+    cap = I.lcm_of_gens()
+    full = I.standard_divisors_of(cap)
+    cut = I.standard_divisors_of(cap, limit)
+    if len(full) <= limit:
+        assert cut == full
+    else:
+        assert limit < len(cut) <= limit + cap[-1] + 1
+        assert cut == full[:len(cut)]
+
+
+# ideals with mixed and pure-power generators, the unit ideal among them
+exponent_ideals = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1,
+                       max_size=8).map(lambda gens: MonomialIdeal.from_gens(n, gens))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_ideals, st.integers(0, 9))
+@example(MonomialIdeal.from_gens(2, [(1, 1), (2, 0)]), 2)
+@example(MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 2, 1), (3, 0, 1)]), 4)
+@example(MonomialIdeal.from_gens(2, [(0, 0)]), 3)
+def test_numerator_values_match_standard_divisor_counts(I, top):
+    # every monomial of degree <= top divides (top, ..., top)
+    counts = [0] * (top + 1)
+    for u in I.standard_divisors_of((top,) * I.nvars):
+        if sum(u) <= top:
+            counts[sum(u)] += 1
+    assert I.hilbert_values(top) == counts
+
+
+def test_numerator_of_coprime_generators_is_their_product():
+    # (a^2, b*c) in 3 variables: K(t) = (1 - t^2)^2
+    I = MonomialIdeal.from_gens(3, [(2, 0, 0), (0, 1, 1)])
+    assert I.hilbert_numerator(6) == [1, 0, -2, 0, 1, 0, 0]
+
+
+def test_numerator_guard_refuses_before_it_builds_a_list():
+    I = MonomialIdeal.from_gens(1, [(10**8,)])
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="up to degree 100000001 passes NUMERATOR_GUARD"):
+        I.hilbert_values(10**8 + 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @settings(max_examples=40, deadline=None)

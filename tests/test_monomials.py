@@ -7,7 +7,6 @@ from idealreg.monomials import (
     divides,
     format_monomial,
     gcd_monomial,
-    lcm_monomial,
     mono_div,
     mono_mul,
     monomial_basis,
@@ -15,7 +14,7 @@ from idealreg.monomials import (
     support,
     variable,
 )
-from oracles import compare_revlex
+from oracles import compare_revlex, lcm_monomial
 
 monomials = st.integers(1, 5).flatmap(
     lambda n: st.tuples(*[st.integers(0, 4)] * n)

@@ -7,7 +7,8 @@
   2002) resolve I minimally, so beta_{i,i+j}(I) is the sum of C(r_k, i)
   over the k with deg u_k = j, over any field.  The order comes from a
   greedy pass (`quotients.greedy_order`) and is re-checked from scratch by
-  `quotients.check_order` before the table is read off it.  The order is
+  `quotients.check_order` before the table is read off it; the pass
+  refuses past `quotients.INDEX_GUARD` before it indexes G(I).  The order is
   asserted degree-non-decreasing, the orders for which the cones are
   proved minimal (Herzog and Hibi, Monomial Ideals, Lemma 8.2.1).  When
   the greedy pass gives up the table takes the monomial route.
@@ -194,8 +195,6 @@ def _homology_of_complex(levels, p):
 def _monomial_candidates(std, std_set, lcm, n, cap):
     """Multidegrees that can carry homology: standard divisor of lcm(G)
     times a squarefree monomial, still dividing lcm(G) and lying in I."""
-    if len(std) << n > MULTIDEGREE_GUARD:
-        raise ValueError("multidegree enumeration guard exceeded")
     seen = set()
     for s in std:
         allowed = [v for v in range(n) if s[v] < lcm[v]]
@@ -212,14 +211,17 @@ def _monomial_candidates(std, std_set, lcm, n, cap):
 
 def _monomial_entries(mi, lcm, cap, p):
     """Nonzero beta_ij(R/I), j <= cap, summed over the candidate multidegrees
-    of lcm = lcm(G(mi)), whose standard divisors are listed only as far as
-    `_monomial_candidates` admits.
+    of lcm = lcm(G(mi)): 2^n per standard divisor at most, so the divisors
+    are listed only up to MULTIDEGREE_GUARD >> n, past which it refuses.
 
     Many candidates share one upper Koszul complex once its faces are
     labelled by support position, so its homology is taken once per
     distinct complex, in a memo that lives for this call only.
     """
-    std = mi.standard_divisors_of(lcm, MULTIDEGREE_GUARD >> mi.nvars)
+    limit = MULTIDEGREE_GUARD >> mi.nvars
+    std = mi.standard_divisors_of(lcm, limit)
+    if len(std) > limit:
+        raise ValueError("multidegree enumeration guard exceeded")
     std_set = set(std)
     entries = {(0, 0): 1}
     homology = {}  # complex, as a tuple of levels -> its h list

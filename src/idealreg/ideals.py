@@ -11,32 +11,31 @@ a given one, the ground set of the Koszul route of `betti`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
-from operator import add, le
+from operator import add, itemgetter, le
 
 from .monomials import degree, one, support
 
 # NUMERATOR_GUARD bounds the steps of `MonomialIdeal.hilbert_numerator`,
-# counted as it goes: per memo entry one per generator and per
-# divisibility test of its colon, and four per slot of its degree lists
-# (top + 1, per generator in a coprime base case, per variable for the
-# prefix sums): each coefficient passes through about four lists, and a
-# large top costs memory rather than steps.  Timings (2 cores, Python
-# 3.11) of `hilbert_values` alone, median of 3, and of one `idealreg
-# betti` call (two tables) in a fresh process, with its peak RSS, most of
-# which the linear-quotient route's generator index takes on the
-# squarefree Veronese ideals I_{m,d} (degree d, m variables):
-#   "ideal(x16)", cap 17:                1 297 steps  0.00 s   0.2 s   18 MB
-#   J_2^4 in 7 variables, cap 28:      292 413 steps  0.06 s   0.3 s   25 MB
-#   I_{15,7}, cap 10:                5 107 461 steps  0.71 s   2.7 s  129 MB
-#   I_{16,6}, cap 22:               10 267 400 steps  1.06 s   4.0 s  211 MB
-#   I_{100,2}, cap 2:                4 350 857 steps  2.73 s  10.7 s  739 MB
-#   I_{26,4}, cap 4:                31 519 268 steps  3.76 s
-#   "ideal(a^3333330)", its cap:    39 999 985 steps  0.09 s   1.6 s  170 MB
-NUMERATOR_GUARD = 40_000_000
+# counted as it goes.  A step is one exponent read: n per generator of a
+# memo entry and per divisibility test of its colon, at most one test per
+# generator and kept colon generator.  A slot of a degree list (top + 1
+# per entry, per generator in a coprime base case, per variable for the
+# prefix sums) counts _SLOT_STEPS, as it is held to the end: a large top
+# costs memory rather than time.  Timings (2 cores, Python 3.11) of
+# `hilbert_values` alone, median of 3, and of one `idealreg betti` call
+# (two tables) in a fresh process with its peak RSS; I_{m,d} is the
+# squarefree Veronese ideal (degree d, m variables), J_2 `chain_ideal`:
+#   "ideal(x16)", cap 17:              32 416 steps  0.00 s  0.1 s   18 MB
+#   J_2^4 in 7 variables, cap 28:  15 567 931 steps  0.10 s  0.4 s   25 MB
+#   I_{15,7}, cap 10:             615 181 880 steps  1.23 s  3.2 s  125 MB
+#   I_{16,6}, cap 22:             920 162 232 steps  2.14 s  5.3 s  220 MB
+#   "ideal(a^3333330)", its cap:  999 999 601 steps  0.07 s  0.5 s  171 MB
+#   I_{100,2}, cap 2:           1 717 049 500 steps  8.29 s  (refused)
+NUMERATOR_GUARD = 1_000_000_000
+_SLOT_STEPS = 100
 
 
 def minimalize(monomials):
@@ -53,30 +52,6 @@ def minimalize(monomials):
         if not any(all(map(le, v, u)) for v in islice(out, lower)):
             out.append(u)
     return out
-
-
-def _colon(gens, i, e):
-    """Minimal generators of (gens) : x_i^e, gens minimal, and the number
-    of divisibility tests made.  g' = g : x_i^e can be divided by another
-    h' only when g_i < h_i <= e, so only the g' with g_i < e are tested,
-    against the h' of lower degree with h_i <= e, support masks first."""
-    cut = [(g[:i] + (max(g[i] - e, 0),) + g[i + 1:], g[i]) for g in gens]
-    out = [c for c, x in cut if x >= e]
-    low = [c for c, x in cut if x < e]
-    top = max(map(sum, low), default=0)
-    divisors = sorted((c for c, x in cut if x <= e and sum(c) < top), key=sum)
-    degrees = [sum(c) for c in divisors]
-    mask = lambda u: int.from_bytes(bytes(map(bool, u)), "big")
-    masks = list(map(mask, divisors))
-    tests = 0
-    for c in low:
-        below, outside = bisect_left(degrees, sum(c)), ~mask(c)
-        k = next((k for k in range(below) if not masks[k] & outside
-                  and all(map(le, divisors[k], c))), below)
-        tests += min(k + 1, below)
-        if k == below:
-            out.append(c)
-    return out, tests
 
 
 def _sort_key(u):
@@ -177,7 +152,7 @@ class MonomialIdeal:
                 return memo[gens, top]
             counts = [len(gens) - col.count(0) for col in zip(*gens)]
             if max(counts, default=0) <= 1:  # pairwise coprime
-                charge(len(gens) + 4 * (len(gens) + 1) * (top + 1))
+                charge(n * len(gens) + _SLOT_STEPS * (len(gens) + 1) * (top + 1))
                 K = [1] + [0] * top
                 for d in map(sum, gens):
                     K[d:] = [a - b for a, b in zip(K[d:], K)]
@@ -185,8 +160,8 @@ class MonomialIdeal:
                 i = counts.index(max(counts))
                 mixed = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
                 e = mixed[len(mixed) // 2]
-                colon, tests = _colon(gens, i, e)
-                charge(len(gens) + tests + 4 * (top + 1))
+                colon = minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+                charge(n * len(gens) * (1 + len(colon)) + _SLOT_STEPS * (top + 1))
                 power = (0,) * i + (e,) + (0,) * (n - i - 1)
                 K = list(numerator([g for g in gens if g[i] < e] + [power], top))
                 for j, c in enumerate(numerator(colon, top - e), e):
@@ -194,33 +169,43 @@ class MonomialIdeal:
             memo[gens, top] = K
             return K
 
-        charge(4 * n * (top + 1))  # the prefix sums of `hilbert_values`
+        charge(_SLOT_STEPS * n * (top + 1))  # the prefix sums of `hilbert_values`
         return numerator(self.gens, top)
 
     def standard_divisors_of(self, cap_monomial, limit=float("inf")):
         """Standard monomials dividing cap_monomial, prefix by prefix of
-        x1..x_{n-1}.  Only the generators that divide some extension of a
-        prefix stay live; one with no later variable ends the run of the
-        prefix's last variable, and a standard prefix adds its run of
-        standard x_n exponents.  The walk stops once it holds more than
-        `limit`."""
+        x1..x_{n-1}; the walk stops once it holds more than `limit`.  A
+        generator that uses no variable after x_pos ends the run of x_pos
+        at its exponent; any other joins the live list once its exponent
+        of x_pos is reached, and only live generators are tested below."""
         n, out = self.nvars, []
+        last = {g: max((i for i, x in enumerate(g) if x), default=-1)
+                for g in self.gens}
+        prefix = [0] * (n - 1)
 
-        def visit(pos, prefix, alive):
+        def visit(pos, alive):
+            hi, pending = cap_monomial[pos], []
+            for g in alive:
+                if last[g] > pos:
+                    pending.append(g)
+                elif g[pos] <= hi:
+                    hi = g[pos] - 1
             if pos == n - 1:
-                hi = min([cap_monomial[pos]] + [g[pos] - 1 for g in alive])
-                out.extend(prefix + (b,) for b in range(hi + 1))
-                return len(out) > limit
-            for a in range(cap_monomial[pos] + 1):
-                live = [g for g in alive if g[pos] <= a]
-                if any(not any(g[pos + 1:]) for g in live):
-                    return False
-                if visit(pos + 1, prefix + (a,), live):
+                out.extend((*prefix, b) for b in range(hi + 1))
+                return len(out) > limit  # True stops the walk
+            pending.sort(key=itemgetter(pos))
+            live, k = [], 0  # grows with a; each child reads it before it grows
+            for a in range(hi + 1):
+                while k < len(pending) and pending[k][pos] <= a:
+                    live.append(pending[k])
+                    k += 1
+                prefix[pos] = a
+                if visit(pos + 1, live):
                     return True
             return False
 
         if n:  # the only ideal in no variables is the unit ideal
-            visit(0, (), self.gens)
+            visit(0, self.gens)
         return out
 
     def __str__(self):

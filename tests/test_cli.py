@@ -1,10 +1,11 @@
 import json
 import time
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from idealreg import betti, linforms
+from idealreg import betti, linforms, quotients
 from idealreg.cli import main
 from idealreg.fields import PRIME_BOUND
 from idealreg.graded import RegularityCertificate
@@ -379,12 +380,12 @@ def test_linforms_sat_default_cap_guard_exits_2():
 ])
 def test_walk_guard_exits_2(argv):
     # the prefix sums of the Hilbert values in 4 variables up to degree
-    # 10^7 alone count 4 * 4 * (10^7 + 1) steps
+    # 10^7 alone count 4 * (10^7 + 1) slots of 100 steps each
     t0 = time.perf_counter()
     r = run(*argv, "--cap", "10000000")
     assert time.perf_counter() - t0 < 1.0
     _assert_input_error(r)
-    assert ("in 4 variables up to degree 10000000 passes NUMERATOR_GUARD = 40000000"
+    assert ("in 4 variables up to degree 10000000 passes NUMERATOR_GUARD = 1000000000"
             in r.stderr)
 
 
@@ -455,6 +456,27 @@ def test_koszul_fallback_stops_listing_divisors_at_the_guard(monkeypatch):
     _assert_input_error(r)
     assert "multidegree enumeration guard exceeded" in r.stderr
     assert listed and max(listed) <= (betti.MULTIDEGREE_GUARD >> 8) + 5
+
+
+def test_betti_refuses_a_large_generator_index_before_building_it(monkeypatch):
+    # the 4950 products x_i*x_j of 100 variables: r^2 n = 2450250000 bits,
+    # past INDEX_GUARD; the refusal comes before any index is built
+    builds = []
+    index = quotients.GeneratorIndex.__init__
+
+    def counted(self, gens):
+        builds.append(len(gens))
+        index(self, gens)
+
+    monkeypatch.setattr(quotients.GeneratorIndex, "__init__", counted)
+    text = "ideal(" + ", ".join(f"x{i}*x{j}" for i, j in combinations(range(1, 101), 2)) + ")"
+    t0 = time.perf_counter()
+    r = run("betti", "--ideal", text, "--cap", "2")
+    assert time.perf_counter() - t0 < 1.0
+    _assert_input_error(r)
+    assert ("generator index of 4950 generators in 100 variables: r^2 n = 2450250000 "
+            "bits, above INDEX_GUARD" in r.stderr)
+    assert builds == []
 
 
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])

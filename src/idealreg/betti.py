@@ -161,16 +161,10 @@ def _upper_koszul_faces(a, std_set):
         layer = nxt
 
 
-def _boundary_rows(domain, codomain_index, p):
-    """Simplicial boundary rows with int signs: 1 and -1 (QQ) or p - 1 (GF(p))."""
-    signs = (1, p - 1 if p else -1)
-    rows = []
-    for face in domain:
-        row = {}
-        for k in range(len(face)):
-            row[codomain_index[face[:k] + face[k + 1 :]]] = signs[k % 2]
-        rows.append(row)
-    return rows
+def _boundary_rows(domain, codomain_index):
+    """Simplicial boundary rows with int signs 1 and -1."""
+    return [{codomain_index[face[:k] + face[k + 1 :]]: -1 if k % 2 else 1
+             for k in range(len(face))} for face in domain]
 
 
 def _homology_of_complex(levels, p):
@@ -182,7 +176,7 @@ def _homology_of_complex(levels, p):
     index_maps = [{f: k for k, f in enumerate(lv)} for lv in levels]
     boundaries = [None]
     for c in range(1, len(levels)):
-        boundaries.append(_boundary_rows(levels[c], index_maps[c - 1], p))
+        boundaries.append(_boundary_rows(levels[c], index_maps[c - 1]))
     for c in range(1, len(levels) - 1):
         composite = linalg.matmul(boundaries[c + 1], boundaries[c], p)
         check(all(not row for row in composite), "koszul sign error")
@@ -316,7 +310,6 @@ class StrandEngine:
         subs, _ = self._subset_offsets(i)
         _, index_dst = self._subset_offsets(i - 1)
         qdim_src = quotient_basis(self.I, e).dim
-        p = self.p
         mult = self._mult_rows(e)
         rows = []
         for S in subs:
@@ -328,7 +321,7 @@ class StrandEngine:
                 row = {}
                 for off, odd, mrows in blocks:
                     for q2, c in mrows[q].items():
-                        row[off + q2] = (p - c if p else -c) if odd else c
+                        row[off + q2] = -c if odd else c
                 rows.append(row)
         self._rows[key] = rows
         return rows

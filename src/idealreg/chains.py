@@ -33,7 +33,6 @@ from .monomials import (
     mono_div,
     mono_mul,
     monomial_basis,
-    one,
     support,
     variable,
 )
@@ -84,14 +83,8 @@ def chain_generators(n, k):
     """All degree-k gap chains in n variables; there are C(n-k+1, k)."""
     if not 1 <= k <= (n + 1) // 2:
         raise ValueError(f"chain degree {k} outside 1..{(n + 1) // 2}")
-    out = []
-    for picks in combinations_with_replacement(range(1, n - 2 * (k - 1) + 1), k):
-        idx = [p + 2 * j for j, p in enumerate(picks)]
-        m = one(n)
-        for i in idx:
-            m = mono_mul(m, variable(i, n))
-        out.append(m)
-    return out
+    return [_chain_monomial(tuple(p + 2 * j for j, p in enumerate(picks)), n)
+            for picks in combinations_with_replacement(range(n - 2 * (k - 1)), k)]
 
 
 def chain_ideal(n, k):

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 from operator import add, itemgetter, le
 
-from .monomials import degree, one, support
+from .monomials import check_ambient, degree, one, support
 
 # NUMERATOR_GUARD bounds the steps of `MonomialIdeal.hilbert_numerator`,
 # counted as it goes.  A step is one exponent read: n per generator of a
@@ -105,6 +105,7 @@ class MonomialIdeal:
         """The same ideal in n >= nvars variables (x_{nvars+1}.. unused)."""
         if n == self.nvars:
             return self
+        check_ambient(n, len(self.gens))
         return MonomialIdeal.from_gens(
             n, [g + (0,) * (n - self.nvars) for g in self.gens]
         )

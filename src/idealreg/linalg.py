@@ -1,7 +1,8 @@
 """Sparse exact row reduction on integer rows.
 
 Every function takes the field as its characteristic p, 0 for QQ.  Rows
-are dicts {column index: nonzero int}: integers over QQ, residues mod p.
+are dicts {column index: nonzero int}, over GF(p) not necessarily
+residues: every row stored or returned but a kernel vector is reduced.
 
 There is one elimination loop per field kind, both on plain Python ints:
 an echelon pass that reduces each row at its leftmost entry until that
@@ -226,7 +227,7 @@ def kernel_basis(rref_rows, pivots, ncols, p):
         m = lcm(*(a for _, _, a in hits))
         v = {f: m}
         for q, c, a in hits:
-            v[q] = p - c if p else -c * (m // a)
+            v[q] = -c * (m // a)
         out.append(v)
     return out
 
@@ -268,7 +269,7 @@ def intersect_rowspaces(space_a, space_b, p):
             sys_rows.setdefault(j, {})[i] = v
     for i, row in enumerate(rows_b):
         for j, v in row.items():
-            sys_rows.setdefault(j, {})[ra + i] = p - v if p else -v
+            sys_rows.setdefault(j, {})[ra + i] = -v
     ker = kernel(list(sys_rows.values()), ra + rb, p)
     alphas = [{i: c for i, c in k.items() if i < ra} for k in ker]
     return row_reduce(matmul(alphas, rows_a, p), p)

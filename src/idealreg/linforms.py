@@ -155,7 +155,7 @@ def product_generators(family):
     return GradedIdealView(n, gens, p)
 
 
-def _adapted_products(rows, pivots, n, p):
+def _adapted_products(rows, pivots, n):
     """Memoized products in coordinates adapted to a subspace of R_1.
 
     The subspace is given by its RREF: sparse int `rows` with pivot
@@ -166,9 +166,8 @@ def _adapted_products(rows, pivots, n, p):
     A product is its predecessor (one unit taken off its last nonzero
     exponent) times one form, the predecessor's columns shifted through
     the maps of `multiplication_maps`.  Products and maps are kept for the
-    life of the closure, so calls over several degrees share them.  Over
-    GF(p) each product is reduced mod p once; with p = 0 it is exact
-    over the integers.
+    life of the closure, so calls over several degrees share them.  They
+    are exact over the integers; `linalg` reduces mod p the rows it stores.
     """
     pivset = set(pivots)
     forms = list(rows) + [{j: 1} for j in range(n) if j not in pivset]
@@ -190,11 +189,7 @@ def _adapted_products(rows, pivots, n, p):
                 for j, a in pred.items():
                     t = col[j]
                     acc[t] = acc.get(t, 0) + a * c
-            if p:
-                poly = {t: w for t, a in acc.items() if (w := a % p)}
-            else:
-                poly = {t: a for t, a in acc.items() if a}
-            products[expo] = poly
+            poly = products[expo] = {t: a for t, a in acc.items() if a}
         return poly
 
     return product
@@ -219,7 +214,7 @@ def power_piece(V, k, degrees):
     n = V.nvars
     p = V.characteristic
     rows = [{j: c for j, c in enumerate(r) if c} for r in V.rows]
-    product = _adapted_products(rows, V.pivots, n, p)
+    product = _adapted_products(rows, V.pivots, n)
     r = V.dim
     pieces = []
     for e in degrees:
@@ -266,7 +261,7 @@ def power_annihilator(V, k, degrees):
         linalg.kernel_basis(rows, V.pivots, n, p), p
     )
     r = len(w_rows)
-    product = _adapted_products(w_rows, w_pivots, n, 0)
+    product = _adapted_products(w_rows, w_pivots, n)
     out = []
     for e in degrees:
         basis = monomial_basis(n, e)

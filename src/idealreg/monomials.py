@@ -94,14 +94,35 @@ def var_name(i, n):
     return f"x{i}"
 
 
+# AMBIENT_GUARD bounds what an input's ambient costs before any exponent
+# tuple is built: r generators in n variables weigh n * (r + 16) cells, an
+# exponent per cell plus the state each layer keeps per variable (about 16
+# cells' worth).  `parse_monomial`, `MonomialIdeal.padded` and
+# `transversal_ideal` check it.  Fresh process, 2 cores, Python 3.11:
+#   quotients search "ideal(x58823)":          999 991 cells  0.26 s  71 MB
+#   betti --cap 2 "ideal(x1, ..., x99, x8620)": 999 920 cells  1.07 s  34 MB
+#   polymatroid check, the x_i x_j in 100 vars: 496 600 cells  0.82 s  61 MB
+#   quotients check "ideal(x3000000)": 51 000 000 cells, refused in 0.11 s
+AMBIENT_GUARD = 1_000_000
+
+
+def check_ambient(n, gens):
+    """Refuse gens generators in n variables past AMBIENT_GUARD."""
+    cells = n * (gens + 16)
+    if cells > AMBIENT_GUARD:
+        raise ValueError(f"{gens} generators in {n} variables weigh {cells} cells, "
+                         f"above AMBIENT_GUARD = {AMBIENT_GUARD}")
+
+
 _FACTOR_RE = re.compile(r"^(x(\d+)|[a-z])(?:\^(\d+))?$")
 
 
-def parse_monomial(text, nvars=None):
+def parse_monomial(text, nvars=None, gens=1):
     """Parse ``a^2*b`` / ``x1^2*x3`` syntax.
 
     Returns (exponents, max_index_used); the tuple is padded to `nvars`
-    when given, else to the largest index seen.
+    when given, else to the largest index seen, once `check_ambient`
+    admits it for the `gens` generators parsed with this one.
     """
     text = text.strip()
     exps = {}
@@ -123,6 +144,7 @@ def parse_monomial(text, nvars=None):
     n = top if nvars is None else nvars
     if top > n:
         raise ValueError(f"variable index {top} exceeds ambient {n}")
+    check_ambient(n, gens)
     return tuple(exps.get(i, 0) for i in range(1, n + 1)), top
 
 

@@ -34,11 +34,12 @@ def parse_ideal_gens(text):
     body = m.group(1).strip()
     if not body:
         raise ParseError("empty ideal")
+    pieces = body.split(",")
     parsed = []
-    for p in body.split(","):
+    for p in pieces:
         p = p.strip()
         try:
-            parsed.append(parse_monomial(p))
+            parsed.append(parse_monomial(p, gens=len(pieces)))
         except ValueError as exc:
             raise ParseError(f"bad monomial {p!r}: {exc}") from exc
     top = max(used for _, used in parsed)

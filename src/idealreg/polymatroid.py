@@ -16,7 +16,7 @@ from operator import or_
 
 from . import check
 from .ideals import MonomialIdeal
-from .monomials import format_monomial, mono_mul, variable
+from .monomials import check_ambient, format_monomial, mono_mul, variable
 from .quotients import QuotientCertificate, check_order  # noqa: F401 (bench/selftest.py traces it)
 
 
@@ -26,19 +26,19 @@ TRANSVERSAL_GUARD = 10_000_000
 # r * n * min(n, r) steps on r generators in n variables.  Before each
 # product the c = |G(acc)| * |A_k| candidate products bound r, and
 # TRANSVERSAL_GUARD bounds the sum of c * n * min(n, c) over the products
-# so far.  Timings of `polymatroid transversal`, in-process with the
-# guard lifted (2 cores, Python 3.11; median of three), as generators,
-# steps -> time and peak RSS:
-#   6 copies of {1..12}:                   924,   2 738 880 -> 0.14 s,  23 MB
-#   12 disjoint pairs in 24 variables:    4096,   4 708 224 -> 0.56 s,  59 MB
-#   8 disjoint triples in 24 variables:   6561,   5 662 872 -> 0.82 s, 126 MB
-#   5 disjoint 6-sets in 30 variables:    7776,   8 391 600 -> 1.14 s, 223 MB
-#   6 copies of {1..14}:                  3003,   9 527 168 -> 0.42 s,  42 MB
-#   13 disjoint pairs in 26 variables:    8192,  11 062 688 -> 1.56 s, 172 MB (refused)
-#   7 copies of {1..14}:                  3432,  17 767 400 -> 0.67 s,  50 MB (refused)
-#   12 disjoint pairs, 10 singletons:     4096,  56 791 968 -> 4.17 s,  84 MB (refused)
-#   {1..100}, then 190 singletons:         100, 551 000 000 -> 5.04 s,  22 MB (refused)
-#   8 copies of {1..16}:                 12870, 107 855 872 -> 7.00 s, 384 MB (refused)
+# so far.  Timings of `transversal_ideal` in a fresh process with the
+# guard lifted (2 cores, Python 3.11; median of three processes), as
+# generators, steps -> time and peak RSS:
+#   6 copies of {1..12}:                   924,   2 738 880 -> 0.09 s,  17 MB
+#   12 disjoint pairs in 24 variables:    4096,   4 708 224 -> 0.37 s,  24 MB
+#   8 disjoint triples in 24 variables:   6561,   5 662 872 -> 0.79 s,  33 MB
+#   5 disjoint 6-sets in 30 variables:    7776,   8 391 600 -> 0.77 s,  41 MB
+#   6 copies of {1..14}:                  3003,   9 527 168 -> 0.37 s,  24 MB
+#   13 disjoint pairs in 26 variables:    8192,  11 062 688 -> 1.52 s,  41 MB (refused)
+#   7 copies of {1..14}:                  3432,  17 767 400 -> 0.66 s,  27 MB (refused)
+#   12 disjoint pairs, 10 singletons:     4096,  56 791 968 -> 3.75 s,  31 MB (refused)
+#   {1..100}, then 190 singletons:         100, 551 000 000 -> 3.86 s,  17 MB (refused)
+#   8 copies of {1..16}:                 12870, 107 855 872 -> 3.22 s,  93 MB (refused)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def is_polymatroidal(I):
     nu_j(v) <= nu_j(u) for every j with x_j u / x_i in G(I); the lowest bit
     over all i is the first failing v.  The generators of one degree
     reached from u by raising x_j are the x_j u / x_l, so x_j u / x_i is
-    among them exactly when one of them has less x_i than u.
+    among them exactly when one of them has less x_i than u: the v above u
+    in such an x_j are `index.covered(k, lower)`, lower the v with less x_i.
     """
     if not I.is_equigenerated:
         g = I.gens
@@ -77,16 +78,11 @@ def is_polymatroidal(I):
     index = I.generator_index
     ordered = index.gens
     every = (1 << len(ordered)) - 1
-    for u, raises in zip(ordered, index.raises):
+    for k, u in enumerate(ordered):
         fails = []
         for at, above, e in zip(index.at, index.above, u):
-            # lower: the v with less x_i than u
-            f = lower = every & ~(at[e] | above[e]) if e else 0
-            if f:  # drop the v above u in some x_j with x_j u / x_i in G(I)
-                for _, ups, higher in raises:
-                    if ups & lower:
-                        f &= ~higher
-            fails.append(f)
+            lower = every & ~(at[e] | above[e]) if e else 0
+            fails.append(lower & ~index.covered(k, lower) if lower else 0)
         failing = reduce(or_, fails, 0)
         if failing:
             first = failing & -failing
@@ -161,6 +157,7 @@ def transversal_ideal(nvars, subsets):
     for A in subsets:
         if A[0] < 1 or A[-1] > nvars:
             raise ValueError("variable index out of range")
+    check_ambient(nvars, len(subsets[0]))
     acc = MonomialIdeal.from_gens(nvars, [variable(i, nvars) for i in subsets[0]])
     steps = 0
     for k, A in enumerate(subsets[1:], 2):

@@ -17,7 +17,7 @@ order (`MonomialIdeal.generator_index`), built on first read.
 `search_order`, `greedy_order` and `polymatroid.is_polymatroidal` read
 it, and `polymatroid.revlex_certificate` is its `certificate`.
 `greedy_order`, the route of `betti`, refuses past INDEX_GUARD for the
-r^2 n bits an index can hold before it reads one.
+r^2 n bit operations of building an index before it reads one.
 `check_order` builds an index of its own for the order it is given, and
 so does `verify_certificate` through it: a certificate is re-checked from
 scratch, not from the state of the search that found it.
@@ -45,19 +45,20 @@ from .monomials import (
     gcd_monomial,
     mono_div,
     parse_monomial,
-    variable,
+    var_name,
 )
 
 SEARCH_GUARD = 24
 
-# INDEX_GUARD bounds r^2 n, the bits an index of r generators in n
-# variables can hold: up to n raise entries per generator, each an r-bit
-# set.  `greedy_order` builds two, its own and `check_order`'s.  Its time
-# and peak RSS in a fresh process (2 cores, Python 3.11) on the
-# squarefree Veronese ideals I_{m,d} (degree d, m variables):
-#   I_{15,7}:   r^2 n = 0.62e9   0.40 s  113 MB
-#   I_{16,6}:   r^2 n = 1.03e9   0.67 s  198 MB
-#   I_{100,2}:  r^2 n = 2.45e9   2.38 s  735 MB
+# INDEX_GUARD bounds r^2 n, the bit operations of building an index of r
+# generators in n variables (a few r-bit ORs per generator and variable).
+# `greedy_order` builds two, its own and `check_order`'s.  Its time and
+# peak RSS in a fresh process with the guard lifted (2 cores, Python 3.11)
+# on the squarefree Veronese ideals I_{m,d} (degree d, m variables):
+#   I_{15,7}:   r^2 n = 0.62e9   0.27 s   36 MB
+#   I_{16,6}:   r^2 n = 1.03e9   0.29 s   47 MB
+#   I_{100,2}:  r^2 n = 2.45e9   0.86 s   98 MB  (refused)
+#   I_{26,4}:   r^2 n = 5.81e9   1.40 s  128 MB  (refused)
 INDEX_GUARD = 1_500_000_000
 
 
@@ -82,10 +83,8 @@ class QuotientCertificate:
     def render(self):
         lines = []
         for u, vs in zip(self.order, self.colon_vars):
-            colon = "(0)" if not vs else "(" + ", ".join(
-                format_monomial(variable(i, self.nvars)) for i in vs
-            ) + ")"
-            lines.append(f"{format_monomial(u)}  :  {colon}")
+            colon = ", ".join(var_name(i, self.nvars) for i in vs) or "0"
+            lines.append(f"{format_monomial(u)}  :  ({colon})")
         return "\n".join(lines)
 
     def to_dict(self):
@@ -126,10 +125,11 @@ class GeneratorIndex:
     entries per variable whatever the exponents.
 
     w = max(g_b - g_k, 0) is the variable x_i exactly when g_b exceeds g_k
-    by one in x_i and in no other variable.  `raises[k]` holds one tuple
-    (i, ups, above[i][g_k[i]]) per such x_i, where ups is the set of those
-    g_b: at[i][g_k[i] + 1] less the g above g_k in some other variable.
-    For gens of one degree these are the moves g_b = g_k * x_i / x_j.
+    by one in x_i and in no other variable: g_b is in ups = at[i][g_k[i] + 1]
+    and not in `twice[k]`, the g above g_k in two variables or more.
+    `raises[k]` holds the shared sets (i, ups, above[i][g_k[i]]) per x_i
+    with ups nonempty; `covered` and `colon` take twice[k] out of the
+    prefix.  For gens of one degree these g_b are the moves g_k x_i / x_j.
 
     The build checks that no g divides another: the g above g_k in no
     variable are its divisors, g_k included.  For the first g_k with
@@ -143,14 +143,13 @@ class GeneratorIndex:
 
     def __init__(self, gens):
         gens = tuple(gens)
-        n = len(gens[0])
         self.gens = gens
         self.at = []
         self.above = []
-        for i in range(n):  # one pass per variable
+        for column in zip(*gens):  # one pass per variable
             at = {}
-            for k, u in enumerate(gens):
-                at[u[i]] = at.get(u[i], 0) | 1 << k
+            for k, c in enumerate(column):
+                at[c] = at.get(c, 0) | 1 << k
             above = {}
             acc = 0
             for c in sorted(at, reverse=True):
@@ -159,35 +158,31 @@ class GeneratorIndex:
             self.at.append(at)
             self.above.append(above)
         self.raises = []
+        self.twice = []
         every = (1 << len(gens)) - 1
         for k, u in enumerate(gens):
             highs = [above[e] for above, e in zip(self.above, u)]
-            # the g above u in some x_j, j > i: suffix ORs of highs
-            after = [0] * n
-            acc = 0
-            for j in range(n - 1, 0, -1):
-                acc |= highs[j]
-                after[j - 1] = acc
-            row = []
-            before = 0  # the g above u in some x_j, j < i
-            for i, (at, e, high) in enumerate(zip(self.at, u, highs)):
-                ups = at.get(e + 1, 0) & ~(before | after[i])
-                if ups:
-                    row.append((i, ups, high))
-                before |= high
+            once = twice = 0  # the g above u in some variable, in two or more
+            for high in highs:
+                twice |= once & high
+                once |= high
             # the g above u in no variable divide u
-            divisors = every & ~before ^ 1 << k
+            divisors = every & ~once ^ 1 << k
             if divisors:
                 v = gens[(divisors & -divisors).bit_length() - 1]
                 raise ValueError(
                     f"generating sequence is not minimal: {format_monomial(v)} "
                     f"divides {format_monomial(u)}"
                 )
-            self.raises.append(tuple(row))
+            self.twice.append(twice)
+            self.raises.append(tuple(
+                (i, at[e + 1], high) for i, (at, e, high)
+                in enumerate(zip(self.at, u, highs)) if e + 1 in at))
 
     def covered(self, k, prefix):
         """Bits of the g_b whose w_b = max(g_b - g_k, 0) meets a variable
         that is the w of some member of prefix."""
+        prefix &= ~self.twice[k]
         covered = 0
         for _, ups, above in self.raises[k]:
             if ups & prefix:
@@ -201,10 +196,11 @@ class GeneratorIndex:
         ones are the variables in it, and it is generated by them exactly
         when every w_b of the prefix meets one of them.
         """
+        raised = prefix & ~self.twice[k]
         covered = 0
         vars_ = []
         for i, ups, above in self.raises[k]:
-            if ups & prefix:
+            if ups & raised:
                 covered |= above
                 vars_.append(i + 1)
         return None if prefix & ~covered else tuple(vars_)

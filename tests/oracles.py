@@ -137,7 +137,7 @@ OMEGA_MUTANTS = {
 # (old, new) edits of quotients.py
 MINIMALITY_MUTANTS = {
     "last variable left out of the set above g_k": [
-        ("before |= high", "before |= high if i < n - 1 else 0"),
+        ("for high in highs:", "for high in highs[:-1]:"),
     ],
     "highest divisor named": [
         ("(divisors & -divisors).bit_length() - 1", "divisors.bit_length() - 1"),
@@ -368,13 +368,8 @@ class AboveAtLeast(GeneratorIndex):
 
 class UnexcludedUps(GeneratorIndex):
     """Mutant index: ups = at[i][e + 1], the g one above g_k in x_i, also
-    those above g_k in another variable."""
+    those above g_k in another variable, as `twice` is empty."""
 
     def __init__(self, gens):
         super().__init__(gens)
-        self.raises = [
-            tuple((i, at[e + 1], above[e])
-                  for i, (at, above, e) in enumerate(zip(self.at, self.above, u))
-                  if e + 1 in at)
-            for u in self.gens
-        ]
+        self.twice = [0] * len(gens)

@@ -452,8 +452,8 @@ def _flip_boundaries_at(monkeypatch, level):
     """Flip one sign in every boundary matrix out of faces of size `level`."""
     boundary_rows = betti._boundary_rows
 
-    def flipped(domain, codomain_index, p):
-        rows = boundary_rows(domain, codomain_index, p)
+    def flipped(domain, codomain_index):
+        rows = boundary_rows(domain, codomain_index)
         if len(domain[0]) == level:
             _flip_one_sign(rows)
         return rows

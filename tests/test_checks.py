@@ -50,6 +50,18 @@ def test_no_unused_import_in_the_library():
     assert not found, f"imported names never used: {found}"
 
 
+def test_only_quotients_reads_the_raise_entries_of_the_index():
+    # the layout of `GeneratorIndex.raises` and `twice` is known to one
+    # module; others ask the index (`covered`, `colon`, `linear`)
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "quotients.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("raises", "twice")
+    ]
+    assert not found, f"raise entries read outside quotients.py: {found}"
+
+
 def test_cli_binds_no_guard():
     # every guard lives in the library module whose work it bounds, so a
     # library caller meets the refusals the commands meet
@@ -79,8 +91,8 @@ if __debug__:
     sys.exit(3)
 boundary_rows = betti._boundary_rows
 
-def flipped(domain, codomain_index, p):
-    rows = boundary_rows(domain, codomain_index, p)
+def flipped(domain, codomain_index):
+    rows = boundary_rows(domain, codomain_index)
     if len(domain[0]) == 2:
         rows[0][min(rows[0])] *= -1
     return rows

@@ -479,6 +479,30 @@ def test_betti_refuses_a_large_generator_index_before_building_it(monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("betti", "--ideal", "ideal(x30000000)"),
+    ("betti", "--ideal", "ideal(x3000000)"),
+    ("inequality", "--ideal-i", "ideal(a)", "--ideal-j", "ideal(x3000000)"),
+    ("quotients", "search", "--ideal", "ideal(x3000000)"),
+    ("quotients", "check", "--ideal", "ideal(x3000000)"),
+    ("polymatroid", "transversal", "--n", "30000000", "--subsets", "1"),
+    ("hankel", "decompose", "--monomial", "a", "--n", "30000000"),
+    # each text is admitted, but not the 3160 quadrics padded to 58823 variables
+    ("inequality", "--ideal-i", "ideal(x58823)", "--ideal-j", "ideal(" + ", ".join(
+        f"x{i}*x{j}" for i, j in combinations(range(1, 81), 2)) + ")"),
+], ids=["betti-30M", "betti-3M", "inequality", "quotients-search",
+        "quotients-check", "polymatroid-transversal", "hankel-decompose",
+        "inequality-padded"])
+def test_a_large_ambient_is_refused_before_any_tuple_is_built(argv):
+    # every layer holds n-long tuples and per-variable sets: the ambient is
+    # weighed where it enters, the text or --n
+    t0 = time.perf_counter()
+    r = run(*argv)
+    assert time.perf_counter() - t0 < 1.0
+    _assert_input_error(r)
+    assert "cells, above AMBIENT_GUARD = 1000000" in r.stderr
+
+
 @pytest.mark.parametrize("body", ["x", "{[1]}", "[[1,0]],,"])
 def test_bad_linforms_body_stderr_is_deterministic(body):
     family = f"linforms({body})"

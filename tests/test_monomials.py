@@ -74,6 +74,16 @@ def test_tau_antisymmetry(pair):
     assert (compare_tau(u, v) == 0) == (u == v)
 
 
+def test_ambient_guard_weighs_variables_and_cells():
+    # n * (r + 16) cells: 58823 * 17 = 999991 and 8620 * 116 = 999920 are
+    # admitted, one more variable is not
+    assert len(parse_monomial("x58823")[0]) == 58823
+    assert len(parse_monomial("a", 8620, gens=100)[0]) == 8620
+    for text, n, r in (("x58824", None, 1), ("a", 8621, 100)):
+        with pytest.raises(ValueError, match="above AMBIENT_GUARD = 1000000"):
+            parse_monomial(text, n, gens=r)
+
+
 def test_revlex_requires_equal_degree():
     with pytest.raises(ValueError):
         compare_revlex((1, 0), (1, 1))

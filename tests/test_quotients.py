@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import permutations
+import tracemalloc
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,22 @@ def test_the_index_holds_one_entry_per_exponent_that_occurs():
         assert [set(at) for at in index.at] == exponents
         assert [set(above) for above in index.above] == exponents
         assert all(len(e) <= len(I.gens) for e in exponents)
+
+
+def test_the_index_of_a_squarefree_veronese_ideal_holds_under_40_mb():
+    # I_{16,6}: 8008 generators in 16 variables, about 89 MB when each raise
+    # entry held a set of its own
+    veronese = [tuple(1 if i in c else 0 for i in range(16))
+                for c in combinations(range(16), 6)]
+    order = revlex_desc(veronese)
+    tracemalloc.start()
+    try:
+        index = GeneratorIndex(order)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index.gens) == 8008
+    assert held < 40_000_000
 
 
 def test_equality_and_hash_ignore_the_held_index():

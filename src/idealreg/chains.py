@@ -26,6 +26,7 @@ from math import comb
 from . import check
 from .ideals import MonomialIdeal
 from .monomials import (
+    check_ambient,
     compare_tau,
     degree,
     format_monomial,
@@ -39,7 +40,22 @@ from .monomials import (
 from .quotients import QuotientCertificate, check_order
 
 OMEGA_GUARD = 50_000
-ENUM_GUARD = 10_000_000
+
+# `omega` enumerates the C(d+n-1, n-1) monomials of degree d in n
+# variables, and the basis, the decomposition cache and the generator
+# index hold about n exponent cells for each.  ENUM_GUARD bounds those
+# size * n cells.  `hankel omega` in a fresh process (2 cores, Python
+# 3.11), cells -> time, peak RSS:
+#   --n 600 --t 1:               360 000 ->  0.26 s   26 MB
+#   --n 2000 --t 1:            4 000 000 ->  1.30 s  111 MB
+#   --n 12 --t 5,5:            4 232 592 ->  3.93 s  109 MB
+#   --n 7 --t 4,4,4,4,4,4:     4 156 425 -> 13.0 s   135 MB
+#   --n 5 --t 3 (20 times):    3 176 880 -> 33.1 s   155 MB
+#   --n 13 --t 5,5:            8 406 398 (refused; 6.97 s, 156 MB, guard lifted)
+#   --n 3000 --t 1:            9 000 000 (refused; 2.87 s, 226 MB, guard lifted)
+# The cells do not count the decomposition work, which grows with the
+# degree: the rows of high degree are the slowest per cell.
+ENUM_GUARD = 5_000_000
 
 # `canonical_decomposition` takes at most d factors from a monomial of
 # degree d in n variables, "a^d" exactly d, and each takes one pass over
@@ -215,10 +231,10 @@ def omega(spec):
     n = spec.nvars
     d = spec.total_degree
     size = comb(d + n - 1, n - 1)
-    if size > ENUM_GUARD:
+    if size * n > ENUM_GUARD:
         raise ValueError(
             f"enumeration guard exceeded: {size} monomials of degree {d} "
-            f"> ENUM_GUARD = {ENUM_GUARD}"
+            f"in {n} variables weigh {size * n} cells > ENUM_GUARD = {ENUM_GUARD}"
         )
     verdicts = {}  # canonical shape -> membership
     members = []
@@ -287,6 +303,7 @@ def certify_product(spec, validate_pairs=True):
     explicit witness.  The certified regularity is sum(t_i).
     """
     om = omega(spec)
+    check_ambient(spec.nvars, len(om.members))
     cert = check_order(spec.nvars, om.members)
     check(isinstance(cert, QuotientCertificate),
           "sigma order must give linear quotients")

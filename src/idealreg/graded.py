@@ -18,9 +18,13 @@ certificate proves nothing.
 
 Saturation is one exact downward recursion for every ideal.  It starts at
 a top degree T with (I^sat)_T = I_T, which the degree of lcm(G(I)) gives
-for a monomial ideal and a certificate at m = T gives for any other
-(sat(I) <= reg(I) <= m), and takes one kernel per degree below.  An
-ideal with no certificate up to the cap gets no number: "not certified".
+for a monomial ideal (or the first degree where R/I vanishes, if lower)
+and a certificate at m = T gives for any other (sat(I) <= reg(I) <= m),
+and takes one kernel per degree below.  An ideal with no certificate up
+to the cap gets no number: "not certified".
+
+Every piece is built by `degree_piece`, which refuses one past
+PIECE_GUARD columns before building it, whichever of these asked.
 """
 
 from __future__ import annotations
@@ -188,6 +192,23 @@ def multiplication_maps(n, e):
     ]
 
 
+# PIECE_GUARD is the most columns of a degree piece, dim R_e =
+# C(e+n-1, n-1): `degree_piece` refuses a larger one before it builds
+# anything, whichever sweep asked for it.  Fresh process, 2 cores, Python
+# 3.11, on one-form factors in 6 variables with coefficients
+# random.Random(5).randint(-5, 5), at the default cap, time and peak RSS:
+#   `linforms reg`, 10 factors, reads R_11:    4368 columns -> 14.4 s  118 MB
+#   `linforms sat`, 10 factors, reads R_11:    4368 columns ->  9.9 s  114 MB
+#   `linforms reg`, 11 factors, reads R_12:    6188 columns (refused; 29.7 s, 193 MB built)
+#   `linforms sat`, 11 factors, reads R_12:    6188 columns (refused; 14.0 s, 187 MB built)
+#   `linforms sat --cap 1`, (x1) in 99 variables, reads R_2:
+#                                              4950 columns ->  0.18 s  30 MB
+# Time grows faster than the column count, and the certificate search
+# adds steps the guard does not count: `linforms reg --cap 1` on (x1) in
+# 99 variables reads the same R_2 and ran past 150 s.
+PIECE_GUARD = 5000
+
+
 def degree_piece(I, e):
     """Basis of I_e as a subspace of R_e (cached in the view's `_pieces`).
 
@@ -195,13 +216,20 @@ def degree_piece(I, e):
     degree-e generators, so each degree reuses the reduced basis one degree
     below.  Each row of I_{e-1} is multiplied by x1..xn by shifting its
     columns through the maps of `multiplication_maps`, built once per
-    degree.  When I_{e-1} = R_{e-1}, I_e = R_e with no reduction.
+    degree.  When I_{e-1} = R_{e-1}, I_e = R_e with no reduction.  A
+    degree whose R_e has more than PIECE_GUARD columns is refused first;
+    the pieces below it have no more.
     """
     if e in I._pieces:
         return I._pieces[e]
     p = I.characteristic
     n = I.nvars
     ncols = ring_dim(n, e)
+    if ncols > PIECE_GUARD:
+        raise ValueError(
+            f"degree-{e} piece in {n} variables has {ncols} columns, "
+            f"above PIECE_GUARD = {PIECE_GUARD}"
+        )
     mindeg = I.min_gen_degree()
     below = degree_piece(I, e - 1) if e > mindeg else None
     if e < mindeg:
@@ -368,9 +396,9 @@ def _bayer_stillman(I, m, candidates):
     and they are all h adds to (J_i)_{m+1}.
     """
     n, p = I.nvars, I.characteristic
+    low, high = degree_piece(I, m), degree_piece(I, m + 1)
     into_m, into_next = multiplication_maps(n, m), multiplication_maps(n, m + 1)
     below = range(ring_dim(n, m - 1))
-    low, high = degree_piece(I, m), degree_piece(I, m + 1)
     forms, dims = [], []
     while low.dim < low.ncols:
         quo = low.quotient
@@ -423,28 +451,20 @@ def _search_certificate(I, m):
 
 
 # `least_certificate`, `saturation_degree` and
-# `linforms.verify_decomposition` sweep degrees up to the cap, and their
-# pieces grow like cap^(n-1).  CAP_GUARD is the largest cap: `linforms
-# sat` on 200 copies of (x1) in 2 variables (cap 200, the guard lifted)
-# took 0.4 s.  PIECE_GUARD is the largest dim R_cap = C(cap+n-1, n-1),
-# the column count of the top piece.  On two-factor families the sweeps
-# at about 5000 columns took 2-10 s (2 cores, Python 3.11), and time
-# grows faster than the column count.
+# `linforms.verify_decomposition` sweep degrees up to the cap.  CAP_GUARD
+# is the largest cap: `linforms sat` on 200 copies of (x1) in 2 variables
+# (cap 200, the guard lifted) took 0.4 s.  The pieces a sweep builds are
+# bounded where they are built, by PIECE_GUARD in `degree_piece`.
 CAP_GUARD = 32
-PIECE_GUARD = 5000
 
 
-def check_cap(nvars, cap, low):
-    """Refuse a sweep up to `cap` in `nvars` variables past CAP_GUARD or
-    PIECE_GUARD, or below `low`, the largest generator degree."""
+def check_cap(cap, low):
+    """Refuse a sweep up to `cap` past CAP_GUARD, or below `low`, the
+    largest generator degree.  The sweep's pieces meet PIECE_GUARD in
+    `degree_piece`, and only those it builds: a certificate at m reads
+    R_m and R_{m+1}, however far the cap is."""
     if cap > CAP_GUARD:
         raise ValueError(f"cap {cap} exceeds CAP_GUARD = {CAP_GUARD}")
-    cols = ring_dim(nvars, cap)
-    if cols > PIECE_GUARD:
-        raise ValueError(
-            f"degree-{cap} piece in {nvars} variables has {cols} columns, "
-            f"above PIECE_GUARD = {PIECE_GUARD}"
-        )
     if cap < low:
         raise ValueError(f"cap {cap} below the largest generator degree {low}")
 
@@ -452,7 +472,7 @@ def check_cap(nvars, cap, low):
 def least_certificate(I, cap):
     """The certificate at the least m in max_gen_degree()..cap that has
     one, or None."""
-    check_cap(I.nvars, cap, I.max_gen_degree())
+    check_cap(cap, I.max_gen_degree())
     for m in range(I.max_gen_degree(), cap + 1):
         cert = regularity_certificate(I, m)
         if cert is not None:
@@ -500,11 +520,13 @@ class SaturationProfile:
 def saturation_degree(I, cap):
     """Degreewise saturation profile of I up to cap, and its sat degree.
 
-    The walk starts at a top degree T with (I^sat)_T = I_T: for a monomial
-    ideal T = deg lcm(G(I)) + 1; otherwise T is the least m in
-    max_gen_degree()..cap with a regularity certificate, since
-    sat(I) <= reg(I) <= m.  Below T, I^sat : m = I^sat gives each degree
-    from the one above,
+    The walk starts at a top degree T with (I^sat)_T = I_T.  For a
+    monomial ideal T is the least degree up to deg lcm(G(I)) + 1 with
+    dim (R/I)_T = 0, read from `hilbert_values`, since then I^sat = R and
+    no higher piece is needed; with none, T = deg lcm(G(I)) + 1, where
+    I_T = (I^sat)_T.  Otherwise T is the least m in max_gen_degree()..cap
+    with a regularity certificate, since sat(I) <= reg(I) <= m.  Below T,
+    I^sat : m = I^sat gives each degree from the one above,
 
         (I^sat)_e = {f in R_e : x_v * f in (I^sat)_{e+1} for every v},
 
@@ -513,9 +535,10 @@ def saturation_degree(I, cap):
     is one-sided: when no m up to cap has a certificate, no number is
     given (`sat_degree` None and an empty profile: not certified).
     """
-    check_cap(I.nvars, cap, I.max_gen_degree())
+    check_cap(cap, I.max_gen_degree())
     if I.is_monomial:
-        top = mono_degree(I.monomial_ideal().lcm_of_gens()) + 1
+        hf = hilbert_values(I, mono_degree(I.monomial_ideal().lcm_of_gens()) + 1)
+        top = hf.index(0) if 0 in hf else len(hf) - 1
     else:
         cert = least_certificate(I, cap)
         if cert is None:

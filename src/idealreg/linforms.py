@@ -65,11 +65,15 @@ GENERATOR_GUARD = 1000
 # components' power pieces, one `power_annihilator` call over degrees
 # d..cap per distinct non-maximal ideal I_A (maximal components and
 # repeated ideals add nothing), and takes the rank of their stack in each
-# degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals.
-# The product side builds its pieces up to degree d + 1 and reads the
-# dims above from a certificate at m = d; only without one are its pieces
-# built up to the cap.  Timings of `linforms verify`, in-process, median
-# of three runs (2 cores, Python 3.11):
+# degree.  SWEEP_GUARD bounds dim R_cap times the number of those ideals;
+# it is the one bound on the columns of that side, since
+# `graded.check_cap` weighs no piece.  The product side runs first and
+# builds its pieces up to degree d + 1, reading the dims above from a
+# certificate at m = d; only without one are its pieces built up to the
+# cap.  `graded.degree_piece` refuses each of them past
+# `graded.PIECE_GUARD` before it is built, so a refused product costs no
+# annihilator.  Timings of `linforms verify`, in-process, median of three
+# runs (2 cores, Python 3.11), and two rows in a fresh process:
 #   (x1 + k x2), k = 0..9, default cap:              14 x 10 =    140 ->  0.03 s
 #   (x1 + k x2 + k^2 x3), k = 0..10, default cap:   120 x 66 =  7 920 ->  0.5 s
 #   (x1 + k x2 + k^2 x3), k = 0..5, cap 24:         325 x 21 =  6 825 ->  0.8 s
@@ -80,6 +84,8 @@ GENERATOR_GUARD = 1000
 #   nine 2-dimensional subspaces of R_1 in 4 variables, spanned by
 #     (k, 2k+1, -3, 5-k), (7-k, 1, k^2-3, 2), k = 1..9,
 #     default cap:                                  455 x 9  =  4 095 -> 11.1 s
+#   (x1 + 2x2 + 3x3 + 4x4), cap 32, fresh:         6545 x 1  =  6 545 ->  2.4 s, 434 MB
+#   (x1 + 2x2 + 3x3 + 4x4 + 5x5), cap 19, fresh:   8855 x 1  =  8 855 ->  2.4 s, 361 MB
 #   (x1), (x2) in 4 variables, cap 29:             4960 x 3  = 14 880 (refused)
 #   (x1), ..., (x5) in 5 variables, default cap:    495 x 30 = 14 850 (refused)
 # The slowest are bound by QQ row reductions whose coefficients grow with
@@ -87,7 +93,9 @@ GENERATOR_GUARD = 1000
 # subspaces the product side, which this guard does not count: its
 # pieces in degrees 9 and 10 (about 5 s, 512 generators) and the
 # certificate search on them (about 4.5 s).  GENERATOR_GUARD and
-# `graded.PIECE_GUARD` bound those.
+# `graded.PIECE_GUARD` bound those.  The one-form rows hold the
+# annihilator rows of every degree d..cap at once, which the guard's
+# dim R_cap does not count.
 SWEEP_GUARD = 10_000
 
 
@@ -356,14 +364,16 @@ def verify_decomposition(family, cap):
     the intersection in degree d when every degree-d generator has dot
     product 0 (mod p) with every degree-d annihilator row.
 
-    The product side builds its pieces up to degree d + 1 and searches a
-    regularity certificate at m = d there (Bayer-Stillman, Invent. Math.
-    87, 1987).  With one, dim product_e above d + 1 comes from the
-    certificate's recursion (`graded.certified_hilbert_values`, which
-    checks the derived value in degree d + 1 against the built piece).
-    Only when none is found, or cap <= d + 1, does `graded.hilbert_values`
-    read every degree up to the cap, which `graded.check_cap` checks
-    first, as in graded's sweeps.
+    The product side runs first.  It builds its pieces up to degree d + 1
+    and searches a regularity certificate at m = d there (Bayer-Stillman,
+    Invent. Math. 87, 1987).  With one, dim product_e above d + 1 comes
+    from the certificate's recursion (`graded.certified_hilbert_values`,
+    which checks the derived value in degree d + 1 against the built
+    piece).  Only when none is found, or cap <= d + 1, does
+    `graded.hilbert_values` read every degree up to the cap.
+    `graded.check_cap` checks the cap first, as in graded's sweeps, and
+    `graded.degree_piece` refuses any piece past `graded.PIECE_GUARD`
+    before it is built, before any annihilator is written down.
 
     The intersection side builds only what can change its answer, the
     `nonmaximal_components` of the family, and refuses a sweep of more
@@ -380,7 +390,7 @@ def verify_decomposition(family, cap):
       d..cap, which shares its products and column maps across them.
     """
     d = len(family)
-    check_cap(family[0].nvars, cap, d)
+    check_cap(cap, d)
     components = nonmaximal_components(family)
     cols, ideals = ring_dim(family[0].nvars, cap), len(components)
     if cols * ideals > SWEEP_GUARD:
@@ -390,6 +400,11 @@ def verify_decomposition(family, cap):
         )
     p = family[0].characteristic
     product = product_generators(family)
+    cert = regularity_certificate(product, d) if cap > d + 1 else None
+    if cert is None:
+        hf = hilbert_values(product, cap)
+    else:
+        hf = certified_hilbert_values(product, cert, cap)
     degrees = range(d, cap + 1)
     annihilator = {e: [] for e in degrees}
     for V, k in components.items():
@@ -397,11 +412,6 @@ def verify_decomposition(family, cap):
             annihilator[e].extend(rows)
     gens = [g.vector(p) for g in product.generators]
     containment_ok = _annihilates(annihilator[d], gens, p)
-    cert = regularity_certificate(product, d) if cap > d + 1 else None
-    if cert is None:
-        hf = hilbert_values(product, cap)
-    else:
-        hf = certified_hilbert_values(product, cert, cap)
     dims = {}
     for e in range(cap + 1):
         ncols = ring_dim(product.nvars, e)

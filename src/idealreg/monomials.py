@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -71,14 +72,20 @@ def compare_tau(u, v):
 
 @lru_cache(maxsize=None)
 def monomial_basis(n, e):
-    """All degree-e monomials in n variables, tau (lex) descending."""
-    if n == 0:
-        return ((),) if e == 0 else ()
-    if n == 1:
-        return ((e,),)
+    """All degree-e monomials in n variables, tau (lex) descending.
+
+    The multisets of e variable indices come from
+    `combinations_with_replacement` in lex ascending order of the sorted
+    indices, which is lex descending order of the exponent tuples."""
+    if e < 0:
+        return ()
+    zero = [0] * n
     out = []
-    for a in range(e, -1, -1):
-        out.extend((a,) + rest for rest in monomial_basis(n - 1, e - a))
+    for picks in combinations_with_replacement(range(n), e):
+        u = zero.copy()
+        for i in picks:
+            u[i] += 1
+        out.append(tuple(u))
     return tuple(out)
 
 

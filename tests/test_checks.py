@@ -62,6 +62,29 @@ def test_only_quotients_reads_the_raise_entries_of_the_index():
     assert not found, f"raise entries read outside quotients.py: {found}"
 
 
+def test_only_degree_piece_reads_the_piece_guard():
+    # the one function that builds degree pieces decides their size, so
+    # no sweep refuses a piece it never builds or admits one past the guard
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "graded.py":
+            allowed = {id(sub) for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "degree_piece"
+                       for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            reads = (
+                (isinstance(node, ast.Name) and node.id == "PIECE_GUARD"
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == "PIECE_GUARD")
+                or (isinstance(node, ast.alias) and node.name == "PIECE_GUARD")
+            )
+            if reads and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"PIECE_GUARD read outside graded.degree_piece: {found}"
+
+
 def test_cli_binds_no_guard():
     # every guard lives in the library module whose work it bounds, so a
     # library caller meets the refusals the commands meet

@@ -1,11 +1,16 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
 
-from idealreg import betti, linforms, quotients
+import idealreg
+from idealreg import betti, graded, linforms, quotients
 from idealreg.cli import main
 from idealreg.fields import PRIME_BOUND
 from idealreg.graded import RegularityCertificate
@@ -226,7 +231,19 @@ def test_quotients_check_non_minimal_exits_2():
 def test_hankel_enumeration_guard_exits_2(command):
     r = run("hankel", command, "--n", "30", "--t", "8,8,8")
     _assert_input_error(r)
-    assert "ENUM_GUARD = 10000000" in r.stderr
+    assert "ENUM_GUARD = 5000000" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["omega", "certify"])
+def test_hankel_enumeration_guard_weighs_the_variables(command):
+    # 3000 monomials of degree 1, each an exponent tuple of 3000 cells
+    t0 = time.perf_counter()
+    r = run("hankel", command, "--n", "3000", "--t", "1")
+    assert time.perf_counter() - t0 < 1.0
+    _assert_input_error(r)
+    assert r.stderr == ("input error: enumeration guard exceeded: 3000 monomials of "
+                        "degree 1 in 3000 variables weigh 9000000 cells > "
+                        "ENUM_GUARD = 5000000\n")
 
 
 @pytest.mark.parametrize("argv, product", [
@@ -294,24 +311,150 @@ def test_linforms_cap_guard_exits_2(command):
     assert "cap 100000000000 exceeds CAP_GUARD = 32" in r.stderr
 
 
+def _linforms_text(rows_list):
+    return "linforms(" + ", ".join(
+        "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows) + "]"
+        for rows in rows_list) + ")"
+
+
+def _unit(i, n):
+    return [int(j == i) for j in range(n)]
+
+
+# eleven copies of one form in 6 variables: the product is generated in
+# degree 11, and a certificate at m = 11 reads R_12, 6188 columns; the
+# copies have one non-maximal component ideal, so SWEEP_GUARD admits
+# dim R_13 = 8568 columns
+ONE_FORM_11 = _linforms_text([[[1, 2, 3, 4, 5, 6]]] * 11)
+PIECE_12_IN_6 = ("input error: degree-12 piece in 6 variables has 6188 columns, "
+                 "above PIECE_GUARD = 5000\n")
+
+
+@pytest.fixture
+def no_piece_past_the_guard(monkeypatch):
+    # a degree piece past PIECE_GUARD fails the test where it would be
+    # built, so a refusal that comes too late never runs the large build
+    real = graded.DegreePiece
+
+    def bounded(rows, pivots, ncols, *rest):
+        if ncols > graded.PIECE_GUARD:
+            raise AssertionError(f"a piece of {ncols} columns was built")
+        return real(rows, pivots, ncols, *rest)
+
+    monkeypatch.setattr(graded, "DegreePiece", bounded)
+
+
 @pytest.mark.parametrize("command", ["verify", "sat", "reg"])
-def test_linforms_piece_guard_exits_2(command):
-    # cap 32 passes CAP_GUARD, but R_32 in 5 variables has 58905 columns
+def test_linforms_piece_guard_exits_2(command, no_piece_past_the_guard):
+    # cap 13 passes CAP_GUARD and SWEEP_GUARD; the piece R_12 the
+    # certificate at m = 11 reads is refused before it is built
+    r = run("linforms", command, "--family", ONE_FORM_11, "--cap", "13")
+    _assert_input_error(r)
+    assert r.stderr == PIECE_12_IN_6
+
+
+def test_linforms_piece_guard_checks_default_cap(no_piece_past_the_guard):
+    # eleven one-form factors in 6 variables: the default sat and reg cap
+    # 11 admits R_11 (4368 columns), but the certificate at m = 11 reads R_12
+    rng = random.Random(5)
+    family = _linforms_text([[[rng.randint(-5, 5) for _ in range(6)]] for _ in range(11)])
+    for command in ("sat", "reg"):
+        r = run("linforms", command, "--family", family)
+        _assert_input_error(r)
+        assert r.stderr == PIECE_12_IN_6
+
+
+@pytest.mark.parametrize("command, code, expect", [
+    ("reg", 0, "certificate at m = 2 (cap 32): 2 <= reg <= 2\n"),
+    ("sat", 0, "sat = 0 (cap 32)\n"),
+    ("verify", 2, "58905 columns times 3 non-maximal component ideals"),
+])
+def test_linforms_cap_32_builds_only_the_pieces_it_reads(command, code, expect,
+                                                       no_piece_past_the_guard):
+    # (x1)(x2) in 5 variables: R_32 has 58905 columns, but the certificate
+    # at m = 2 reads R_2 and R_3, and the saturation starts at
+    # deg lcm + 1 = 3; the intersection side of verify would sweep R_32
     r = run("linforms", command, "--family",
-            "linforms([[1,0,0,0,0]],[[0,1,0,0,0]])", "--cap", "32")
-    _assert_input_error(r)
-    assert "has 58905 columns, above PIECE_GUARD = 5000" in r.stderr
+            _linforms_text([[_unit(0, 5)], [_unit(1, 5)]]), "--cap", "32")
+    assert r.exit_code == code, r.output
+    if code:
+        _assert_input_error(r)
+        assert expect in r.stderr
+    else:
+        assert r.stdout.startswith(expect)
 
 
-def test_linforms_piece_guard_checks_default_cap():
-    # 8 factors in 10 variables: the default verify cap 11 gives 167960 columns
-    family = "linforms(" + ", ".join(
-        "[[" + ",".join("1" if j == i else "0" for j in range(10)) + "]]"
-        for i in range(8)
-    ) + ")"
-    r = run("linforms", "verify", "--family", family)
-    _assert_input_error(r)
-    assert "degree-11 piece in 10 variables has 167960 columns" in r.stderr
+def test_linforms_sat_stops_where_the_quotient_vanishes(no_piece_past_the_guard):
+    # (x1..x10)^3 contains R_3, so I^sat = R from degree 3, far below
+    # deg lcm + 1 = 31
+    t0 = time.perf_counter()
+    r = run("linforms", "sat", "--family",
+            _linforms_text([[_unit(i, 10) for i in range(10)]] * 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert r.exit_code == 0, r.output
+    assert r.stdout.startswith("sat = 3 (cap 3)\n")
+
+
+BOUNDED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from idealreg.cli import main
+main(sys.argv[1:])
+"""
+
+
+def _run_bounded(*argv):
+    """`idealreg` in a child process held to 1 GiB of address space and
+    60 s, for argvs whose build is unbounded unless a guard refuses it:
+    (exit code, stdout, stderr, seconds)."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(idealreg.__file__)))
+    path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", BOUNDED_MAIN, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return child.returncode, child.stdout, child.stderr, time.perf_counter() - t0
+
+
+def _one_form(n):
+    return _linforms_text([[_unit(0, n)]])
+
+
+@pytest.mark.parametrize("argv, code, expect", [
+    (("hankel", "omega", "--n", "600", "--t", "1"), 0, "|Omega| = 600\n"),
+    (("hankel", "certify", "--n", "600", "--t", "1"), 0,
+     "linear quotients certified for 600 generators\n"),
+    # Omega's 1000 generators in 1000 variables pass AMBIENT_GUARD
+    (("hankel", "certify", "--n", "1000", "--t", "1"), 2,
+     "1000 generators in 1000 variables weigh 1016000 cells"),
+    (("linforms", "verify", "--family", _one_form(1000), "--cap", "1"), 0,
+     "decomposition holds degreewise: True"),
+    # R_1 has n columns, R_2 n(n + 1)/2: the saturation of (x1) starts at
+    # deg lcm + 1 = 2, and the certificate at m = 1 reads R_2
+    (("linforms", "sat", "--family", _one_form(300), "--cap", "1"), 2,
+     "degree-2 piece in 300 variables has 45150 columns, above PIECE_GUARD = 5000"),
+    (("linforms", "reg", "--family", _one_form(300), "--cap", "1"), 2,
+     "degree-2 piece in 300 variables has 45150 columns, above PIECE_GUARD = 5000"),
+    (("linforms", "sat", "--family", _one_form(1000), "--cap", "1"), 2,
+     "degree-2 piece in 1000 variables has 500500 columns"),
+    (("linforms", "reg", "--family", _one_form(500), "--cap", "1"), 2,
+     "degree-2 piece in 500 variables has 125250 columns"),
+], ids=["omega-600", "certify-600", "certify-1000", "verify-1000", "sat-300",
+        "reg-300", "sat-1000", "reg-500"])
+def test_hundreds_of_variables_answer_or_exit_2(argv, code, expect):
+    # a basis built by one recursion per variable ends these in a
+    # RecursionError, and a piece weighed only after it is built in a
+    # MemoryError or a hang
+    got, out, err, seconds = _run_bounded(*argv)
+    assert got == code, err
+    if code:
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+        assert expect in err
+        assert seconds < 3.0
+    else:
+        assert err == "" and expect in out
 
 
 def test_linforms_verify_sweep_guard_exits_2():
@@ -767,7 +910,7 @@ HANKEL_GOLDEN = [
      'input error: size 3 outside 1..2 for n = 4\n'),
     (('hankel', 'omega', '--n', '30', '--t', '8,8,8'),
      2, '',
-     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 > ENUM_GUARD = 10000000\n'),
+     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 in 30 variables weigh 23377659359691000 cells > ENUM_GUARD = 5000000\n'),
     (('hankel', 'certify', '--n', '4', '--t', '2'),
      0, '{"certificate": {"colon_vars": [[], [3], [1]], "nvars": 4, "order": ["a*c", "a*d", "b*d"]}, "generators": 3, "reg": 2}\n',
      ''),
@@ -782,7 +925,7 @@ HANKEL_GOLDEN = [
      ''),
     (('hankel', 'certify', '--n', '30', '--t', '8,8,8'),
      2, '',
-     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 > ENUM_GUARD = 10000000\n'),
+     'input error: enumeration guard exceeded: 779255311989700 monomials of degree 24 in 30 variables weigh 23377659359691000 cells > ENUM_GUARD = 5000000\n'),
     (('hankel', 'decompose', '--monomial', 'x1^2*x2^3*x3^2*x5^3*x6*x7*x8^3'),
      0, '{"factors": ["a*c*e*g", "a*c*e*h", "b*e*h", "b*f*h", "b"], "gamma": {"1": 15, "2": 10, "3": 6, "4": 2}, "shape": [4, 4, 3, 3, 1]}\n',
      ''),

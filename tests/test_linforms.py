@@ -206,10 +206,11 @@ LIBRARY_SWEEPS = {
 
 @pytest.mark.parametrize("sweep", LIBRARY_SWEEPS.values(), ids=list(LIBRARY_SWEEPS))
 @pytest.mark.parametrize("rows, cap, message", [
-    # the cases of the CLI's guard tests, met by library callers too
+    # the cases of the CLI's guard tests, met by library callers too: eleven
+    # copies of one form in 6 variables, whose certificate at m = 11 reads R_12
     ([[[1, 0]]], 33, "cap 33 exceeds CAP_GUARD = 32"),
-    ([[[1, 0, 0, 0, 0]], [[0, 1, 0, 0, 0]]], 32,
-     "degree-32 piece in 5 variables has 58905 columns, above PIECE_GUARD = 5000"),
+    ([[[1, 2, 3, 4, 5, 6]]] * 11, 13,
+     "degree-12 piece in 6 variables has 6188 columns, above PIECE_GUARD = 5000"),
 ], ids=["CAP_GUARD", "PIECE_GUARD"])
 def test_library_sweeps_refuse_a_cap_past_the_guards(sweep, rows, cap, message):
     family = [LinearIdeal.from_rows(len(V[0]), V) for V in rows]

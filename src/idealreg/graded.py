@@ -105,7 +105,8 @@ class HomPolynomial:
 class GradedIdealView:
     """Graded ideal given by homogeneous generators over K (char 0 or p)."""
 
-    def __init__(self, nvars, generators, characteristic=0):
+    def __init__(self, nvars, generators, characteristic=0, monomial=None):
+        """`monomial` is the MonomialIdeal the generators come from, if any."""
         generators = tuple(generators)
         if not generators:
             raise ValueError("ideal needs at least one generator")
@@ -116,11 +117,9 @@ class GradedIdealView:
         self.generators = generators
         self.characteristic = field_of(characteristic)
         self._pieces = {}  # e -> DegreePiece, the one cache of the view
-        self._monomial = (
-            MonomialIdeal.from_gens(nvars, (g.terms[0][0] for g in generators))
-            if all(g.is_monomial for g in generators)
-            else None
-        )
+        if monomial is None and all(g.is_monomial for g in generators):
+            monomial = MonomialIdeal.from_gens(nvars, (g.terms[0][0] for g in generators))
+        self._monomial = monomial
 
     @classmethod
     def from_monomial_ideal(cls, I, characteristic=0):
@@ -128,6 +127,7 @@ class GradedIdealView:
             I.nvars,
             [HomPolynomial.from_monomial(g) for g in I.gens],
             characteristic,
+            I,
         )
 
     @property

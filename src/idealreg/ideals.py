@@ -2,10 +2,14 @@
 Hilbert numerator.
 
 G(I) is the unique minimal monomial generating set; everything here is
-purely combinatorial and characteristic-free.  The Hilbert function of
-R/I comes from the numerator K(t) = (1 - t)^n HS(R/I), read off G(I) by
-the pivot recursion and bounded by NUMERATOR_GUARD; no standard monomial
-is visited.  `standard_divisors_of` lists the standard monomials dividing
+purely combinatorial and characteristic-free.  `minimalize` is the one
+pruning routine, for `from_gens`, `product` and the colons of the
+numerator: it takes the monomials known to be minimal apart, and tests the
+others pairwise below a size rule (PAIRWISE_TESTS) and by ANDs of
+per-variable exponent bitsets above it.  The Hilbert function of R/I
+comes from the numerator K(t) = (1 - t)^n HS(R/I), read off G(I) by the
+pivot recursion and bounded by NUMERATOR_GUARD; no standard monomial is
+visited.  `standard_divisors_of` lists the standard monomials dividing
 a given one, the ground set of the Koszul route of `betti`.
 """
 
@@ -13,44 +17,105 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, itemgetter, le
 
 from .monomials import check_ambient, degree, one, support
 
+# `minimalize` tests pairwise while tests x candidates is at most
+# PAIRWISE_TESTS and by bitset ANDs above it.  On the first colon of the
+# squarefree Veronese ideal I_{m,d} (below), pairwise was faster on I_{8,4}
+# (35 tests x 70 candidates) and as fast on I_{9,4} (70 x 126); on random
+# monomials, where a divisor turns up early, it stays faster up to about
+# 10^5.
+PAIRWISE_TESTS = 5000
+
 # NUMERATOR_GUARD bounds the steps of `MonomialIdeal.hilbert_numerator`,
 # counted as it goes.  A step is one exponent read: n per generator of a
-# memo entry and per divisibility test of its colon, at most one test per
-# generator and kept colon generator.  A slot of a degree list (top + 1
-# per entry, per generator in a coprime base case, per variable for the
-# prefix sums) counts _SLOT_STEPS, as it is held to the end: a large top
-# costs memory rather than time.  Timings (2 cores, Python 3.11) of
+# memo entry, and n per test that `minimalize` may make on its colon, where
+# only the generators with g_i < e are tested.  Within PAIRWISE_TESTS that
+# is at most one test per such generator and kept colon generator; above
+# it a test is n ANDs of bitsets over the r generators of the entry, each
+# weighed as _AND_STEPS + r // 32 steps, about as long as that many
+# pairwise reads take.  A slot of a degree list (top + 1 per entry, per
+# generator in a coprime base case, per variable for the prefix sums)
+# counts _SLOT_STEPS, as it is held to the end: a large top costs memory
+# rather than time.  Timings (2 cores, Python 3.11) of
 # `hilbert_values` alone, median of 3, and of one `idealreg betti` call
 # (two tables) in a fresh process with its peak RSS; I_{m,d} is the
 # squarefree Veronese ideal (degree d, m variables), J_2 `chain_ideal`:
-#   "ideal(x16)", cap 17:              32 416 steps  0.00 s  0.1 s   18 MB
-#   J_2^4 in 7 variables, cap 28:  15 567 931 steps  0.10 s  0.4 s   25 MB
-#   I_{15,7}, cap 10:             615 181 880 steps  1.23 s  3.2 s  125 MB
-#   I_{16,6}, cap 22:             920 162 232 steps  2.14 s  5.3 s  220 MB
-#   "ideal(a^3333330)", its cap:  999 999 601 steps  0.07 s  0.5 s  171 MB
-#   I_{100,2}, cap 2:           1 717 049 500 steps  8.29 s  (refused)
+#   "ideal(x16)", cap 17:              32 416 steps  0.00 s  0.1 s   17 MB
+#   J_2^4 in 7 variables, cap 28:   5 178 034 steps  0.06 s  0.3 s   21 MB
+#   I_{15,7}, cap 10:              65 704 955 steps  0.58 s  1.7 s   52 MB
+#   I_{16,6}, cap 22:             156 657 288 steps  0.60 s  2.1 s   62 MB
+#   "ideal(a^3333330)", its cap:  999 999 601 steps  0.09 s  0.7 s  170 MB
+#   I_{100,2}, cap 2:           2 393 505 600 steps  3.11 s  (refused)
 NUMERATOR_GUARD = 1_000_000_000
 _SLOT_STEPS = 100
+_AND_STEPS = 50
 
 
-def minimalize(monomials):
-    """Prune to the minimal generating set (drop multiples), degree-sorted.
+def minimalize(monomials, minimal=()):
+    """G of the ideal generated by `monomials` and `minimal`, degree-sorted:
+    the candidates that no other one divides.  The monomials in `minimal`
+    are known to be divided by no other candidate and are kept untested.
 
-    Distinct monomials of one degree never divide each other, so u is tested
-    only against the kept generators of lower degree, out[:lower].
+    Distinct monomials of one degree never divide each other, so every
+    other u is tested only against candidates of strictly lower degree.
+    While tests x candidates is at most PAIRWISE_TESTS, u is tested pairwise
+    against the kept generators of lower degree.  Above it, u is tested
+    against all candidates of lower degree at once: in degree order, bit k
+    of les[j][c] stands for the k-th candidate if its exponent of x_j is at
+    most c, and u is kept when the AND over j of les[j][u_j] holds no bit
+    below `lower`, the number of candidates of lower degree.
     """
+    minimal = set(minimal)
+    cands = minimal.union(monomials)
+    by_degree = {}
+    for u in cands:
+        by_degree.setdefault(sum(u), []).append(u)
+    degrees = sorted(by_degree)
+    if len(degrees) <= 1:
+        return list(cands)
     out = []
+    if (len(cands) - len(minimal)) * len(cands) <= PAIRWISE_TESTS:
+        for d in degrees:
+            lower = out[:]
+            for u in by_degree[d]:
+                for v in () if u in minimal else lower:  # minimal: untested
+                    if all(map(le, v, u)):
+                        break  # v divides u
+                else:
+                    out.append(u)
+        return out
+    cands = [u for d in degrees for u in by_degree[d]]
+    ground = len(cands) - len(by_degree[degrees[-1]])  # the possible divisors
+    les_of = []
+    for column in zip(*cands):  # one pass per variable
+        at = {}
+        for k, c in enumerate(column[:ground]):
+            if c:
+                at[c] = at.get(c, 0) | 1 << k
+        acc = (1 << ground) - 1
+        for bits in at.values():
+            acc ^= bits  # leaves those with exponent 0
+        les = {}
+        for c in sorted(set(column)):
+            acc |= at.get(c, 0)
+            les[c] = acc
+        les_of.append(les)
     lower = 0
-    for u in sorted(set(monomials), key=sum):
-        if out and sum(out[-1]) < sum(u):
-            lower = len(out)
-        if not any(all(map(le, v, u)) for v in islice(out, lower)):
-            out.append(u)
+    for d in degrees:
+        mask = (1 << lower) - 1
+        for u in by_degree[d]:
+            below = 0 if u in minimal else mask
+            for les, c in zip(les_of, u):
+                if not below:
+                    break
+                below &= les[c]
+            if not below:  # no candidate of lower degree divides u
+                out.append(u)
+        lower += len(by_degree[d])
     return out
 
 
@@ -137,7 +202,11 @@ class MonomialIdeal:
         top.  x_i is in most generators; e, the median x_i exponent of the
         mixed ones (x_i and another variable), lies below the pure power of
         x_i in G(I), so I + (x_i^e) has fewer mixed generators and I : x_i^e
-        less degree.  A memo computes each (generators, top) once."""
+        less degree.  In I : x_i^e a generator with g_i >= e stays minimal
+        once cut to g / x_i^e, as a colon generator dividing it comes from
+        a generator dividing g; only the generators with g_i < e lose x_i
+        and can become multiples, so `minimalize` tests only those.  A memo
+        computes each (generators, top) once."""
         n, memo, spent = self.nvars, {}, [0]
 
         def charge(steps):
@@ -161,10 +230,15 @@ class MonomialIdeal:
                 i = counts.index(max(counts))
                 mixed = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
                 e = mixed[len(mixed) // 2]
-                colon = minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
-                charge(n * len(gens) * (1 + len(colon)) + _SLOT_STEPS * (top + 1))
+                below = [g for g in gens if g[i] < e]
+                colon = minimalize(
+                    (g[:i] + (0,) + g[i + 1:] for g in below),
+                    [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i] >= e])
+                tests = len(below) * (len(colon) if len(below) * len(gens) <= PAIRWISE_TESTS
+                                      else _AND_STEPS + len(gens) // 32)
+                charge(n * (len(gens) + tests) + _SLOT_STEPS * (top + 1))
                 power = (0,) * i + (e,) + (0,) * (n - i - 1)
-                K = list(numerator([g for g in gens if g[i] < e] + [power], top))
+                K = list(numerator(below + [power], top))
                 for j, c in enumerate(numerator(colon, top - e), e):
                     K[j] += c
             memo[gens, top] = K

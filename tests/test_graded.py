@@ -21,6 +21,7 @@ from idealreg.graded import (
 )
 from idealreg.ideals import MonomialIdeal
 from idealreg.monomials import basis_index, monomial_basis, parse_monomial
+from idealreg.parsing import parse_ideal_text
 from idealreg.samplers import random_monomial_ideal, rng_from_seed
 from oracles import contains_monomial, saturation
 
@@ -65,6 +66,14 @@ def test_degree_piece_dims_match_hilbert():
     assert set(vars(I)) == {
         "nvars", "generators", "characteristic", "_pieces", "_monomial"
     }
+
+
+def test_a_view_of_a_monomial_ideal_keeps_that_ideal():
+    I = parse_ideal_text("ideal(a^2*b, b*c, a*b*c)")
+    assert GradedIdealView.from_monomial_ideal(I, 2).monomial_ideal() is I
+    # built from monomial generators, a view finds G(I) itself
+    J = GradedIdealView(3, [HomPolynomial.from_monomial(g) for g in I.gens + I.gens])
+    assert J.monomial_ideal() == I
 
 
 def test_monomial_and_generic_hilbert_agree():

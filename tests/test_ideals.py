@@ -1,9 +1,11 @@
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from idealreg import ideals
 from idealreg.ideals import MonomialIdeal, dimension_monomial, minimalize
 from idealreg.monomials import (
     divides,
@@ -60,6 +62,24 @@ monomial_lists = st.integers(1, 4).flatmap(
 @example([(0, 2, 0), (1, 0, 0), (0, 1, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)])
 def test_minimalize_matches_all_pairs(monomials):
     assert minimalize(monomials) == brute_minimalize(monomials)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_lists, st.sets(st.integers(0, 13)), st.booleans(),
+       st.sampled_from([0, ideals.PAIRWISE_TESTS]))
+@example([(1, 0), (0, 1), (1, 1), (2, 0)], {0}, False, 0)
+@example([(0, 2, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1), (0, 0, 1)], {0, 2}, True, 0)
+def test_minimalize_keeps_the_known_minimal_and_matches_all_pairs(
+        monomials, picks, apart, pairwise_tests):
+    # pairwise_tests 0 sends every set of two degrees or more to the bitsets
+    G = brute_minimalize(monomials)
+    minimal = [G[k] for k in picks if k < len(G)]
+    if apart:
+        monomials = [u for u in monomials if u not in minimal]
+    with mock.patch.object(ideals, "PAIRWISE_TESTS", pairwise_tests):
+        out = minimalize(monomials, minimal)
+    assert sorted(out) == sorted(G)
+    assert [degree(u) for u in out] == sorted(map(degree, G))
 
 
 def test_from_gens_rejects():
@@ -127,12 +147,64 @@ exponent_ideals = st.integers(1, 4).flatmap(
 @example(MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 2, 1), (3, 0, 1)]), 4)
 @example(MonomialIdeal.from_gens(2, [(0, 0)]), 3)
 def test_numerator_values_match_standard_divisor_counts(I, top):
+    assert I.hilbert_values(top) == counted_standard_divisors(I, top)
+
+
+def counted_standard_divisors(I, top):
     # every monomial of degree <= top divides (top, ..., top)
     counts = [0] * (top + 1)
     for u in I.standard_divisors_of((top,) * I.nvars):
         if sum(u) <= top:
             counts[sum(u)] += 1
-    assert I.hilbert_values(top) == counts
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_ideals, st.integers(0, 9))
+@example(MonomialIdeal.from_gens(2, [(2, 1), (1, 2), (0, 3)]), 3)
+def test_the_colons_of_the_numerator_are_minimal(I, top):
+    # the cut generators go in as known minimal, so a wrong split shows as
+    # a colon that keeps a multiple
+    real = ideals.minimalize
+
+    def checked(monomials, minimal=()):
+        monomials, minimal = list(monomials), list(minimal)
+        out = real(monomials, minimal)
+        assert sorted(out) == sorted(brute_minimalize(monomials + minimal))
+        return out
+
+    with mock.patch.object(ideals, "minimalize", checked):
+        assert I.hilbert_values(top) == counted_standard_divisors(I, top)
+
+
+def many_generator_ideals():
+    """Ideals drawn from 150 to 255 monomials of degrees 3 to 5 in 7
+    variables, whose first colon has more tests x candidates than
+    PAIRWISE_TESTS."""
+    def build(seed):
+        rng = random.Random(seed)
+        gens = (rng.sample(monomial_basis(7, 4), rng.randint(150, 210))
+                + rng.sample(monomial_basis(7, 5), rng.randint(0, 40))
+                + rng.sample(monomial_basis(7, 3), rng.randint(0, 5)))
+        return MonomialIdeal.from_gens(7, gens)
+
+    return st.integers(0, 10**6).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(many_generator_ideals(), st.integers(4, 7))
+def test_numerator_values_above_the_size_rule_match_standard_divisor_counts(I, top):
+    real, sizes = ideals.minimalize, []
+
+    def sized(monomials, minimal=()):
+        monomials, minimal = list(monomials), set(minimal)
+        tested = set(monomials) - minimal
+        sizes.append(len(tested) * len(tested | minimal))
+        return real(monomials, minimal)
+
+    with mock.patch.object(ideals, "minimalize", sized):
+        assert I.hilbert_values(top) == counted_standard_divisors(I, top)
+    assert max(sizes) > ideals.PAIRWISE_TESTS >= min(sizes)  # both kernels ran
 
 
 def test_numerator_of_coprime_generators_is_their_product():
